@@ -14,7 +14,7 @@ from dataclasses import dataclass
 class Budgets:
     # max n for family enumeration (maximum independent sets, maximum matchings)
     enum_n: int = 20
-    # max n for 2^n subset sweeps (critical difference, ker)
+    # max n for the 2^n subset sweep (critical_difference_bruteforce)
     subset_n: int = 20
     # max n for branch-and-bound alpha on general graphs
     bb_n: int = 40

@@ -67,8 +67,8 @@ def _analysis_record(gid: str, g: Graph, budgets: Budgets) -> dict:
     m = mu(g, budgets)
     c = core(g, budgets)
     cor = corona(g, budgets)
-    k = ker(g, budgets)
-    d_c = critical_difference(g, budgets)
+    k = ker(g)
+    d_c = critical_difference(g)
     record = {
         "graph_id": gid,
         "n": g.n,

@@ -24,8 +24,7 @@ from typing import Iterator
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
-from .graph import Graph, parse_edge_list
-from .independence import _strip_to_cycles
+from .graph import Graph, _components_in, _cycle_order, _strip_to_cycles, parse_edge_list
 
 __all__ = [
     "FIXTURE_NAMES",
@@ -174,19 +173,6 @@ def tree_code(g: Graph) -> str:
     """Canonical string; two trees get the same code iff they are isomorphic."""
     centers = _tree_centers(g.adj, g.n)
     return min(_rooted_code(g.adj, c, -1) for c in centers)
-
-
-def _cycle_order(adj: tuple[int, ...], cyc: int) -> list[int]:
-    start = (cyc & -cyc).bit_length() - 1
-    nb = adj[start] & cyc
-    order = [start, (nb & -nb).bit_length() - 1]
-    while True:
-        prev, cur = order[-2], order[-1]
-        step = adj[cur] & cyc & ~(1 << prev)
-        nxt = (step & -step).bit_length() - 1
-        if nxt == start:
-            return order
-        order.append(nxt)
 
 
 def unicyclic_code(g: Graph) -> str:
@@ -349,6 +335,7 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     # permutation that preserves the (sorted) degree vector positionwise
     perm_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     all_perms = list(permutations(range(n)))[1:]
+    full = (1 << n) - 1
 
     def bitmaps_for(deg: tuple[int, ...]) -> list[tuple[int, ...]]:
         maps = perm_cache.get(deg)
@@ -381,18 +368,7 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
             rest ^= b
         if any(deg[i] < deg[i + 1] for i in range(n - 1)):
             continue
-        comp = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            r = frontier
-            while r:
-                b = r & -r
-                nxt |= adj[b.bit_length() - 1]
-                r ^= b
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp != (1 << n) - 1:
+        if len(_components_in(adj, full)) > 1:
             continue
         minimal = True
         for bm in bitmaps_for(tuple(deg)):

@@ -2,16 +2,21 @@
 sets (d_c) and over independent sets (id_c), the witness structures, and ker
 (the intersection of all critical independent sets).
 
-The subset sweep is the reference implementation and the final authority; it
-buys exactness with an exponential bill, so it is capped by subset_n. The
-fast path computes d_c as alpha of the bipartite double cover minus n and is
-cross-checked against the sweep on every graph small enough to afford both;
-one disagreement disables the fast path for the rest of the process.
+d_c and ker come from one maximum matching of H, the bipartite half of the
+double cover: V on the left, a copy V' on the right, and an edge u-v' for
+each edge uv of G.
 
-ker(G) dispatches structurally: for Koenig-Egervary graphs (in particular all
-bipartite ones) ker coincides with the intersection of all maximum
-independent sets, which is cheaper to get via alpha queries; everything else
-falls to the sweep.
+* d_c(G) = n - mu(H) (C.-Q. Zhang, SIAM J. Discrete Math. 1990).
+* v lies in ker(G) exactly when some maximum matching of H leaves the left
+  copy of v uncovered (after V. E. Levit and E. Mandrescu, "Vertices
+  belonging to all critical sets of a graph", SIAM J. Discrete Math. 2012).
+  Those are the left vertices reachable from the uncovered ones by
+  alternating paths (Dulmage-Mendelsohn), so ker costs one matching plus
+  one alternating breadth-first search, O(nm) at any size.
+
+The subset sweep is the reference implementation that the tests and the
+theorem checkers hold both rules against. It buys exactness with an
+exponential bill, so it is capped by subset_n.
 """
 
 from __future__ import annotations
@@ -19,18 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .errors import BudgetExceededError, DomainError
-from .graph import Graph, VertexSet, classify_shape
-from .independence import _alpha_active, core
-from .matching import is_koenig_egervary
+from .errors import BudgetExceededError
+from .graph import Graph, VertexSet, _bits, _match
 
 __all__ = [
     "diff",
     "CriticalReport",
     "critical_difference_bruteforce",
-    "bipartite_double_cover",
-    "critical_difference_fast",
-    "cross_check_fast_path",
     "critical_difference",
     "ker",
 ]
@@ -96,76 +96,40 @@ def critical_difference_bruteforce(
     )
 
 
-def bipartite_double_cover(g: Graph) -> Graph:
-    """Two mirrored copies, primed labels on the mirror, each edge uv becoming
-    u-v' and v-u'. Rejects graphs whose labels already collide with a primed
-    twin."""
-    labels = g.labels
-    primed = [lab + "'" for lab in labels]
-    clash = set(labels) & set(primed)
-    if clash:
-        raise DomainError(
-            f"label {sorted(clash)[0]!r} collides with a primed copy"
-        )
-    edges = []
-    for i, j in g.edges():
-        edges.append((labels[i], primed[j]))
-        edges.append((labels[j], primed[i]))
-    isolated = []
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            isolated.append(labels[v])
-            isolated.append(primed[v])
-    return Graph.from_edges(edges, isolated=isolated)
+def _cover_matching(g: Graph) -> dict[int, int]:
+    """Maximum matching of H, the bipartite half of the double cover: every
+    vertex on the left, a copy on the right, u joined to v' for each edge uv.
+    Returned as {right copy: left vertex}."""
+    full = (1 << g.n) - 1
+    return _match(g.adj, full, full)
 
 
-_fast_path_enabled = True
+def critical_difference(g: Graph) -> int:
+    """d_c(G) = n - mu(H) (Zhang 1990)."""
+    return g.n - len(_cover_matching(g))
 
 
-def critical_difference_fast(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    """d_c via alpha(double cover) - n. The cover is bipartite, so its alpha
-    is exact at any size this library handles."""
-    cover = bipartite_double_cover(g)
-    return _alpha_active(cover.adj, (1 << cover.n) - 1, budgets) - g.n
-
-
-def cross_check_fast_path(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """Run both routes and compare. A mismatch permanently disables the fast
-    path in this process and returns False."""
-    global _fast_path_enabled
-    fast = critical_difference_fast(g, budgets)
-    slow = critical_difference_bruteforce(g, budgets).d_c
-    if fast != slow:
-        _fast_path_enabled = False
-        return False
-    return True
-
-
-def critical_difference(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    """d_c(G), via the double cover while it remains trusted and within
-    budget via the sweep otherwise."""
-    if _fast_path_enabled:
-        return critical_difference_fast(g, budgets)
-    return critical_difference_bruteforce(g, budgets).d_c
-
-
-def ker(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
-    """Intersection of all critical independent sets.
-
-    Bipartite graphs get ker = core, which needs only alpha queries. A
-    connected unicyclic graph that is not Koenig-Egervary also has ker =
-    core. Everything else (including Koenig-Egervary graphs with an odd
-    cycle, where the two sets can differ) goes through the sweep.
-    """
-    if g.n == 0:
-        return g.empty_set()
-    shape = classify_shape(g)
-    if shape.bipartite:
-        return core(g, budgets)
-    if (
-        shape.connected
-        and shape.kind == "unicyclic"
-        and not is_koenig_egervary(g, budgets)
-    ):
-        return core(g, budgets)
-    return critical_difference_bruteforce(g, budgets).ker
+def ker(g: Graph) -> VertexSet:
+    """Intersection of all critical independent sets: the left vertices
+    reachable from the left vertices a maximum matching of H leaves free,
+    stepping to any right neighbour and back along its matching edge. Those
+    are exactly the vertices some maximum matching of H leaves uncovered."""
+    adj = g.adj
+    mate = _cover_matching(g)
+    covered = 0
+    for v in mate.values():
+        covered |= 1 << v
+    reached = frontier = ((1 << g.n) - 1) & ~covered
+    stepped = 0
+    while frontier:
+        right = 0
+        for v in _bits(frontier):
+            right |= adj[v]
+        right &= ~stepped
+        stepped |= right
+        nxt = 0
+        for w in _bits(right):
+            nxt |= 1 << mate[w]  # w is covered, or H had an augmenting path
+        frontier = nxt & ~reached
+        reached |= frontier
+    return VertexSet(g, reached)

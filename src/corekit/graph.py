@@ -37,6 +37,154 @@ def _check_label(label: str) -> str:
     return label
 
 
+# -- mask-level helpers (shared by every algorithm module) --------------------
+#
+# All of these take the adjacency bitmask tuple and an `active` vertex mask and
+# work on the subgraph induced on it. None of them recurses.
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _components_in(adj: tuple[int, ...], active: int) -> list[int]:
+    """Connected components of the subgraph induced on the active mask,
+    ordered by smallest vertex index."""
+    out = []
+    rest = active
+    while rest:
+        low = rest & -rest
+        comp = low
+        frontier = low
+        while frontier:
+            nxt = 0
+            scan = frontier
+            while scan:
+                b = scan & -scan
+                nxt |= adj[b.bit_length() - 1]
+                scan ^= b
+            frontier = nxt & active & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def _edge_count(adj: tuple[int, ...], active: int) -> int:
+    total = 0
+    rest = active
+    while rest:
+        b = rest & -rest
+        total += (adj[b.bit_length() - 1] & active).bit_count()
+        rest ^= b
+    return total // 2
+
+
+def _strip_to_cycles(adj: tuple[int, ...], active: int) -> int:
+    """Repeatedly drop active vertices with at most one active neighbour.
+    On a unicyclic component the survivors are exactly the cycle."""
+    changed = True
+    while changed:
+        changed = False
+        rest = active
+        while rest:
+            b = rest & -rest
+            v = b.bit_length() - 1
+            rest ^= b
+            if (adj[v] & active).bit_count() <= 1:
+                active ^= b
+                changed = True
+    return active
+
+
+def _cycle_order(adj: tuple[int, ...], cyc: int) -> list[int]:
+    """The vertices of a bare cycle (a mask whose induced subgraph is one
+    cycle) in walking order: from the lowest index toward its lower
+    neighbour."""
+    start = (cyc & -cyc).bit_length() - 1
+    nb = adj[start] & cyc
+    order = [start, (nb & -nb).bit_length() - 1]
+    while True:
+        prev, cur = order[-2], order[-1]
+        step = adj[cur] & cyc & ~(1 << prev)
+        nxt = (step & -step).bit_length() - 1
+        if nxt == start:
+            return order
+        order.append(nxt)
+
+
+def _two_coloring(adj: tuple[int, ...], active: int) -> int | None:
+    """The colour-0 class of a proper 2-colouring of the subgraph induced on
+    the active mask, the lowest vertex of each component coloured 0; None if
+    the subgraph has an odd cycle. Breadth-first layers alternate colours, so
+    the colouring is proper iff no edge joins two vertices of one layer."""
+    left = 0
+    rest = active
+    while rest:
+        comp = frontier = rest & -rest
+        even = True
+        while frontier:
+            nxt = 0
+            scan = frontier
+            while scan:
+                b = scan & -scan
+                nxt |= adj[b.bit_length() - 1]
+                scan ^= b
+            if nxt & frontier:
+                return None
+            if even:
+                left |= frontier
+            even = not even
+            frontier = nxt & active & ~comp
+            comp |= frontier
+        rest &= ~comp
+    return left
+
+
+def _match(adj: tuple[int, ...], sources: int, targets: int) -> dict[int, int]:
+    """Maximum matching of the bipartite graph with the source mask on the
+    left, the target mask on the right and an edge s-t for every target t in
+    adj[s]. Returns {target: source}.
+
+    The two sides are separate copies even when the masks overlap, so
+    sources = targets = all vertices matches the bipartite double cover
+    (v on the left joined to w' on the right for every edge vw) without
+    building it. Augmenting paths are grown depth-first with an explicit
+    stack: sources in increasing index order, neighbours lowest bit first,
+    one visited-target mask per source."""
+    mate: dict[int, int] = {}
+    for s in _bits(sources):
+        seen = 0
+        path = [s]  # left vertices of the alternating path being grown
+        via: list[int] = []  # via[i] is the matched target leading to path[i + 1]
+        scans = [adj[s] & targets]  # unvisited candidates for each path vertex
+        while scans:
+            nb = scans[-1] & ~seen
+            if not nb:
+                scans.pop()
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            b = nb & -nb
+            seen |= b
+            t = b.bit_length() - 1
+            owner = mate.get(t)
+            if owner is None:
+                mate[t] = path[-1]
+                for i, u in enumerate(via):
+                    mate[u] = path[i]
+                break
+            via.append(t)
+            path.append(owner)
+            scans.append(adj[owner] & targets)
+    return mate
+
+
 class Graph:
     """An immutable simple undirected graph.
 
@@ -204,25 +352,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Vertex masks of connected components, ordered by smallest index."""
-        seen = 0
-        out = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = 1 << start
-            while frontier:
-                nxt = 0
-                rest = frontier
-                while rest:
-                    b = rest & -rest
-                    nxt |= self.adj[b.bit_length() - 1]
-                    rest ^= b
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            out.append(comp)
-        return out
+        return _components_in(self.adj, (1 << self.n) - 1)
 
     def _own(self, vs: "VertexSet") -> None:
         if vs.graph is not self:
@@ -330,29 +460,8 @@ def classify_shape(g: Graph) -> ShapeClass:
         kind = "unicyclic"
     else:
         kind = "other"
-    return ShapeClass(connected=connected, kind=kind, bipartite=_is_bipartite(g))
-
-
-def _is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            rest = g.adj[v]
-            while rest:
-                b = rest & -rest
-                u = b.bit_length() - 1
-                rest ^= b
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
+    bipartite = _two_coloring(g.adj, (1 << g.n) - 1) is not None
+    return ShapeClass(connected=connected, kind=kind, bipartite=bipartite)
 
 
 # -- text format ------------------------------------------------------------

@@ -2,18 +2,33 @@
 core (vertices in every MIS) and corona (vertices in some MIS).
 
 alpha dispatches per connected component: trees get a linear DP, unicyclic
-components reduce to two forest DPs by branching on one cycle vertex, and
-everything else goes through exact branch-and-bound under a size budget.
-core and corona are computed by alpha-queries, never by enumerating the MIS
-family: v is in core iff alpha(G - v) = alpha(G) - 1, and v is in corona iff
-alpha(G - N[v]) = alpha(G) - 1.
+components reduce to two forest DPs by branching on one cycle vertex,
+bipartite components get alpha = n - mu from the package's one augmenting-path
+matcher (graph._match; Koenig's theorem), and everything else goes through
+exact branch-and-bound under a size budget. core and corona are computed by
+alpha-queries, never by enumerating the MIS family: v is in core iff
+alpha(G - v) = alpha(G) - 1, and v is in corona iff alpha(G - N[v]) =
+alpha(G) - 1.
+
+ker is not derived from core here: critical.ker reads it off one matching of
+the bipartite double cover (v is in ker iff some maximum matching of the
+cover misses v's left copy; Levit and Mandrescu, SIAM J. Discrete Math.
+2012), which on bipartite graphs agrees with core.
 """
 
 from __future__ import annotations
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
-from .graph import Graph, VertexSet
+from .graph import (
+    Graph,
+    VertexSet,
+    _components_in,
+    _edge_count,
+    _match,
+    _strip_to_cycles,
+    _two_coloring,
+)
 
 __all__ = [
     "is_independent",
@@ -23,59 +38,6 @@ __all__ = [
     "corona",
     "is_alpha_critical_edge",
 ]
-
-
-# -- mask-level helpers (shared with the matching and unicyclic modules) -----
-
-
-def _components_in(adj: tuple[int, ...], active: int) -> list[int]:
-    """Connected components of the subgraph induced on the active mask,
-    ordered by smallest vertex index."""
-    out = []
-    rest = active
-    while rest:
-        low = rest & -rest
-        comp = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            scan = frontier
-            while scan:
-                b = scan & -scan
-                nxt |= adj[b.bit_length() - 1]
-                scan ^= b
-            frontier = nxt & active & ~comp
-            comp |= frontier
-        out.append(comp)
-        rest &= ~comp
-    return out
-
-
-def _edge_count(adj: tuple[int, ...], active: int) -> int:
-    total = 0
-    rest = active
-    while rest:
-        b = rest & -rest
-        total += (adj[b.bit_length() - 1] & active).bit_count()
-        rest ^= b
-    return total // 2
-
-
-def _strip_to_cycles(adj: tuple[int, ...], active: int) -> int:
-    """Repeatedly drop active vertices with at most one active neighbour.
-    On a unicyclic component the survivors are exactly the cycle."""
-    changed = True
-    while changed:
-        changed = False
-        rest = active
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            if (adj[v] & active).bit_count() <= 1:
-                active ^= b
-                changed = True
-    return active
 
 
 def _forest_alpha(adj: tuple[int, ...], active: int) -> int:
@@ -196,9 +158,10 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
             with_u = 1 + _forest_alpha(adj, comp & ~(adj[u] | 1 << u))
             total += max(without_u, with_u)
         else:
-            bip = _bipartite_alpha(adj, comp)
-            if bip is not None:
-                total += bip
+            left = _two_coloring(adj, comp)
+            if left is not None:
+                # Koenig: alpha = n - mu on a bipartite component
+                total += nv - len(_match(adj, left, comp))
             elif nv > budgets.bb_n:
                 raise BudgetExceededError(
                     f"alpha branch-and-bound limited to components of {budgets.bb_n} "
@@ -207,57 +170,6 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
             else:
                 total += _bb_alpha(adj, comp)
     return total
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def _bipartite_alpha(adj: tuple[int, ...], comp: int) -> int | None:
-    """alpha of a connected bipartite component via Koenig's theorem
-    (alpha = n - mu), or None if the component has an odd cycle. Polynomial,
-    so bipartite graphs of any size (notably double covers) stay in budget."""
-    color: dict[int, int] = {}
-    start = (comp & -comp).bit_length() - 1
-    color[start] = 0
-    queue = [start]
-    left = 1 << start
-    while queue:
-        v = queue.pop()
-        for w in _bits(adj[v] & comp):
-            if w not in color:
-                color[w] = color[v] ^ 1
-                if color[w] == 0:
-                    left |= 1 << w
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    # Kuhn's augmenting paths from the left class
-    match: dict[int, int] = {}
-
-    def try_augment(v: int, seen: int) -> tuple[bool, int]:
-        for w in _bits(adj[v] & comp):
-            if seen >> w & 1:
-                continue
-            seen |= 1 << w
-            if w not in match:
-                match[w] = v
-                return True, seen
-            ok, seen = try_augment(match[w], seen)
-            if ok:
-                match[w] = v
-                return True, seen
-        return False, seen
-
-    mu = 0
-    for v in _bits(left):
-        ok, _ = try_augment(v, 0)
-        if ok:
-            mu += 1
-    return comp.bit_count() - mu
 
 
 # -- public operations --------------------------------------------------------

@@ -6,14 +6,30 @@ cycle), bipartite components use augmenting paths, and everything else uses a
 memoized exhaustive branch on the fate of the lowest vertex, under a size
 budget. A graph is Koenig-Egervary when alpha + mu = n; every bipartite graph
 is, and checking that is one of the test gates.
+
+The augmenting-path matcher is graph._match, the package's only one. Here it
+matches the two colour classes of a bipartite component and, for
+saturating_matching, a source set into a disjoint target set (Hall's
+condition holds iff every source is matched). critical.py runs it on the
+bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and ker is the
+set of vertices whose left copy some maximum matching misses (Levit and
+Mandrescu 2012).
 """
 
 from __future__ import annotations
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
-from .graph import Graph, VertexSet
-from .independence import _alpha_active, _components_in, _edge_count
+from .graph import (
+    Graph,
+    VertexSet,
+    _components_in,
+    _cycle_order,
+    _edge_count,
+    _match,
+    _two_coloring,
+)
+from .independence import _alpha_active
 
 __all__ = [
     "Matching",
@@ -123,67 +139,10 @@ def _strip_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
         active &= ~(1 << leaf | 1 << sup)
     # leftover: disjoint cycles; take alternating edges along each
     for cyc in _components_in(adj, active):
-        order = []
-        start = (cyc & -cyc).bit_length() - 1
-        prev, cur = -1, start
-        while True:
-            order.append(cur)
-            nb = adj[cur] & cyc
-            if prev >= 0:
-                nb &= ~(1 << prev)
-            nxt = (nb & -nb).bit_length() - 1
-            if len(order) > 1 and nxt == start:
-                break
-            prev, cur = cur, nxt
+        order = _cycle_order(adj, cyc)
         for k in range(0, len(order) - 1, 2):
             pairs.append((order[k], order[k + 1]))
     return pairs
-
-
-def _two_coloring(adj: tuple[int, ...], comp: int) -> dict[int, int] | None:
-    color: dict[int, int] = {}
-    start = (comp & -comp).bit_length() - 1
-    color[start] = 0
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        nb = adj[v] & comp
-        while nb:
-            b = nb & -nb
-            u = b.bit_length() - 1
-            nb ^= b
-            if u not in color:
-                color[u] = color[v] ^ 1
-                stack.append(u)
-            elif color[u] == color[v]:
-                return None
-    return color
-
-
-def _augmenting_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
-    """Augmenting-path maximum matching for a bipartite component."""
-    color = _two_coloring(adj, comp)
-    assert color is not None, "augmenting matcher needs a bipartite component"
-    left = sorted(v for v, c in color.items() if c == 0)
-    mate: dict[int, int] = {}
-
-    def try_augment(v: int, visited: set[int]) -> bool:
-        nb = adj[v] & comp
-        while nb:
-            b = nb & -nb
-            u = b.bit_length() - 1
-            nb ^= b
-            if u in visited:
-                continue
-            visited.add(u)
-            if u not in mate or try_augment(mate[u], visited):
-                mate[u] = v
-                return True
-        return False
-
-    for v in left:
-        try_augment(v, set())
-    return sorted((v, u) for u, v in mate.items())
 
 
 def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
@@ -254,8 +213,8 @@ def maximum_matching(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> Matching:
         ne = _edge_count(adj, comp)
         if ne <= nv:
             pairs += _strip_matching(adj, comp)
-        elif _two_coloring(adj, comp) is not None:
-            pairs += _augmenting_matching(adj, comp)
+        elif (left := _two_coloring(adj, comp)) is not None:
+            pairs += [(v, u) for u, v in _match(adj, left, comp).items()]
         else:
             if nv > budgets.matching_n:
                 raise BudgetExceededError(
@@ -284,28 +243,10 @@ def saturating_matching(g: Graph, sources: VertexSet, targets: VertexSet) -> Mat
     g._own(targets)
     if sources.mask & targets.mask:
         raise DomainError("source and target sets overlap")
-    adj = g.adj
-    tmask = targets.mask
-    mate: dict[int, int] = {}
-
-    def try_augment(v: int, visited: set[int]) -> bool:
-        nb = adj[v] & tmask
-        while nb:
-            b = nb & -nb
-            u = b.bit_length() - 1
-            nb ^= b
-            if u in visited:
-                continue
-            visited.add(u)
-            if u not in mate or try_augment(mate[u], visited):
-                mate[u] = v
-                return True
-        return False
-
-    for v in sources.indices():
-        if not try_augment(v, set()):
-            return None
-    return Matching(g, [(v, u) for u, v in sorted(mate.items())])
+    mate = _match(g.adj, sources.mask, targets.mask)
+    if len(mate) < len(sources):
+        return None
+    return Matching(g, [(v, u) for u, v in mate.items()])
 
 
 def is_mu_critical_edge(g: Graph, u: str, v: str, budgets: Budgets = DEFAULT_BUDGETS) -> bool:

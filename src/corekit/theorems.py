@@ -5,10 +5,10 @@ Every checker decides applicability from the statement's hypotheses and then
 tests the conclusion by direct computation on primitives: enumerated maximum
 independent sets, alpha queries, augmenting-path matchings, and the subset
 sweep. No checker ever shortcuts through another catalog statement; in
-particular ker is always recomputed by brute force here, never through the
-dispatching ker() (whose bipartite branch is itself one of the statements
-under test), and core/corona of pendant trees come from alpha queries on the
-tree, not from the structural_* functions.
+particular ker is always recomputed by the subset sweep here, never through
+the matching-based ker() (which rests on results of the same kind as the
+statements under test), and core/corona of pendant trees come from alpha
+queries on the tree, not from the structural_* functions.
 
 A report's witness payload is re-verified under its defining predicate before
 it is returned (matchings are rebuilt through the validating constructor and

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
 from .errors import NotUnicyclicError, PreconditionError
-from .graph import Graph, VertexSet, classify_shape
-from .independence import (
-    _alpha_active,
-    _strip_to_cycles,
-    core,
-    corona,
-    is_alpha_critical_edge,
-)
+from .graph import Graph, VertexSet, _strip_to_cycles, classify_shape
+from .independence import _alpha_active, core, corona, is_alpha_critical_edge
 from .matching import mu
 
 __all__ = [
@@ -202,5 +196,5 @@ def structural_ker(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     dec = _require_non_ke(g, budgets)
     mask = 0
     for pt in dec.pendant_trees:
-        mask |= _pull(g, ker(pt.tree, budgets))
+        mask |= _pull(g, ker(pt.tree))
     return VertexSet(g, mask)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from corekit import (
@@ -13,6 +16,15 @@ from corekit import (
 )
 
 import helpers
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def pytest_configure(config):
+    """Let the CLI tests' `python -m corekit` child processes import the same
+    working tree that pytest's `pythonpath` setting gives this process."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Everything here recomputes invariants from scratch by sweeping vertex or
 edge subsets, reading only the graph's labels and edge list. None of the
-library's clever paths (tree DP, branch and bound, Kuhn, double cover) are
+library's clever paths (tree DP, branch and bound, augmenting paths) are
 reused, so a shared bug cannot hide in both sides of a comparison.
 """
 

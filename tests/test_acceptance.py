@@ -16,8 +16,8 @@ from corekit import (
     alpha,
     core,
     corona,
+    critical_difference,
     critical_difference_bruteforce,
-    critical_difference_fast,
     is_koenig_egervary,
     ker,
     kernel_gap_family,
@@ -41,7 +41,7 @@ from helpers import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
-FIXDIR = REPO / "fixtures"
+FIXDIR = REPO / "src" / "corekit" / "fixtures"
 
 
 def _rec(name, g):
@@ -238,11 +238,11 @@ def test_criterion_7_fast_path_gates(trees_by_n, unicyclic_by_n, connected_by_n)
         + [g for n in range(1, 8) for g in connected_by_n[n]]
     )
     for g in exhaustive:
-        if critical_difference_fast(g) != critical_difference_bruteforce(g).d_c:
+        if critical_difference(g) != critical_difference_bruteforce(g).d_c:
             bad.append(("d_c exhaustive", g.n))
     randoms = _random_items(500, 14, "accept7")
     for gid, g in randoms:
-        if critical_difference_fast(g) != critical_difference_bruteforce(g).d_c:
+        if critical_difference(g) != critical_difference_bruteforce(g).d_c:
             bad.append(("d_c random", gid))
     checked_dc = len(exhaustive) + len(randoms)
 

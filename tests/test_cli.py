@@ -16,13 +16,14 @@ from corekit import (
     fixture_text,
     kernel_gap_family,
     mu,
+    random_connected,
     random_unicyclic,
     serialize,
 )
 from corekit.budgets import DEFAULT_BUDGETS
 
 REPO = Path(__file__).resolve().parent.parent
-FIXDIR = REPO / "fixtures"
+FIXDIR = REPO / "src" / "corekit" / "fixtures"
 
 
 def run_cli(*args, **kw):
@@ -169,11 +170,21 @@ def test_search_connected_above_budget_exits_3():
     assert res.stdout == ""
 
 
-def test_analyze_budget_exit_3():
-    res = run_cli(
-        "analyze", str(FIXDIR / "bicyclic9-nonke.txt"), "--max-subset-n", "5"
-    )
+def test_analyze_budget_exit_3(tmp_path):
+    # 30 vertices, not bipartite: beyond the exact-matching budget for mu
+    big = tmp_path / "big.txt"
+    big.write_text(serialize(random_connected(30, 0)))
+    res = run_cli("analyze", str(big))
     assert res.returncode == 3
+
+
+def test_analyze_accepts_labels_ending_in_a_prime(tmp_path):
+    tri = tmp_path / "tri.txt"
+    tri.write_text("a a'\na' b\nb a\n")
+    res = run_cli("analyze", str(tri))
+    assert res.returncode == 0, res.stderr
+    assert "ker: {}\n" in res.stdout
+    assert "critical-difference: 0\n" in res.stdout
 
 
 def test_generate_fixture_matches_canonical_serialization():

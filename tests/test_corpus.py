@@ -1,8 +1,6 @@
 """Fixture catalog, graph family generators, enumeration counts, and
 canonical codes."""
 
-from pathlib import Path
-
 import pytest
 
 from corekit import (
@@ -18,7 +16,6 @@ from corekit import (
     enumerate_unicyclic,
     family_items,
     fixture,
-    fixture_text,
     is_koenig_egervary,
     ker,
     kernel_gap_family,
@@ -65,13 +62,6 @@ def test_every_fixture_parses_with_expected_shape(all_fixtures):
 def test_unknown_fixture_name():
     with pytest.raises(Exception):
         fixture("definitely-not-a-fixture")
-
-
-def test_packaged_fixtures_match_repo_copies():
-    repo = Path(__file__).resolve().parent.parent / "fixtures"
-    for name in FIXTURE_NAMES:
-        disk = (repo / f"{name}.txt").read_text(encoding="utf-8")
-        assert fixture_text(name) == disk, name
 
 
 def test_kernel_gap_family_invariants():

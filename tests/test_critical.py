@@ -1,5 +1,7 @@
-"""d(X), the subset-sweep report, the double-cover fast path and its
-self-disabling guard, and ker."""
+"""d(X), the subset-sweep report, and the matching-based d_c and ker held
+against it."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,32 +9,22 @@ from hypothesis import given, settings, strategies as st
 from corekit import (
     BudgetExceededError,
     Budgets,
-    DomainError,
     Graph,
-    bipartite_double_cover,
+    alpha,
     classify_shape,
     core,
     critical_difference,
     critical_difference_bruteforce,
-    critical_difference_fast,
-    cross_check_fast_path,
     diff,
     is_independent,
     ker,
+    mu,
+    parse_edge_list,
     random_connected,
 )
-from corekit import critical as critical_module
 from helpers import oracle_critical, oracle_ker
 
-from test_independence import complete, cycle, path
-
-
-@pytest.fixture(autouse=True)
-def fast_path_left_enabled():
-    """The guard is module-global on purpose; tests that trip it must not
-    poison the rest of the run."""
-    yield
-    critical_module._fast_path_enabled = True
+from test_independence import cycle, path
 
 
 def test_diff_by_hand():
@@ -62,49 +54,15 @@ def test_bruteforce_report_fields(all_fixtures):
             assert rep.ker <= s, name
 
 
-def test_double_cover_shapes():
-    cover = bipartite_double_cover(complete(3))
-    assert cover.n == 6
-    assert cover.m == 6
-    shape = classify_shape(cover)
-    assert shape.bipartite
-    assert shape.connected  # odd cycle lifts to one long even cycle
-    cover2 = bipartite_double_cover(path(3))
-    assert cover2.n == 6 and cover2.m == 4
-    assert not classify_shape(cover2).connected  # bipartite covers split
-    iso = bipartite_double_cover(Graph.from_edges(isolated=["w"]))
-    assert iso.n == 2 and iso.m == 0
-
-
-def test_double_cover_label_collision():
-    g = Graph.from_edges([("a", "a'")])
-    with pytest.raises(DomainError):
-        bipartite_double_cover(g)
-
-
 def test_fast_path_equals_bruteforce(all_fixtures, trees_by_n, unicyclic_by_n):
     for name, g in all_fixtures.items():
-        assert critical_difference_fast(g) == critical_difference_bruteforce(g).d_c, name
-        assert cross_check_fast_path(g)
+        assert critical_difference(g) == critical_difference_bruteforce(g).d_c, name
     for n in range(1, 8):
         for g in trees_by_n[n]:
-            assert critical_difference_fast(g) == critical_difference_bruteforce(g).d_c
+            assert critical_difference(g) == critical_difference_bruteforce(g).d_c
     for n in range(3, 8):
         for g in unicyclic_by_n[n]:
-            assert critical_difference_fast(g) == critical_difference_bruteforce(g).d_c
-
-
-def test_fast_path_disables_itself_on_mismatch(monkeypatch, all_fixtures):
-    g = all_fixtures["p3"]
-    truth = critical_difference_bruteforce(g).d_c
-    assert critical_difference(g) == truth
-    monkeypatch.setattr(
-        critical_module, "critical_difference_fast", lambda g, budgets=None: truth + 7
-    )
-    assert cross_check_fast_path(g) is False
-    assert critical_module._fast_path_enabled is False
-    # dispatcher now ignores the (patched, lying) fast path
-    assert critical_difference(g) == truth
+            assert critical_difference(g) == critical_difference_bruteforce(g).d_c
 
 
 def test_critical_difference_known_values():
@@ -138,17 +96,17 @@ def test_ker_subset_of_core(all_fixtures):
 
 
 def test_subset_sweep_budget():
-    # a 21-vertex graph that is neither bipartite nor unicyclic forces the sweep
+    # a 21-vertex graph that is neither bipartite nor unicyclic
     edges = [(f"v{i}", f"v{i+1}") for i in range(1, 21)]
     edges += [("v1", "v3"), ("v18", "v20")]
     g = Graph.from_edges(edges)
     assert classify_shape(g).kind == "other"
     with pytest.raises(BudgetExceededError):
-        ker(g, Budgets(subset_n=20))
-    with pytest.raises(BudgetExceededError):
         critical_difference_bruteforce(g, Budgets(subset_n=20))
-    # the fast path has no subset budget
-    assert isinstance(critical_difference_fast(g), int)
+    # the matching-based ker and d_c have no subset budget
+    rep = critical_difference_bruteforce(g, Budgets(subset_n=21))
+    assert ker(g) == rep.ker
+    assert critical_difference(g) == rep.d_c
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,6 +114,23 @@ def test_subset_sweep_budget():
 def test_fast_path_matches_oracle_on_random_connected(n, seed):
     g = random_connected(n, seed)
     d_c, id_c, kr = oracle_critical(g)
-    assert critical_difference_fast(g) == d_c
+    assert critical_difference(g) == d_c
     assert d_c == id_c
     assert frozenset(ker(g).labels()) == kr
+
+
+def test_long_bipartite_graph_needs_no_recursion():
+    # C_6000 plus a chord joining opposite colour classes: bipartite, but
+    # neither a forest nor unicyclic, so alpha and mu take the matcher
+    n = 6000
+    names = [f"v{i}" for i in range(n)]
+    rng = random.Random(6000)
+    rng.shuffle(names)
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    edges.append((names[0], names[2999]))
+    rng.shuffle(edges)
+    g = parse_edge_list("".join(f"{u} {v}\n" for u, v in edges))
+    assert classify_shape(g).bipartite and classify_shape(g).kind == "other"
+    assert alpha(g) == mu(g) == 3000
+    assert critical_difference(g) == 0
+    assert not ker(g)
