@@ -417,7 +417,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (say `| head`): send what is still
+        # buffered, and the flush at shutdown, to devnull instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_USAGE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -241,6 +241,15 @@ def _tree_from_levels(seq: list[int]) -> Graph:
     return Graph.from_edges(edges)
 
 
+_CONNECTED_MAX_N = 7
+
+
+def _check_enum_n(what: str, n: int, limit: int) -> None:
+    """Refuse an exhaustive enumeration of graphs on n > limit vertices."""
+    if n > limit:
+        raise BudgetExceededError(f"{what} enumeration limited to n <= {limit}")
+
+
 def enumerate_trees(
     n: int, dedupe: bool = True, budgets: Budgets = DEFAULT_BUDGETS
 ) -> Iterator[Graph]:
@@ -248,8 +257,7 @@ def enumerate_trees(
     labeled stream (n^(n-2) trees on v1..vn) with dedupe=False."""
     if n < 1:
         raise DomainError(f"trees need n >= 1, got {n}")
-    if n > budgets.enum_n:
-        raise BudgetExceededError(f"tree enumeration limited to n <= {budgets.enum_n}")
+    _check_enum_n("tree", n, budgets.enum_n)
     if not dedupe:
         yield from _labeled_trees(n)
         return
@@ -284,10 +292,7 @@ def enumerate_unicyclic(
     default, each labeled graph on v1..vn exactly once with dedupe=False."""
     if n < 3:
         raise DomainError(f"unicyclic graphs need n >= 3, got {n}")
-    if n > budgets.enum_n:
-        raise BudgetExceededError(
-            f"unicyclic enumeration limited to n <= {budgets.enum_n}"
-        )
+    _check_enum_n("unicyclic", n, budgets.enum_n)
     if dedupe:
         seen = set()
         for t in enumerate_trees(n, dedupe=True, budgets=budgets):
@@ -323,8 +328,7 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     minimal under all degree-preserving position permutations."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n > 7:
-        raise BudgetExceededError("connected-graph enumeration limited to n <= 7")
+    _check_enum_n("connected-graph", n, _CONNECTED_MAX_N)
     if n == 1:
         yield Graph.from_edges(isolated=("v1",))
         return
@@ -449,7 +453,8 @@ def family_items(
 ) -> Iterator[tuple[str, Graph]]:
     """(graph_id, graph) streams used by the sweep driver and the CLI.
 
-    Exhaustive families (trees, unicyclic, connected) need max_n; random
+    Exhaustive families (trees, unicyclic, connected) need max_n, and a
+    max_n beyond the enumeration limit raises before the first graph; random
     families need count and size. Ids are stable and self-describing.
     """
     if family == "fixtures":
@@ -458,18 +463,21 @@ def family_items(
     elif family == "trees":
         if max_n is None:
             raise DomainError("trees family needs max_n")
+        _check_enum_n("tree", max_n, budgets.enum_n)
         for n in range(1, max_n + 1):
             for i, g in enumerate(enumerate_trees(n, budgets=budgets)):
                 yield f"tree:n{n}:{i}", g
     elif family == "unicyclic":
         if max_n is None:
             raise DomainError("unicyclic family needs max_n")
+        _check_enum_n("unicyclic", max_n, budgets.enum_n)
         for n in range(3, max_n + 1):
             for i, g in enumerate(enumerate_unicyclic(n, budgets=budgets)):
                 yield f"uni:n{n}:{i}", g
     elif family == "connected":
         if max_n is None:
             raise DomainError("connected family needs max_n")
+        _check_enum_n("connected-graph", max_n, _CONNECTED_MAX_N)
         for n in range(1, max_n + 1):
             for i, g in enumerate(enumerate_connected_graphs(n)):
                 yield f"conn:n{n}:{i}", g

@@ -5,10 +5,17 @@ alpha dispatches per connected component: trees get a linear DP, unicyclic
 components reduce to two forest DPs by branching on one cycle vertex,
 bipartite components get alpha = n - mu from the package's one augmenting-path
 matcher (graph._match; Koenig's theorem), and everything else goes through
-exact branch-and-bound under a size budget. core and corona are computed by
-alpha-queries, never by enumerating the MIS family: v is in core iff
-alpha(G - v) = alpha(G) - 1, and v is in corona iff alpha(G - N[v]) =
-alpha(G) - 1.
+exact branch-and-bound under a size budget.
+
+core and corona come from alpha, never from enumerating the MIS family: v is
+in core iff alpha(G - v) = alpha(G) - 1, and v is in corona iff
+alpha(G - N[v]) = alpha(G) - 1. Removing v or N[v] changes only v's
+component, so both are decided per component, with the same dispatch:
+- forest: one rerooting pass of the tree DP gives alpha(T - v) and
+  alpha(T - N[v]) for every v of a tree T at once;
+- unicyclic: the same branch on a cycle vertex u as alpha, then one
+  rerooting pass over each of the forests C - u and C - N[u];
+- any other component: one alpha query of the component per vertex.
 
 ker is not derived from core here: critical.ker reads it off one matching of
 the bipartite double cover (v is in ker iff some maximum matching of the
@@ -23,6 +30,7 @@ from .errors import BudgetExceededError, DomainError
 from .graph import (
     Graph,
     VertexSet,
+    _bits,
     _components_in,
     _edge_count,
     _match,
@@ -40,19 +48,24 @@ __all__ = [
 ]
 
 
-def _forest_alpha(adj: tuple[int, ...], active: int) -> int:
-    """Exact alpha of an acyclic induced subgraph via the classic tree DP."""
-    total = 0
+def _forest_dp(
+    adj: tuple[int, ...], active: int
+) -> tuple[int, list[int], dict[int, int], dict[int, int], dict[int, int]]:
+    """The classic tree DP on the acyclic subgraph induced on the active
+    mask, from one walk of each tree rooted at its lowest vertex.
+
+    Returns alpha of the forest, the walk order (every vertex after its
+    parent, one tree after another), each vertex's parent (-1 at a root),
+    and for each vertex v the size of the largest independent set of v's
+    subtree that takes v (take) or skips v (skip)."""
+    order: list[int] = []
+    parent: dict[int, int] = {}
     seen = 0
     roots = active
     while roots:
         rb = roots & -roots
-        roots ^= rb
         root = rb.bit_length() - 1
-        if seen >> root & 1:
-            continue
-        order = []
-        parent = {root: -1}
+        parent[root] = -1
         stack = [root]
         seen |= rb
         while stack:
@@ -66,15 +79,57 @@ def _forest_alpha(adj: tuple[int, ...], active: int) -> int:
                 seen |= b
                 parent[u] = v
                 stack.append(u)
-        take = {v: 1 for v in order}
-        skip = {v: 0 for v in order}
-        for v in reversed(order):
-            p = parent[v]
-            if p >= 0:
-                take[p] += skip[v]
-                skip[p] += max(take[v], skip[v])
-        total += max(take[root], skip[root])
-    return total
+        roots &= ~seen
+    take = dict.fromkeys(order, 1)
+    skip = dict.fromkeys(order, 0)
+    total = 0
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            take[p] += skip[v]
+            skip[p] += max(take[v], skip[v])
+        else:
+            total += max(take[v], skip[v])
+    return total, order, parent, take, skip
+
+
+def _forest_alpha(adj: tuple[int, ...], active: int) -> int:
+    """Exact alpha of an acyclic induced subgraph via the classic tree DP."""
+    return _forest_dp(adj, active)[0]
+
+
+def _forest_removals(
+    adj: tuple[int, ...], active: int, closed: bool
+) -> tuple[int, dict[int, int]]:
+    """alpha of the forest F induced on the active mask, and for every vertex
+    v of F the value alpha(F - N_F[v]) if closed, else alpha(F - v).
+
+    Rerooting: a second pass in walk order gives each vertex v with parent p
+    the sizes of the largest independent sets of its up-tree (the tree minus
+    v's subtree) that take p (ut) or skip p (us), and the larger one (ub):
+        ut[v] = take[p] - skip[v] + us[p]
+        us[v] = skip[p] - max(take[v], skip[v]) + ub[p]
+    all three 0 at a root. Then alpha(T - v) = skip[v] + ub[v] and
+    alpha(T - N[v]) = take[v] - 1 + us[v] on v's tree T, plus the alpha of
+    the forest's other trees."""
+    total, order, parent, take, skip = _forest_dp(adj, active)
+    up_skip: dict[int, int] = {}
+    up_best: dict[int, int] = {}
+    after: dict[int, int] = {}
+    rest = 0
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            # a new tree starts; its vertices follow until the next root
+            rest = total - max(take[v], skip[v])
+            us = ub = 0
+        else:
+            us = skip[p] - max(take[v], skip[v]) + up_best[p]
+            ub = max(take[p] - skip[v] + up_skip[p], us)
+        up_skip[v] = us
+        up_best[v] = ub
+        after[v] = rest + (take[v] - 1 + us if closed else skip[v] + ub)
+    return total, after
 
 
 def _bb_alpha(adj: tuple[int, ...], active: int) -> int:
@@ -172,6 +227,51 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
     return total
 
 
+def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bool) -> int:
+    """Mask of the vertices v of the subgraph induced on the active mask with
+    alpha(G[active] - X_v) = alpha(G[active]) - 1, where X_v = N[v] if closed
+    and X_v = {v} otherwise.
+
+    X_v lies inside v's component C, so the test reads alpha(C - X_v) =
+    alpha(C) - 1, component by component. A forest takes one rerooting pass.
+    A unicyclic C branches on a cycle vertex u as alpha does: alpha(C - X_v)
+    is the larger of alpha(F1 - X_v) with F1 = C - u and 1 + alpha(F2 - X_v)
+    with F2 = C - N[u]. For v in N(u) the second branch is 1 + alpha(F2)
+    when X_v = {v} and gone when X_v = N[v]. Any other component asks alpha
+    once per vertex."""
+    out = 0
+    for comp in _components_in(adj, active):
+        nv = comp.bit_count()
+        ne = _edge_count(adj, comp)
+        if ne == nv - 1:
+            a, after = _forest_removals(adj, comp, closed)
+        elif ne == nv:
+            cyc = _strip_to_cycles(adj, comp)
+            u = (cyc & -cyc).bit_length() - 1
+            nbrs = adj[u] & comp
+            a1, f1 = _forest_removals(adj, comp & ~(1 << u), closed)
+            a2, f2 = _forest_removals(adj, comp & ~(nbrs | 1 << u), closed)
+            a = max(a1, 1 + a2)
+            after = {u: a2 if closed else a1}
+            for v in f1:
+                if not nbrs >> v & 1:
+                    after[v] = max(f1[v], 1 + f2[v])
+                elif closed:
+                    after[v] = f1[v]
+                else:
+                    after[v] = max(f1[v], 1 + a2)
+        else:
+            a = _alpha_active(adj, comp, budgets)
+            after = {
+                v: _alpha_active(adj, comp & ~(adj[v] | 1 << v if closed else 1 << v), budgets)
+                for v in _bits(comp)
+            }
+        for v, b in after.items():
+            if b == a - 1:
+                out |= 1 << v
+    return out
+
+
 # -- public operations --------------------------------------------------------
 
 
@@ -231,27 +331,13 @@ def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexS
 def core(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to every maximum independent set:
     v is in core(G) iff alpha(G - v) = alpha(G) - 1."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    a = _alpha_active(adj, full, budgets)
-    mask = 0
-    for v in range(g.n):
-        if _alpha_active(adj, full & ~(1 << v), budgets) == a - 1:
-            mask |= 1 << v
-    return VertexSet(g, mask)
+    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, closed=False))
 
 
 def corona(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to at least one maximum independent set:
     v is in corona(G) iff alpha(G - N[v]) = alpha(G) - 1."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    a = _alpha_active(adj, full, budgets)
-    mask = 0
-    for v in range(g.n):
-        if _alpha_active(adj, full & ~(adj[v] | 1 << v), budgets) == a - 1:
-            mask |= 1 << v
-    return VertexSet(g, mask)
+    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, closed=True))
 
 
 def is_alpha_critical_edge(

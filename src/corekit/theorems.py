@@ -550,6 +550,10 @@ def sweep(
                         return True
         return False
 
+    if workers > 1:
+        # a pool for fewer graphs than workers only adds start-up cost
+        items = list(items)
+        workers = min(workers, len(items))
     if workers <= 1:
         for gid, g in items:
             if absorb(serialize(g), [check(tid, g, gid, budgets) for tid in tids]):
@@ -595,8 +599,9 @@ class Problem1Report:
 
 
 def search_problem1(max_n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Problem1Report:
-    from .corpus import enumerate_unicyclic
+    from .corpus import _check_enum_n, enumerate_unicyclic
 
+    _check_enum_n("unicyclic", max_n, budgets.enum_n)
     equal = []
     different = []
     examined = 0

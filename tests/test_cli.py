@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from corekit import cli as cli_module
 from corekit import theorems as theorems_module
 from corekit import (
+    Graph,
     alpha,
     fixture,
     fixture_text,
@@ -185,6 +186,26 @@ def test_analyze_accepts_labels_ending_in_a_prime(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "ker: {}\n" in res.stdout
     assert "critical-difference: 0\n" in res.stdout
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    # long leaf labels make the report far larger than any pipe buffer, so
+    # the child is still writing when the reader goes away
+    star = tmp_path / "star.txt"
+    star.write_text(
+        serialize(Graph.from_edges([("hub", f"leaf{i:04d}" + "x" * 400) for i in range(1000)]))
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corekit", "analyze", "--format", "json", str(star)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "graph'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 2
+    assert "Traceback" not in err
 
 
 def test_generate_fixture_matches_canonical_serialization():

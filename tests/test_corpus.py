@@ -5,6 +5,7 @@ import pytest
 
 from corekit import (
     BudgetExceededError,
+    Budgets,
     DomainError,
     FIXTURE_NAMES,
     Graph,
@@ -177,6 +178,16 @@ def test_connected_enumeration_bails_above_seven():
 
     with pytest.raises(BudgetExceededError):
         list(enumerate_connected_graphs(8))
+
+
+def test_family_items_checks_the_limit_before_the_first_graph():
+    with pytest.raises(BudgetExceededError, match="connected-graph enumeration limited to n <= 7"):
+        next(family_items("connected", max_n=8))
+    small = Budgets(enum_n=5)
+    with pytest.raises(BudgetExceededError, match="tree enumeration limited to n <= 5"):
+        next(family_items("trees", max_n=6, budgets=small))
+    with pytest.raises(BudgetExceededError, match="unicyclic enumeration limited to n <= 5"):
+        next(family_items("unicyclic", max_n=6, budgets=small))
 
 
 def test_codes_are_isomorphism_invariant():

@@ -16,6 +16,7 @@ from corekit import (
     is_independent,
     random_connected,
     random_tree,
+    random_unicyclic,
 )
 from helpers import oracle_alpha, oracle_core, oracle_corona, oracle_mis_family
 
@@ -91,14 +92,64 @@ def test_enumerate_mis_respects_budget():
     assert alpha(g) == 11  # the non-enumerating path is not budget-bound here
 
 
-def test_core_and_corona_match_oracle(all_fixtures, unicyclic_by_n):
+def _disjoint_union(parts):
+    """One graph holding each part under its own label prefix."""
+    edges, isolated = [], []
+    for k, g in enumerate(parts):
+        edges += [(f"p{k}{a}", f"p{k}{b}") for a, b in g.edge_labels()]
+        isolated += [f"p{k}{lab}" for lab in g.labels if g.degree(lab) == 0]
+    return Graph.from_edges(edges, isolated=tuple(isolated))
+
+
+def test_core_and_corona_match_oracle(
+    all_fixtures, trees_by_n, unicyclic_by_n, connected_by_n
+):
     for name, g in all_fixtures.items():
         assert frozenset(core(g).labels()) == oracle_core(g), name
         assert frozenset(corona(g).labels()) == oracle_corona(g), name
-    for n in range(3, 9):
-        for g in unicyclic_by_n[n]:
-            assert frozenset(core(g).labels()) == oracle_core(g)
-            assert frozenset(corona(g).labels()) == oracle_corona(g)
+    graphs = [g for n in range(1, 11) for g in trees_by_n[n]]
+    graphs += [g for n in range(3, 9) for g in unicyclic_by_n[n]]
+    graphs += [g for n in range(1, 7) for g in connected_by_n[n]]
+    # disconnected: a forest, a unicyclic graph, a general graph and an
+    # isolated vertex side by side
+    for seed in range(30):
+        forest = _disjoint_union([random_tree(1 + seed % 4, seed), random_tree(2, seed)])
+        graphs.append(
+            _disjoint_union(
+                [
+                    forest,
+                    random_unicyclic(3 + seed % 3, seed),
+                    random_connected(2 + seed % 4, seed),
+                    Graph.from_edges(isolated=("z",)),
+                ]
+            )
+        )
+    for g in graphs:
+        assert frozenset(core(g).labels()) == oracle_core(g), g.edge_labels()
+        assert frozenset(corona(g).labels()) == oracle_corona(g), g.edge_labels()
+
+
+def test_core_and_corona_match_definition_on_large_inputs():
+    for seed in range(2):
+        for g in (random_tree(300, seed), random_unicyclic(300, seed)):
+            a = alpha(g)
+            in_core = set()
+            in_corona = set()
+            for lab in g.labels:
+                v = g.vertex(lab)
+                if alpha(g.delete_vertices(v)) == a - 1:
+                    in_core.add(lab)
+                if alpha(g.delete_vertices(g.neighborhood(v, closed=True))) == a - 1:
+                    in_corona.add(lab)
+            assert set(core(g).labels()) == in_core
+            assert set(corona(g).labels()) == in_corona
+
+
+def test_core_and_corona_need_no_recursion_on_a_long_path():
+    g = path(20001)
+    odd = {f"v{i}" for i in range(1, 20002, 2)}
+    assert set(core(g).labels()) == odd
+    assert set(corona(g).labels()) == odd
 
 
 def test_core_corona_sandwich_every_mis(all_fixtures):

@@ -4,6 +4,8 @@ reporting/replay, and the counterexample searches."""
 import pytest
 
 from corekit import (
+    BudgetExceededError,
+    Budgets,
     DomainError,
     THEOREM_IDS,
     check,
@@ -153,6 +155,27 @@ def test_search_problem1_frozen_counts():
     tiny = search_problem1(3)
     assert tiny.examined == 0
     assert tiny.equal == () and tiny.different == ()
+
+
+def test_search_problem1_checks_the_limit_before_enumerating(monkeypatch):
+    from corekit import corpus
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(corpus, "enumerate_unicyclic", never)
+    with pytest.raises(BudgetExceededError, match="unicyclic enumeration limited to n <= 5"):
+        search_problem1(6, Budgets(enum_n=5))
+
+
+def test_sweep_of_one_graph_starts_no_process_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(theorems_module, "ProcessPoolExecutor", no_pool)
+    summary = sweep([("p3", fixture("p3"))], THEOREM_IDS, workers=4)
+    assert summary.graphs_tested == 1
+    assert summary.all_hold()
 
 
 def test_classify_sum_defect_anchors():
