@@ -6,9 +6,10 @@ Enumeration up to isomorphism is direct, not dedupe-after-the-fact on labeled
 streams: rooted trees come from the level-sequence successor algorithm and are
 deduped by center-rooted canonical codes; unicyclic graphs are free trees plus
 one non-edge, deduped by a cycle-necklace code; connected graphs on at most 7
-vertices come from an edge-mask sweep with a degree-sorted prefilter and a
-block-permutation minimality test. Every enumerator is gated in the tests by
-published counts and, at small n, by cross-checks against labeled streams.
+vertices are grown one vertex at a time from the graphs one vertex smaller and
+deduped by their least edge mask over the labellings with a non-increasing
+degree vector. Every enumerator is gated in the tests by published counts and,
+at small n, by cross-checks against labeled streams or a reference sweep.
 
 All randomness is drawn from string-seeded random.Random instances, so every
 stream is reproducible from (n, seed) alone, independent of process history.
@@ -19,12 +20,12 @@ from __future__ import annotations
 import heapq
 import random
 from importlib import resources
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
-from .graph import Graph, _components_in, _cycle_order, _strip_to_cycles, parse_edge_list
+from .graph import Graph, _bits, _cycle_order, _strip_to_cycles, parse_edge_list
 
 __all__ = [
     "FIXTURE_NAMES",
@@ -322,76 +323,75 @@ def enumerate_unicyclic(
                     yield g
 
 
+def _canonical_mask(adj: list[int], n: int, bit: list[list[int]]) -> int:
+    """The least edge mask over all labellings of the graph whose degree
+    vector is non-increasing by position; bit[p][q] is the mask bit of the
+    position pair p, q. Isomorphic graphs, and only they, share it."""
+    deg = [a.bit_count() for a in adj]
+    order = sorted(range(n), key=lambda v: -deg[v])
+    place = {v: i for i, v in enumerate(order)}
+    edges = [(place[u], place[v]) for u in range(n) for v in _bits(adj[u]) if u < v]
+    # runs of equal degree in the sorted order; a labelling permutes each run
+    # within its own positions
+    runs = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or deg[order[i]] != deg[order[start]]:
+            runs.append(permutations(range(start, i)))
+            start = i
+    best = -1
+    for parts in product(*runs):
+        pos = [p for part in parts for p in part]
+        mask = 0
+        for a, b in edges:
+            mask |= bit[pos[a]][pos[b]]
+        if best < 0 or mask < best:
+            best = mask
+    return best
+
+
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """Connected graphs on n <= 7 vertices, one per isomorphism class:
-    edge-mask sweep keeping masks whose degree vector is non-increasing and
-    minimal under all degree-preserving position permutations."""
+    """Connected graphs on n <= 7 vertices, one per isomorphism class, in
+    ascending order of their canonical edge masks (bit k is pair k of the
+    row-major pairs i < j; the canonical mask is the least one over the
+    labellings whose degree vector is non-increasing).
+
+    Built by vertex augmentation: every connected graph on k vertices has a
+    vertex whose removal leaves it connected (a leaf of a spanning tree), so
+    joining a new vertex to each non-empty subset of each graph on k - 1
+    vertices, and keeping the distinct canonical masks, gives every graph on
+    k vertices."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     _check_enum_n("connected-graph", n, _CONNECTED_MAX_N)
     if n == 1:
         yield Graph.from_edges(isolated=("v1",))
         return
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    nbits = len(pairs)
-    bit_of = {p: k for k, p in enumerate(pairs)}
-    # per-degree-vector cache of the bit relabelings of every non-identity
-    # permutation that preserves the (sorted) degree vector positionwise
-    perm_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    all_perms = list(permutations(range(n)))[1:]
-    full = (1 << n) - 1
-
-    def bitmaps_for(deg: tuple[int, ...]) -> list[tuple[int, ...]]:
-        maps = perm_cache.get(deg)
-        if maps is None:
-            maps = []
-            for perm in all_perms:
-                if any(deg[perm[i]] != deg[i] for i in range(n)):
-                    continue
-                bm = [0] * nbits
-                for k, (i, j) in enumerate(pairs):
-                    pi, pj = perm[i], perm[j]
-                    bm[k] = bit_of[(pi, pj) if pi < pj else (pj, pi)]
-                maps.append(tuple(bm))
-            perm_cache[deg] = maps
-        return maps
-
-    for mask in range(1 << nbits):
-        if mask.bit_count() < n - 1:
-            continue
-        deg = [0] * n
-        adj = [0] * n
-        rest = mask
-        while rest:
-            b = rest & -rest
-            i, j = pairs[b.bit_length() - 1]
-            deg[i] += 1
-            deg[j] += 1
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            rest ^= b
-        if any(deg[i] < deg[i + 1] for i in range(n - 1)):
-            continue
-        if len(_components_in(adj, full)) > 1:
-            continue
-        minimal = True
-        for bm in bitmaps_for(tuple(deg)):
-            out = 0
-            rest = mask
-            while rest:
-                b = rest & -rest
-                out |= 1 << bm[b.bit_length() - 1]
-                rest ^= b
-            if out < mask:
-                minimal = False
-                break
-        if minimal:
-            edges = [
-                (f"v{i + 1}", f"v{j + 1}")
-                for k, (i, j) in enumerate(pairs)
-                if mask >> k & 1
-            ]
-            yield Graph.from_edges(edges)
+    # canonical masks of the graphs on k - 1 vertices, and their bit pairs
+    level = [0]
+    pairs: list[tuple[int, int]] = []
+    for k in range(2, n + 1):
+        below = pairs
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        bit = [[0] * k for _ in range(k)]
+        for b, (i, j) in enumerate(pairs):
+            bit[i][j] = bit[j][i] = 1 << b
+        found = set()
+        for mask in level:
+            adj = [0] * k
+            for b in _bits(mask):
+                i, j = below[b]
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            for s in range(1, 1 << (k - 1)):
+                grown = [a | (s >> i & 1) << (k - 1) for i, a in enumerate(adj)]
+                grown[k - 1] = s
+                found.add(_canonical_mask(grown, k, bit))
+        level = sorted(found)
+    for mask in level:
+        yield Graph.from_edges(
+            [(f"v{pairs[b][0] + 1}", f"v{pairs[b][1] + 1}") for b in _bits(mask)]
+        )
 
 
 # -- seeded random generation -------------------------------------------------
@@ -411,10 +411,21 @@ def random_unicyclic(n: int, seed) -> Graph:
         raise DomainError(f"unicyclic graphs need n >= 3, got {n}")
     rng = random.Random(f"unicyclic:{n}:{seed}")
     t = prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)))
-    non_edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if not t.adj[i] >> j & 1
-    ]
-    i, j = non_edges[rng.randrange(len(non_edges))]
+    # the k-th non-edge (i, j), i < j, in row-major order, found by counting
+    # the non-edges of each row instead of listing all ~n^2/2 of them
+    k = rng.randrange(n * (n - 1) // 2 - (n - 1))
+    for i in range(n):
+        later = t.adj[i] >> (i + 1)
+        free = (n - 1 - i) - later.bit_count()
+        if k < free:
+            break
+        k -= free
+    j = i + 1
+    while later & 1 or k:
+        if not later & 1:
+            k -= 1
+        later >>= 1
+        j += 1
     return Graph.from_edges(list(t.edge_labels()) + [(t.labels[i], t.labels[j])])
 
 

@@ -1,6 +1,10 @@
 """Fixture catalog, graph family generators, enumeration counts, and
 canonical codes."""
 
+import hashlib
+import random
+from itertools import permutations
+
 import pytest
 
 from corekit import (
@@ -29,6 +33,7 @@ from corekit import (
     tree_code,
     unicyclic_code,
 )
+from corekit.corpus import _canonical_mask
 from helpers import oracle_alpha, oracle_core, oracle_ker, oracle_mu
 
 # structural goldens: n, m, sorted degree sequence
@@ -173,6 +178,78 @@ def test_connected_counts(connected_by_n):
         assert classify_shape(g).connected
 
 
+def _row_major_bits(n):
+    """pairs i < j in row-major order, and bit[i][j] = 1 << (index of the pair)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bit = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        bit[i][j] = bit[j][i] = 1 << k
+    return pairs, bit
+
+
+def _mask_of(g):
+    """The edge mask of a graph on v1..vn, read from its labels."""
+    _, bit = _row_major_bits(g.n)
+    return sum(bit[int(a[1:]) - 1][int(b[1:]) - 1] for a, b in g.edge_labels())
+
+
+def _sweep_connected(n):
+    """Reference: sweep every edge mask and keep the connected ones whose
+    degree vector is non-increasing and that no degree-preserving
+    permutation of the positions makes smaller."""
+    if n == 1:
+        yield Graph.from_edges(isolated=("v1",))
+        return
+    pairs, bit = _row_major_bits(n)
+    for mask in range(1 << len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+        deg = [sum(v in e for e in edges) for v in range(n)]
+        if deg != sorted(deg, reverse=True) or deg[-1] == 0:
+            continue
+        g = Graph.from_edges([(f"v{i + 1}", f"v{j + 1}") for i, j in edges])
+        if not classify_shape(g).connected:
+            continue
+        if all(
+            sum(bit[perm[i]][perm[j]] for i, j in edges) >= mask
+            for perm in permutations(range(n))
+            if all(deg[perm[v]] == deg[v] for v in range(n))
+        ):
+            yield g
+
+
+def test_connected_stream_matches_the_edge_mask_sweep(connected_by_n):
+    for n in range(1, 7):
+        want = [serialize(g) for g in _sweep_connected(n)]
+        assert [serialize(g) for g in connected_by_n[n]] == want, n
+
+
+# sha256 of the concatenated serialize() texts of the n=7 stream, recorded on
+# the edge-mask sweep that vertex augmentation replaced
+CONNECTED_7_SHA256 = "d5f576780231cb8fadf545ec749bf6d2b3c3f7cfd808ba0e31bda0b893a9ef81"
+
+
+def test_connected_stream_at_seven_is_pinned(connected_by_n):
+    text = "".join(serialize(g) for g in connected_by_n[7])
+    assert hashlib.sha256(text.encode()).hexdigest() == CONNECTED_7_SHA256
+
+
+def test_canonical_mask_is_labelling_free_and_in_the_stream(connected_by_n):
+    stream = {_mask_of(g) for g in connected_by_n[7]}
+    assert len(stream) == CONNECTED_COUNTS[7]
+    _, bit = _row_major_bits(7)
+    for s in range(50):
+        g = random_connected(7, s)
+        perm = list(range(7))
+        random.Random(s).shuffle(perm)
+        moved = [0] * 7
+        for u, v in g.edges():
+            moved[perm[u]] |= 1 << perm[v]
+            moved[perm[v]] |= 1 << perm[u]
+        canon = _canonical_mask(list(g.adj), 7, bit)
+        assert _canonical_mask(moved, 7, bit) == canon, s
+        assert canon in stream, s
+
+
 def test_connected_enumeration_bails_above_seven():
     from corekit import enumerate_connected_graphs
 
@@ -225,6 +302,30 @@ def test_random_generators_are_deterministic_and_shaped():
         serialize(random_tree(10, s)) != serialize(random_tree(10, s + 1))
         for s in range(5)
     )
+
+
+def _random_unicyclic_by_listing(n, seed):
+    """Reference: the same draws, picking the non-edge from a full list."""
+    rng = random.Random(f"unicyclic:{n}:{seed}")
+    t = prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)))
+    non_edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if not t.adj[i] >> j & 1
+    ]
+    i, j = non_edges[rng.randrange(len(non_edges))]
+    return Graph.from_edges(list(t.edge_labels()) + [(t.labels[i], t.labels[j])])
+
+
+def test_random_unicyclic_matches_the_listing_reference():
+    cases = [(n, s) for n in range(3, 31) for s in range(10)] + [(300, 0), (300, 1)]
+    for n, s in cases:
+        got = serialize(random_unicyclic(n, s))
+        assert got == serialize(_random_unicyclic_by_listing(n, s)), (n, s)
+
+
+def test_random_unicyclic_needs_no_quadratic_list():
+    g = random_unicyclic(20000, 0)
+    assert g.n == g.m == 20000
+    assert classify_shape(g).kind == "unicyclic"
 
 
 def test_family_items_ids_and_reproducibility():
