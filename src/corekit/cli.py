@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .budgets import Budgets
@@ -24,7 +25,9 @@ from .independence import alpha, core, corona
 from .matching import mu
 from .theorems import (
     THEOREM_IDS,
-    check,
+    _check_graph,
+    _known_ids,
+    _summarize,
     search_problem1,
     sum_defect_histogram,
     sweep,
@@ -193,7 +196,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.graph:
         gid = Path(args.graph).stem
         single = (gid, _read_graph(args.graph))
-        items = [single]
         family = f"file:{args.graph}"
     elif args.random is not None:
         if args.size is None:
@@ -217,18 +219,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: one of --graph/--family/--random is required", file=sys.stderr)
         return _EXIT_USAGE
 
-    summary = sweep(
-        items,
-        tids,
-        budgets=budgets,
-        fail_fast=args.fail_fast,
-        workers=args.workers,
-        family=family,
-    )
-    if single is not None:
+    if single is None:
+        summary = sweep(
+            items,
+            tids,
+            budgets=budgets,
+            fail_fast=args.fail_fast,
+            workers=args.workers,
+            family=family,
+        )
+    else:
+        # the sweep of one graph, keeping its reports to print them
+        start = time.perf_counter()
         gid, g = single
-        for tid in tids:
-            print(_render_report_line(check(tid, g, gid, budgets)))
+        reports = _check_graph(g, gid, _known_ids(tids), budgets)
+        summary = _summarize([(serialize(g), reports)], tids, args.fail_fast, family, start)
+        for rep in reports:
+            print(_render_report_line(rep))
     print(f"family: {summary.family}")
     print(f"theorems: {', '.join(summary.theorem_ids)}")
     print(f"graphs tested: {summary.graphs_tested}")

@@ -344,11 +344,15 @@ def is_alpha_critical_edge(
     g: Graph, u: str, v: str, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
     """True iff deleting the edge raises alpha (necessarily by exactly 1)."""
-    iu, iv = g.index_of(u), g.index_of(v)
-    if not g.adj[iu] >> iv & 1:
+    if not g.adj[g.index_of(u)] >> g.index_of(v) & 1:
         raise DomainError(f"no edge {u!r} {v!r}")
+    return _edge_raises_alpha(g, u, v, _alpha_active(g.adj, (1 << g.n) - 1, budgets), budgets)
+
+
+def _edge_raises_alpha(g: Graph, u: str, v: str, a: int, budgets: Budgets) -> bool:
+    """alpha(G - uv) = a + 1, for an edge uv of G and a = alpha(G)."""
+    iu, iv = g.index_of(u), g.index_of(v)
     adj = list(g.adj)
     adj[iu] &= ~(1 << iv)
     adj[iv] &= ~(1 << iu)
-    full = (1 << g.n) - 1
-    return _alpha_active(tuple(adj), full, budgets) == _alpha_active(g.adj, full, budgets) + 1
+    return _alpha_active(tuple(adj), (1 << g.n) - 1, budgets) == a + 1

@@ -10,6 +10,18 @@ the matching-based ker() (which rests on results of the same kind as the
 statements under test), and core/corona of pendant trees come from alpha
 queries on the tree, not from the structural_* functions.
 
+The checkers read a graph's primitives from a per-graph record (_Facts):
+shape, alpha, mu, core, corona, the family of maximum independent sets, the
+subset-sweep report, the cycle and the unicyclic decomposition. Each value
+is the result of the same primitive call a checker would make on its own,
+made the first time a checker asks for it and then kept for that graph
+only. The record caches primitives, never a conclusion, so the rule above
+holds unchanged: ker comes from the sweep, core and corona from alpha
+queries or from the enumerated family, pendant-tree values from calls on
+each pendant tree. sweep builds one record per graph and runs the chosen
+checkers against it in the given order, so each graph pays for one subset
+sweep, one alpha and one mu however many checkers read them.
+
 A report's witness payload is re-verified under its defining predicate before
 it is returned (matchings are rebuilt through the validating constructor and
 checked for saturation), so a report never carries an unchecked certificate.
@@ -20,13 +32,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
 from .errors import DomainError
 from .graph import Graph, VertexSet, classify_shape, parse_edge_list, serialize
-from .independence import _alpha_active, core, corona, enumerate_mis, is_alpha_critical_edge, is_independent
+from .independence import _alpha_active, _edge_raises_alpha, core, corona, enumerate_mis, is_independent
 from .matching import enumerate_maximum_matchings, mu, saturating_matching
 from .unicyclic import decompose, find_cycle
 
@@ -83,25 +96,64 @@ class TheoremReport:
         return dict(self.counterexample)
 
 
+class _Facts:
+    """The primitives of one graph, each computed on first use and kept.
+
+    Every property calls the module-level primitive when it is first read,
+    through this module's global name, so a wrapper installed on that name
+    sees the call. A primitive that raises leaves its value unset."""
+
+    def __init__(self, g: Graph, budgets: Budgets):
+        self.g = g
+        self.budgets = budgets
+
+    @cached_property
+    def shape(self):
+        return classify_shape(self.g)
+
+    @cached_property
+    def unicyclic(self) -> bool:
+        return self.shape.connected and self.shape.kind == "unicyclic"
+
+    @cached_property
+    def alpha(self) -> int:
+        return _alpha_active(self.g.adj, (1 << self.g.n) - 1, self.budgets)
+
+    @cached_property
+    def mu(self) -> int:
+        return mu(self.g, self.budgets)
+
+    @cached_property
+    def core(self) -> VertexSet:
+        return core(self.g, self.budgets)
+
+    @cached_property
+    def corona(self) -> VertexSet:
+        return corona(self.g, self.budgets)
+
+    @cached_property
+    def mis_family(self) -> tuple[VertexSet, ...]:
+        return enumerate_mis(self.g, self.budgets)
+
+    @cached_property
+    def subset_sweep(self):
+        return critical_difference_bruteforce(self.g, self.budgets)
+
+    @cached_property
+    def cycle(self) -> tuple[str, ...]:
+        return find_cycle(self.g)
+
+    @cached_property
+    def decomposition(self):
+        return decompose(self.g)
+
+
 def _fmt(vs: VertexSet) -> str:
     return "{" + ", ".join(vs.labels()) + "}"
 
 
 def _fmt_pairs(pairs: Iterable[tuple[str, str]]) -> str:
     return "[" + ", ".join(f"{a}-{b}" for a, b in pairs) + "]"
-
-
-def _alpha(g: Graph, budgets: Budgets) -> int:
-    return _alpha_active(g.adj, (1 << g.n) - 1, budgets)
-
-
-def _is_unicyclic(g: Graph) -> bool:
-    shape = classify_shape(g)
-    return shape.connected and shape.kind == "unicyclic"
-
-
-def _alpha_mu(g: Graph, budgets: Budgets) -> tuple[int, int]:
-    return _alpha(g, budgets), mu(g, budgets)
 
 
 def _report(tid, gid, applicable, holds=None, witness=(), counterexample=()):
@@ -115,6 +167,24 @@ def _report(tid, gid, applicable, holds=None, witness=(), counterexample=()):
     )
 
 
+def _not_ke(tid: str, f: _Facts, gid: str) -> TheoremReport | None:
+    """The inapplicable report of a statement about KE graphs, or None when
+    alpha + mu = n."""
+    if f.alpha + f.mu != f.g.n:
+        return _report(tid, gid, False, witness=[("alpha_plus_mu", f.alpha + f.mu)])
+    return None
+
+
+def _not_unicyclic_non_ke(tid: str, f: _Facts, gid: str) -> TheoremReport | None:
+    """The inapplicable report of a statement about connected unicyclic
+    graphs with alpha + mu = n - 1, or None when the graph is one."""
+    if not f.unicyclic:
+        return _report(tid, gid, False)
+    if f.alpha + f.mu == f.g.n:
+        return _report(tid, gid, False, witness=[("alpha_plus_mu", f.alpha + f.mu)])
+    return None
+
+
 def _saturates(m, sources: VertexSet) -> bool:
     return sources.mask & ~m.vertices().mask == 0
 
@@ -122,17 +192,15 @@ def _saturates(m, sources: VertexSet) -> bool:
 # -- individual checkers ------------------------------------------------------
 
 
-def _check_lem1a(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_lem1a(f: _Facts, gid: str) -> TheoremReport:
     """Unicyclic non-KE: core(G) and the closed neighbourhood of the cycle
     are disjoint."""
-    if not _is_unicyclic(g):
-        return _report("LEM1A", gid, False)
-    a, m = _alpha_mu(g, budgets)
-    if a + m == g.n:
-        return _report("LEM1A", gid, False, witness=[("alpha_plus_mu", a + m)])
-    cyc = g.set_of(find_cycle(g))
-    closed = g.neighborhood(cyc, closed=True)
-    c = core(g, budgets)
+    skip = _not_unicyclic_non_ke("LEM1A", f, gid)
+    if skip:
+        return skip
+    g = f.g
+    closed = g.neighborhood(g.set_of(f.cycle), closed=True)
+    c = f.core
     overlap = c & closed
     wit = [("core", _fmt(c)), ("closed_cycle_neighborhood", _fmt(closed))]
     if overlap:
@@ -142,16 +210,14 @@ def _check_lem1a(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     return _report("LEM1A", gid, True, True, wit)
 
 
-def _check_lem1b(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_lem1b(f: _Facts, gid: str) -> TheoremReport:
     """Unicyclic non-KE: some matching carries N(core(G)) into core(G)."""
-    if not _is_unicyclic(g):
-        return _report("LEM1B", gid, False)
-    a, m = _alpha_mu(g, budgets)
-    if a + m == g.n:
-        return _report("LEM1B", gid, False, witness=[("alpha_plus_mu", a + m)])
-    c = core(g, budgets)
-    nc = g.neighborhood(c)
-    match = saturating_matching(g, nc, c)
+    skip = _not_unicyclic_non_ke("LEM1B", f, gid)
+    if skip:
+        return skip
+    c = f.core
+    nc = f.g.neighborhood(c)
+    match = saturating_matching(f.g, nc, c)
     wit = [("core", _fmt(c)), ("n_core", _fmt(nc))]
     if match is None:
         return _report("LEM1B", gid, True, False, wit, [("unsaturated_from", _fmt(nc))])
@@ -160,18 +226,19 @@ def _check_lem1b(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     return _report("LEM1B", gid, True, True, wit)
 
 
-def _check_lem2(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_lem2(f: _Facts, gid: str) -> TheoremReport:
     """Unicyclic: n-1 <= alpha+mu <= n, with equality at n-1 exactly when
     every cycle edge is alpha-critical (checked in both directions)."""
-    if not _is_unicyclic(g):
+    if not f.unicyclic:
         return _report("LEM2", gid, False)
-    a, m = _alpha_mu(g, budgets)
+    g = f.g
+    a, m = f.alpha, f.mu
     total = a + m
-    cycle = find_cycle(g)
+    cycle = f.cycle
     non_critical = []
     for k in range(len(cycle)):
         u, v = cycle[k], cycle[(k + 1) % len(cycle)]
-        if not is_alpha_critical_edge(g, u, v, budgets):
+        if not _edge_raises_alpha(g, u, v, a, f.budgets):
             non_critical.append((u, v) if u <= v else (v, u))
     non_critical.sort()
     bounds_ok = g.n - 1 <= total <= g.n
@@ -190,10 +257,10 @@ def _check_lem2(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     )
 
 
-def _check_th11(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th11(f: _Facts, gid: str) -> TheoremReport:
     """Every graph: for each maximum independent set S there is a matching
     from S - core(G) into corona(G) - S."""
-    family = enumerate_mis(g, budgets)
+    family = f.mis_family
     inter = family[0]
     union = family[0]
     for s in family[1:]:
@@ -203,7 +270,7 @@ def _check_th11(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     for s in family:
         sources = s - inter
         targets = union - s
-        match = saturating_matching(g, sources, targets)
+        match = saturating_matching(f.g, sources, targets)
         if match is None:
             return _report(
                 "TH11", gid, True, False,
@@ -218,14 +285,14 @@ def _check_th11(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     )
 
 
-def _check_th1(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th1(f: _Facts, gid: str) -> TheoremReport:
     """KE graphs: every maximum matching matches N(core(G)) into core(G)."""
-    a, m = _alpha_mu(g, budgets)
-    if a + m != g.n:
-        return _report("TH1", gid, False, witness=[("alpha_plus_mu", a + m)])
-    c = core(g, budgets)
-    nc = g.neighborhood(c)
-    matchings = enumerate_maximum_matchings(g, budgets)
+    skip = _not_ke("TH1", f, gid)
+    if skip:
+        return skip
+    c = f.core
+    nc = f.g.neighborhood(c)
+    matchings = enumerate_maximum_matchings(f.g, f.budgets)
     for match in matchings:
         for v in nc.labels():
             partner = match.matched_to(v)
@@ -249,12 +316,13 @@ def _check_th1(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     )
 
 
-def _check_th2a(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th2a(f: _Facts, gid: str) -> TheoremReport:
     """Every graph: ker(G) is a critical independent set contained in
     core(G). ker is recomputed by the subset sweep here."""
-    rep = critical_difference_bruteforce(g, budgets)
+    g = f.g
+    rep = f.subset_sweep
     k = rep.ker
-    c = core(g, budgets)
+    c = f.core
     independent = is_independent(g, k)
     critical = diff(g, k) == rep.id_c
     contained = k <= c
@@ -272,33 +340,32 @@ def _check_th2a(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     )
 
 
-def _check_th2b(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th2b(f: _Facts, gid: str) -> TheoremReport:
     """Bipartite graphs: ker(G) = core(G), both recomputed independently."""
-    if not classify_shape(g).bipartite:
+    if not f.shape.bipartite:
         return _report("TH2B", gid, False)
-    k = critical_difference_bruteforce(g, budgets).ker
-    c = core(g, budgets)
+    k = f.subset_sweep.ker
+    c = f.core
     wit = [("ker", _fmt(k)), ("core", _fmt(c))]
     if k == c:
         return _report("TH2B", gid, True, True, wit)
     return _report("TH2B", gid, True, False, wit, [("difference", _fmt((k | c) - (k & c)))])
 
 
-def _check_th3(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th3(f: _Facts, gid: str) -> TheoremReport:
     """Unicyclic non-KE: corona(G) and N(core(G)) cover V(G), and corona is
     the cycle plus the pendant-tree coronas."""
-    if not _is_unicyclic(g):
-        return _report("TH3", gid, False)
-    a, m = _alpha_mu(g, budgets)
-    if a + m == g.n:
-        return _report("TH3", gid, False, witness=[("alpha_plus_mu", a + m)])
-    c = core(g, budgets)
-    cor = corona(g, budgets)
+    skip = _not_unicyclic_non_ke("TH3", f, gid)
+    if skip:
+        return skip
+    g = f.g
+    c = f.core
+    cor = f.corona
     covered = cor | g.neighborhood(c)
-    dec = decompose(g)
+    dec = f.decomposition
     assembled = dec.cycle_set.mask
     for pt in dec.pendant_trees:
-        for lab in corona(pt.tree, budgets).labels():
+        for lab in corona(pt.tree, f.budgets).labels():
             assembled |= 1 << g.index_of(lab)
     assembled_set = VertexSet(g, assembled)
     eq_cover = covered == g.full_set()
@@ -316,27 +383,27 @@ def _check_th3(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     )
 
 
-def _check_th4a(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th4a(f: _Facts, gid: str) -> TheoremReport:
     """KE graphs: N(core(G)) = V(G) - corona(G)."""
-    a, m = _alpha_mu(g, budgets)
-    if a + m != g.n:
-        return _report("TH4A", gid, False, witness=[("alpha_plus_mu", a + m)])
-    c = core(g, budgets)
-    nc = g.neighborhood(c)
-    rest = corona(g, budgets).complement()
+    skip = _not_ke("TH4A", f, gid)
+    if skip:
+        return skip
+    nc = f.g.neighborhood(f.core)
+    rest = f.corona.complement()
     wit = [("n_core", _fmt(nc)), ("v_minus_corona", _fmt(rest))]
     if nc == rest:
         return _report("TH4A", gid, True, True, wit)
     return _report("TH4A", gid, True, False, wit, [("difference", _fmt((nc | rest) - (nc & rest)))])
 
 
-def _check_th4b(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th4b(f: _Facts, gid: str) -> TheoremReport:
     """KE graphs: |corona(G)| + |core(G)| = 2 alpha(G)."""
-    a, m = _alpha_mu(g, budgets)
-    if a + m != g.n:
-        return _report("TH4B", gid, False, witness=[("alpha_plus_mu", a + m)])
-    c = core(g, budgets)
-    cor = corona(g, budgets)
+    skip = _not_ke("TH4B", f, gid)
+    if skip:
+        return skip
+    a = f.alpha
+    c = f.core
+    cor = f.corona
     total = len(cor) + len(c)
     wit = [("core_size", len(c)), ("corona_size", len(cor)), ("sum", total), ("two_alpha", 2 * a)]
     if total == 2 * a:
@@ -344,23 +411,22 @@ def _check_th4b(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     return _report("TH4B", gid, True, False, wit, [("sum", total), ("two_alpha", 2 * a)])
 
 
-def _check_th12(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_th12(f: _Facts, gid: str) -> TheoremReport:
     """Unicyclic non-KE: pendant maximum independent sets extend to maximum
     independent sets of G, restrict back onto the pendant trees, and core(G)
     is the union of the pendant cores."""
-    if not _is_unicyclic(g):
-        return _report("TH12", gid, False)
-    a, m = _alpha_mu(g, budgets)
-    if a + m == g.n:
-        return _report("TH12", gid, False, witness=[("alpha_plus_mu", a + m)])
-    family = enumerate_mis(g, budgets)
+    skip = _not_unicyclic_non_ke("TH12", f, gid)
+    if skip:
+        return skip
+    g = f.g
+    family = f.mis_family
     fam_labels = [set(s.labels()) for s in family]
-    dec = decompose(g)
+    dec = f.decomposition
     extends = True
     restricts = True
     bad = []
     for pt in dec.pendant_trees:
-        tree_family = [set(w.labels()) for w in enumerate_mis(pt.tree, budgets)]
+        tree_family = [set(w.labels()) for w in enumerate_mis(pt.tree, f.budgets)]
         for w in tree_family:
             if not any(w <= s for s in fam_labels):
                 extends = False
@@ -375,7 +441,7 @@ def _check_th12(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
         inter = inter & s
     union_core = 0
     for pt in dec.pendant_trees:
-        for lab in core(pt.tree, budgets).labels():
+        for lab in core(pt.tree, f.budgets).labels():
             union_core |= 1 << g.index_of(lab)
     cores_match = VertexSet(g, union_core) == inter
     if not cores_match:
@@ -391,15 +457,13 @@ def _check_th12(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     return _report("TH12", gid, True, False, wit, bad)
 
 
-def _check_main(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_main(f: _Facts, gid: str) -> TheoremReport:
     """Unicyclic: 2 alpha <= |corona| + |core| <= 2 alpha + 1, and the sum
     hits 2 alpha + 1 exactly for the non-KE case. The sum is reported even
     when the graph is not unicyclic, since the inapplicable value is itself
     informative."""
-    a, m = _alpha_mu(g, budgets)
-    c = core(g, budgets)
-    cor = corona(g, budgets)
-    total = len(cor) + len(c)
+    a, m = f.alpha, f.mu
+    total = len(f.corona) + len(f.core)
     defect = total - 2 * a
     wit = [
         ("sum", total),
@@ -407,10 +471,10 @@ def _check_main(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
         ("sum_defect", defect),
         ("alpha_plus_mu", a + m),
     ]
-    if not _is_unicyclic(g):
+    if not f.unicyclic:
         return _report("MAIN", gid, False, witness=wit)
     bounds_ok = 0 <= defect <= 1
-    iff_ok = (a + m == g.n - 1) == (defect == 1)
+    iff_ok = (a + m == f.g.n - 1) == (defect == 1)
     if bounds_ok and iff_ok:
         return _report("MAIN", gid, True, True, wit)
     return _report(
@@ -419,19 +483,18 @@ def _check_main(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     )
 
 
-def _check_kercore(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_kercore(f: _Facts, gid: str) -> TheoremReport:
     """Unicyclic non-KE: ker(G) = union of pendant kers = core(G), with every
     ker recomputed by the subset sweep."""
-    if not _is_unicyclic(g):
-        return _report("KERCORE", gid, False)
-    a, m = _alpha_mu(g, budgets)
-    if a + m == g.n:
-        return _report("KERCORE", gid, False, witness=[("alpha_plus_mu", a + m)])
-    k = critical_difference_bruteforce(g, budgets).ker
-    c = core(g, budgets)
+    skip = _not_unicyclic_non_ke("KERCORE", f, gid)
+    if skip:
+        return skip
+    g = f.g
+    k = f.subset_sweep.ker
+    c = f.core
     union = 0
-    for pt in decompose(g).pendant_trees:
-        for lab in critical_difference_bruteforce(pt.tree, budgets).ker.labels():
+    for pt in f.decomposition.pendant_trees:
+        for lab in critical_difference_bruteforce(pt.tree, f.budgets).ker.labels():
             union |= 1 << g.index_of(lab)
     union_set = VertexSet(g, union)
     wit = [("ker", _fmt(k)), ("pendant_ker_union", _fmt(union_set)), ("core", _fmt(c))]
@@ -443,16 +506,16 @@ def _check_kercore(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
     )
 
 
-def _check_zhang(g: Graph, gid: str, budgets: Budgets) -> TheoremReport:
+def _check_zhang(f: _Facts, gid: str) -> TheoremReport:
     """Every graph: d_c = id_c."""
-    rep = critical_difference_bruteforce(g, budgets)
+    rep = f.subset_sweep
     wit = [("d_c", rep.d_c), ("id_c", rep.id_c), ("witness_set", _fmt(rep.witness_set))]
     if rep.d_c == rep.id_c:
         return _report("ZHANG", gid, True, True, wit)
     return _report("ZHANG", gid, True, False, wit, [("d_c", rep.d_c), ("id_c", rep.id_c)])
 
 
-_CHECKERS: dict[str, Callable[[Graph, str, Budgets], TheoremReport]] = {
+_CHECKERS: dict[str, Callable[[_Facts, str], TheoremReport]] = {
     "LEM1A": _check_lem1a,
     "LEM1B": _check_lem1b,
     "LEM2": _check_lem2,
@@ -477,13 +540,16 @@ def check(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> TheoremReport:
     """Run one catalog checker. Raises DomainError for an unknown id and
-    BudgetExceededError when the graph exceeds the invoked sub-operations."""
+    BudgetExceededError when the graph exceeds the invoked sub-operations.
+
+    Within this module g may also be the record of a graph, whose computed
+    values (and budgets) the call then shares with the other checkers."""
     checker = _CHECKERS.get(theorem_id)
     if checker is None:
         raise DomainError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
-    return checker(g, graph_id, budgets)
+    return checker(g if isinstance(g, _Facts) else _Facts(g, budgets), graph_id)
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -505,10 +571,66 @@ class SweepSummary:
         return not self.failures
 
 
+def _known_ids(theorem_ids: Iterable[str]) -> tuple[str, ...]:
+    tids = tuple(theorem_ids)
+    for tid in tids:
+        if tid not in _CHECKERS:
+            raise DomainError(f"unknown theorem id {tid!r}")
+    return tids
+
+
+def _check_graph(g: Graph, gid: str, tids: tuple[str, ...], budgets: Budgets) -> list[TheoremReport]:
+    """The reports of the given checkers on one graph, in the given order,
+    all reading one record. Each goes through check, so a wrapper on check
+    sees one call per theorem."""
+    f = _Facts(g, budgets)
+    return [check(tid, f, gid) for tid in tids]
+
+
 def _check_one_serialized(args: tuple[str, str, tuple[str, ...], Budgets]):
     gid, text, theorem_ids, budgets = args
-    g = parse_edge_list(text)
-    return [check(tid, g, gid, budgets) for tid in theorem_ids]
+    return _check_graph(parse_edge_list(text), gid, theorem_ids, budgets)
+
+
+def _summarize(
+    results: Iterable[tuple[str, list[TheoremReport]]],
+    tids: tuple[str, ...],
+    fail_fast: bool,
+    family: str,
+    start: float,
+) -> SweepSummary:
+    """Count a stream of (serialization, reports) pairs, read in order and
+    no further than the first failure under fail_fast."""
+    graphs_tested = 0
+    checks_run = 0
+    checks_applicable = 0
+    failures: list[tuple[str, TheoremReport]] = []
+    truncated = False
+    for text, reports in results:
+        graphs_tested += 1
+        for rep in reports:
+            checks_run += 1
+            if rep.applicable:
+                checks_applicable += 1
+                if rep.holds is False:
+                    failures.append((text, rep))
+                    if fail_fast:
+                        truncated = True
+                        break
+        if truncated:
+            break
+    failures.sort(key=lambda fr: (fr[0], fr[1].theorem_id))
+    return SweepSummary(
+        family=family,
+        theorem_ids=tids,
+        graphs_tested=graphs_tested,
+        checks_run=checks_run,
+        checks_applicable=checks_applicable,
+        failures=tuple(failures),
+        truncated=truncated,
+        truncation_reason="fail-fast" if truncated else None,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def sweep(
@@ -525,63 +647,20 @@ def sweep(
     submitted and merged in stream order, and failures are finally sorted by
     (graph serialization, theorem id).
     """
-    tids = tuple(theorem_ids)
-    for tid in tids:
-        if tid not in _CHECKERS:
-            raise DomainError(f"unknown theorem id {tid!r}")
+    tids = _known_ids(theorem_ids)
     start = time.perf_counter()
-    graphs_tested = 0
-    checks_run = 0
-    checks_applicable = 0
-    failures: list[tuple[str, TheoremReport]] = []
-    truncated = False
-    reason = None
-
-    def absorb(text: str, reports: list[TheoremReport]) -> bool:
-        nonlocal graphs_tested, checks_run, checks_applicable
-        graphs_tested += 1
-        for rep in reports:
-            checks_run += 1
-            if rep.applicable:
-                checks_applicable += 1
-                if rep.holds is False:
-                    failures.append((text, rep))
-                    if fail_fast:
-                        return True
-        return False
-
     if workers > 1:
         # a pool for fewer graphs than workers only adds start-up cost
         items = list(items)
         workers = min(workers, len(items))
     if workers <= 1:
-        for gid, g in items:
-            if absorb(serialize(g), [check(tid, g, gid, budgets) for tid in tids]):
-                truncated = True
-                reason = "fail-fast"
-                break
-    else:
-        payload = [(gid, serialize(g), tids, budgets) for gid, g in items]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (gid, text, _, _), reports in zip(
-                payload, pool.map(_check_one_serialized, payload, chunksize=8)
-            ):
-                if absorb(text, reports):
-                    truncated = True
-                    reason = "fail-fast"
-                    break
-    failures.sort(key=lambda fr: (fr[0], fr[1].theorem_id))
-    return SweepSummary(
-        family=family,
-        theorem_ids=tids,
-        graphs_tested=graphs_tested,
-        checks_run=checks_run,
-        checks_applicable=checks_applicable,
-        failures=tuple(failures),
-        truncated=truncated,
-        truncation_reason=reason,
-        elapsed=time.perf_counter() - start,
-    )
+        results = ((serialize(g), _check_graph(g, gid, tids, budgets)) for gid, g in items)
+        return _summarize(results, tids, fail_fast, family, start)
+    payload = [(gid, serialize(g), tids, budgets) for gid, g in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        reports = pool.map(_check_one_serialized, payload, chunksize=8)
+        results = zip((text for _, text, _, _ in payload), reports)
+        return _summarize(results, tids, fail_fast, family, start)
 
 
 # -- open-problem searches ------------------------------------------------------
@@ -607,16 +686,13 @@ def search_problem1(max_n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Problem1R
     examined = 0
     for n in range(3, max_n + 1):
         for i, g in enumerate(enumerate_unicyclic(n, budgets=budgets)):
-            if classify_shape(g).bipartite:
-                continue
-            a, m = _alpha_mu(g, budgets)
-            if a + m != g.n:
+            f = _Facts(g, budgets)
+            if f.shape.bipartite or f.alpha + f.mu != g.n:
                 continue
             examined += 1
             gid = f"uni:n{n}:{i}"
-            k = critical_difference_bruteforce(g, budgets).ker
-            c = core(g, budgets)
-            (equal if k == c else different).append((gid, serialize(g)))
+            k = f.subset_sweep.ker
+            (equal if k == f.core else different).append((gid, serialize(g)))
     return Problem1Report(
         max_n=max_n,
         examined=examined,
@@ -628,7 +704,7 @@ def search_problem1(max_n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Problem1R
 def classify_sum_defect(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """|corona(G)| + |core(G)| - 2 alpha(G); 0 or 1 on connected unicyclic
     graphs, unconstrained in general."""
-    a = _alpha(g, budgets)
+    a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
     return len(corona(g, budgets)) + len(core(g, budgets)) - 2 * a
 
 

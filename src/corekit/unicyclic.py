@@ -19,7 +19,7 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
 from .errors import NotUnicyclicError, PreconditionError
 from .graph import Graph, VertexSet, _strip_to_cycles, classify_shape
-from .independence import _alpha_active, core, corona, is_alpha_critical_edge
+from .independence import _alpha_active, _edge_raises_alpha, core, corona
 from .matching import mu
 
 __all__ = [
@@ -138,12 +138,13 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
     criterion: the sum is n - 1 exactly when every cycle edge is
     alpha-critical, and any non-critical cycle edge is reported as a witness."""
     _require_unicyclic(g)
-    total = _alpha_active(g.adj, (1 << g.n) - 1, budgets) + mu(g, budgets)
+    a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
+    total = a + mu(g, budgets)
     cycle = find_cycle(g)
     bad = []
     for k in range(len(cycle)):
         u, v = cycle[k], cycle[(k + 1) % len(cycle)]
-        if not is_alpha_critical_edge(g, u, v, budgets):
+        if not _edge_raises_alpha(g, u, v, a, budgets):
             bad.append((u, v) if u <= v else (v, u))
     bad.sort()
     return KeClassification(

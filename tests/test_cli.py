@@ -132,7 +132,7 @@ def test_verify_usage_errors():
 
 
 def test_verify_counterexample_exits_1(monkeypatch, capsys):
-    def always_fails(g, gid, budgets):
+    def always_fails(f, gid):
         return theorems_module._report(
             "ZHANG", gid, applicable=True, holds=False,
             counterexample=(("why", "forced"),),
@@ -148,6 +148,41 @@ def test_verify_counterexample_exits_1(monkeypatch, capsys):
     assert "failure: ZHANG" in out
     assert "result: counterexample found" in out
     assert "why: forced" in out
+
+
+@pytest.mark.parametrize(
+    "limit, message",
+    [
+        ("--max-subset-n", "subset sweep limited to 8 vertices, got 9"),
+        ("--max-enum-n", "unicyclic enumeration limited to n <= 8"),
+    ],
+)
+def test_verify_budget_errors_exit_3(limit, message):
+    res = run_cli("verify", "--theorem", "all", "--family", "unicyclic", "--max-n", "10",
+                  limit, "8")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
+def test_verify_one_graph_sweeps_its_subsets_once(monkeypatch, capsys):
+    sweep_calls = []
+    bruteforce = theorems_module.critical_difference_bruteforce
+
+    def counted(g, budgets):
+        sweep_calls.append(g.n)
+        return bruteforce(g, budgets)
+
+    monkeypatch.setattr(theorems_module, "critical_difference_bruteforce", counted)
+    code = cli_module.main(
+        ["verify", "--theorem", "all", "--graph", str(FIXDIR / "bicyclic10-nonke.txt")]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sweep_calls == [10]
+    assert out.startswith("LEM1A bicyclic10-nonke applicable=false holds=-\n")
+    assert "ZHANG bicyclic10-nonke applicable=true holds=true" in out
+    assert "checks run: 14\n" in out
 
 
 def test_search_problem_1_golden():

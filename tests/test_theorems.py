@@ -12,12 +12,15 @@ from corekit import (
     classify_sum_defect,
     family_items,
     fixture,
+    kernel_gap_family,
     parse_edge_list,
+    random_connected,
     search_problem1,
     sum_defect_histogram,
     sweep,
 )
 from corekit import theorems as theorems_module
+from corekit.budgets import DEFAULT_BUDGETS
 
 
 def test_theorem_catalog_is_stable():
@@ -96,7 +99,7 @@ def test_sweep_worker_counts_agree(all_fixtures):
 
 
 def test_sweep_failure_reports_are_replayable(monkeypatch, all_fixtures):
-    def always_fails(g, gid, budgets):
+    def always_fails(f, gid):
         return theorems_module._report(
             "ZHANG",
             gid,
@@ -122,6 +125,48 @@ def test_sweep_failure_reports_are_replayable(monkeypatch, all_fixtures):
     assert limited.truncated
     assert len(limited.failures) == 1
     assert limited.graphs_tested < len(items)
+
+
+def test_shared_record_changes_no_report(all_fixtures, trees_by_n, unicyclic_by_n, connected_by_n):
+    items = list(all_fixtures.items())
+    for corpus, tag, top in ((trees_by_n, "tree", 8), (unicyclic_by_n, "uni", 9),
+                             (connected_by_n, "conn", 6)):
+        for n in range(1, top + 1):
+            items += [(f"{tag}:n{n}:{i}", g) for i, g in enumerate(corpus.get(n, ()))]
+    items += [(f"kgap:{k}", kernel_gap_family(k)) for k in range(1, 4)]
+    items += [(f"rand:{s}", random_connected(10, s)) for s in range(30)]
+    for gid, g in items:
+        shared = theorems_module._check_graph(g, gid, THEOREM_IDS, DEFAULT_BUDGETS)
+        assert shared == [check(tid, g, gid) for tid in THEOREM_IDS], gid
+
+
+def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
+    graphs = [g for n in range(3, 9) for g in unicyclic_by_n[n]]
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(g, *args):
+            key = (name, g.adj)
+            calls[key] = calls.get(key, 0) + 1
+            return fn(g, *args)
+        return wrapper
+
+    for name in ("critical_difference_bruteforce", "mu", "core", "corona", "enumerate_mis"):
+        monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
+    alpha_active = theorems_module._alpha_active
+
+    def counted_alpha(adj, active, budgets):
+        if active == (1 << len(adj)) - 1:
+            calls[("alpha", adj)] = calls.get(("alpha", adj), 0) + 1
+        return alpha_active(adj, active, budgets)
+
+    monkeypatch.setattr(theorems_module, "_alpha_active", counted_alpha)
+    summary = sweep([(str(i), g) for i, g in enumerate(graphs)], THEOREM_IDS, workers=1)
+    assert summary.graphs_tested == len(graphs) == 143
+    assert summary.all_hold()
+    for name in ("critical_difference_bruteforce", "mu", "core", "corona", "enumerate_mis",
+                 "alpha"):
+        assert [calls.get((name, g.adj)) for g in graphs] == [1] * len(graphs), name
 
 
 def test_sweep_over_generated_family_is_clean():
