@@ -2,7 +2,10 @@
 
 Every exact-but-exponential routine takes a Budgets value and raises
 BudgetExceededError instead of silently grinding. Fast paths for trees,
-unicyclic graphs and bipartite matching are polynomial and unbudgeted.
+unicyclic graphs and bipartite graphs are polynomial and unbudgeted, and so
+is maximum matching on every graph (Edmonds' blossom algorithm), so there is
+no matching-size budget: only the enumeration of maximum matchings is
+bounded, by enum_n and matching_limit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ class Budgets:
     subset_n: int = 20
     # max n for branch-and-bound alpha on general graphs
     bb_n: int = 40
-    # max n for exact maximum matching on general graphs
-    matching_n: int = 24
     # max number of maximum matchings a single enumeration may produce
     matching_limit: int = 10**6
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError
-from .graph import Graph, VertexSet, _bits, _match
+from .graph import Graph, VertexSet, _even_reach, _match
 
 __all__ = [
     "diff",
@@ -114,22 +114,9 @@ def ker(g: Graph) -> VertexSet:
     reachable from the left vertices a maximum matching of H leaves free,
     stepping to any right neighbour and back along its matching edge. Those
     are exactly the vertices some maximum matching of H leaves uncovered."""
-    adj = g.adj
     mate = _cover_matching(g)
     covered = 0
     for v in mate.values():
         covered |= 1 << v
-    reached = frontier = ((1 << g.n) - 1) & ~covered
-    stepped = 0
-    while frontier:
-        right = 0
-        for v in _bits(frontier):
-            right |= adj[v]
-        right &= ~stepped
-        stepped |= right
-        nxt = 0
-        for w in _bits(right):
-            nxt |= 1 << mate[w]  # w is covered, or H had an augmenting path
-        frontier = nxt & ~reached
-        reached |= frontier
-    return VertexSet(g, reached)
+    full = (1 << g.n) - 1
+    return VertexSet(g, _even_reach(g.adj, mate, full & ~covered, full))

@@ -185,6 +185,29 @@ def _match(adj: tuple[int, ...], sources: int, targets: int) -> dict[int, int]:
     return mate
 
 
+def _even_reach(adj: tuple[int, ...], mate: dict[int, int], free: int, active: int) -> int:
+    """The vertices reached from the free mask by even alternating paths of a
+    maximum bipartite matching: step from a reached vertex to any neighbour
+    in the active mask, then along that neighbour's matching edge to
+    mate[neighbour]. Every neighbour a step meets is covered, or the matching
+    had an augmenting path. Steps and reached vertices are kept in separate
+    masks, so the two sides may share indices (the double cover)."""
+    reached = frontier = free
+    stepped = 0
+    while frontier:
+        odd = 0
+        for v in _bits(frontier):
+            odd |= adj[v]
+        odd &= active & ~stepped
+        stepped |= odd
+        nxt = 0
+        for w in _bits(odd):
+            nxt |= 1 << mate[w]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return reached
+
+
 class Graph:
     """An immutable simple undirected graph.
 

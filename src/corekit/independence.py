@@ -7,14 +7,21 @@ bipartite components get alpha = n - mu from the package's one augmenting-path
 matcher (graph._match; Koenig's theorem), and everything else goes through
 exact branch-and-bound under a size budget.
 
-core and corona come from alpha, never from enumerating the MIS family: v is
-in core iff alpha(G - v) = alpha(G) - 1, and v is in corona iff
-alpha(G - N[v]) = alpha(G) - 1. Removing v or N[v] changes only v's
-component, so both are decided per component, with the same dispatch:
+core and corona never enumerate the MIS family: v is in core iff
+alpha(G - v) = alpha(G) - 1, and v is in corona iff alpha(G - N[v]) =
+alpha(G) - 1. Removing v or N[v] changes only v's component, so both are
+decided per component, with the same dispatch:
 - forest: one rerooting pass of the tree DP gives alpha(T - v) and
   alpha(T - N[v]) for every v of a tree T at once;
 - unicyclic: the same branch on a cycle vertex u as alpha, then one
   rerooting pass over each of the forests C - u and C - N[u];
+- bipartite with more edges than vertices: one maximum matching of the two
+  colour classes and one alternating search give the Gallai-Edmonds set
+  D(C), the vertices that some maximum matching misses (Lovasz and
+  Plummer, Matching Theory, 1986, ch. 3). alpha = n - mu by Koenig, so
+  alpha(C - v) = alpha(C) - 1 exactly when mu(C - v) = mu(C), that is
+  core = D(C). D(C) is independent on a bipartite graph, so N(D) is the set
+  A(C) and corona = C - N(D(C));
 - any other component: one alpha query of the component per vertex.
 
 ker is not derived from core here: critical.ker reads it off one matching of
@@ -33,6 +40,7 @@ from .graph import (
     _bits,
     _components_in,
     _edge_count,
+    _even_reach,
     _match,
     _strip_to_cycles,
     _two_coloring,
@@ -237,8 +245,9 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
     A unicyclic C branches on a cycle vertex u as alpha does: alpha(C - X_v)
     is the larger of alpha(F1 - X_v) with F1 = C - u and 1 + alpha(F2 - X_v)
     with F2 = C - N[u]. For v in N(u) the second branch is 1 + alpha(F2)
-    when X_v = {v} and gone when X_v = N[v]. Any other component asks alpha
-    once per vertex."""
+    when X_v = {v} and gone when X_v = N[v]. A bipartite C reads both sets
+    off one maximum matching (see the module docstring). Any other component
+    asks alpha once per vertex."""
     out = 0
     for comp in _components_in(adj, active):
         nv = comp.bit_count()
@@ -260,6 +269,21 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
                     after[v] = f1[v]
                 else:
                     after[v] = max(f1[v], 1 + a2)
+        elif (left := _two_coloring(adj, comp)) is not None:
+            mate = _match(adj, left, comp)
+            free = comp
+            for t, s in list(mate.items()):
+                mate[s] = t
+                free &= ~(1 << t | 1 << s)
+            d = _even_reach(adj, mate, free, comp)
+            if not closed:
+                out |= d
+            else:
+                nd = 0
+                for v in _bits(d):
+                    nd |= adj[v]
+                out |= comp & ~nd
+            continue
         else:
             a = _alpha_active(adj, comp, budgets)
             after = {

@@ -1,19 +1,21 @@
 """Maximum matchings, the Koenig-Egervary test, and saturating matchings.
 
-maximum_matching dispatches per component: forest and unicyclic components
-use exact leaf-stripping (match a leaf to its support; the leftover is a bare
-cycle), bipartite components use augmenting paths, and everything else uses a
-memoized exhaustive branch on the fate of the lowest vertex, under a size
-budget. A graph is Koenig-Egervary when alpha + mu = n; every bipartite graph
-is, and checking that is one of the test gates.
+maximum_matching dispatches per component and is polynomial on every graph,
+with no size budget: forest and unicyclic components use exact
+leaf-stripping (match a leaf to its support; the leftover is a bare cycle),
+bipartite components use augmenting paths, and every other component uses
+Edmonds' blossom algorithm (Edmonds, "Paths, trees, and flowers", Canad. J.
+Math. 1965). A graph is Koenig-Egervary when alpha + mu = n; every
+bipartite graph is, and checking that is one of the test gates.
 
-The augmenting-path matcher is graph._match, the package's only one. Here it
-matches the two colour classes of a bipartite component and, for
-saturating_matching, a source set into a disjoint target set (Hall's
+The augmenting-path matcher is graph._match, the package's only bipartite
+one. Here it matches the two colour classes of a bipartite component and,
+for saturating_matching, a source set into a disjoint target set (Hall's
 condition holds iff every source is matched). critical.py runs it on the
-bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and ker is the
-set of vertices whose left copy some maximum matching misses (Levit and
-Mandrescu 2012).
+bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and ker is
+the set of vertices whose left copy some maximum matching misses (Levit and
+Mandrescu 2012). The exhaustive memo _mu_active serves only
+enumerate_maximum_matchings, which is budgeted by enum_n.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import BudgetExceededError, DomainError
 from .graph import (
     Graph,
     VertexSet,
+    _bits,
     _components_in,
     _cycle_order,
     _edge_count,
@@ -146,8 +149,9 @@ def _strip_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
 
 
 def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
-    """Exhaustive mu on a vertex mask: the lowest vertex with a live
-    neighbour is either unmatched or matched to one of its neighbours."""
+    """Exhaustive mu on a vertex mask, for enumerate_maximum_matchings: the
+    lowest vertex with a live neighbour is either unmatched or matched to
+    one of its neighbours."""
     while active:
         b = active & -active
         if adj[b.bit_length() - 1] & active:
@@ -173,55 +177,114 @@ def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
     return best
 
 
-def _exact_matching(adj: tuple[int, ...], comp: int, memo: dict[int, int]) -> list[tuple[int, int]]:
-    pairs = []
-    active = comp
-    while active:
-        b = active & -active
-        v = b.bit_length() - 1
-        if not adj[v] & active:
-            active ^= b
-            continue
-        cur = _mu_active(adj, active, memo)
-        if cur == 0:
+def _blossom_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
+    """Maximum matching of a component by Edmonds' blossom algorithm (1965),
+    started from a greedy matching.
+
+    From each vertex the matching leaves free, an alternating tree is grown
+    breadth-first. An edge from an outer vertex to a free vertex outside the
+    tree ends an augmenting path, which is flipped. An edge joining two
+    outer vertices of different blossoms closes an odd cycle; it is
+    contracted by pointing each of its vertices at the cycle's base, and its
+    inner vertices become outer. A free vertex with no augmenting path has
+    none after later augmentations either, so one search per free vertex
+    suffices, and none is needed once the matching is perfect or near
+    perfect. No recursion."""
+    mate = [-1] * len(adj)
+    size = 0
+    unmatched = comp
+    for v in _bits(comp):
+        nb = adj[v] & unmatched
+        if unmatched >> v & 1 and nb:
+            u = (nb & -nb).bit_length() - 1
+            mate[v], mate[u] = u, v
+            unmatched &= ~(1 << v | 1 << u)
+            size += 1
+    cap = comp.bit_count() // 2
+    parent = [-1] * len(adj)
+    base = list(range(len(adj)))
+    for root in _bits(unmatched):
+        if size == cap:
             break
-        if _mu_active(adj, active ^ b, memo) == cur:
-            active ^= b
+        if mate[root] >= 0:
             continue
-        nb = adj[v] & active
-        while nb:
-            ub = nb & -nb
-            u = ub.bit_length() - 1
-            nb ^= ub
-            if 1 + _mu_active(adj, active ^ b ^ ub, memo) == cur:
-                pairs.append((v, u))
-                active ^= b ^ ub
+        tree = [root]  # every vertex whose parent or base this search sets
+        outer = 1 << root
+        queue = [root]
+        end = -1
+        for v in queue:
+            for u in _bits(adj[v] & comp):
+                if base[v] == base[u] or mate[v] == u:
+                    continue
+                if outer >> u & 1:
+                    # lowest common base of v and u in the tree
+                    seen = 0
+                    a = v
+                    while True:
+                        a = base[a]
+                        seen |= 1 << a
+                        if a == root:
+                            break
+                        a = parent[mate[a]]
+                    b = u
+                    while not seen >> base[b] & 1:
+                        b = parent[mate[base[b]]]
+                    b = base[b]
+                    # walk both sides of the cycle down to b, marking the bases
+                    # it passes and re-pointing parents for later flips
+                    cycle = 0
+                    for x, child in ((v, u), (u, v)):
+                        while base[x] != b:
+                            cycle |= 1 << base[x] | 1 << base[mate[x]]
+                            parent[x] = child
+                            child = mate[x]
+                            x = parent[child]
+                    for w in tree:
+                        if cycle >> base[w] & 1:
+                            base[w] = b
+                            if not outer >> w & 1:
+                                outer |= 1 << w
+                                queue.append(w)
+                elif parent[u] < 0:  # u is not in the tree yet
+                    parent[u] = v
+                    tree.append(u)
+                    if mate[u] < 0:
+                        end = u
+                        break
+                    w = mate[u]
+                    outer |= 1 << w
+                    tree.append(w)
+                    queue.append(w)
+            if end >= 0:
                 break
-    return pairs
+        if end >= 0:
+            size += 1
+            while end >= 0:  # flip the path back to the root
+                p = parent[end]
+                nxt = mate[p]
+                mate[end], mate[p] = p, end
+                end = nxt
+        for w in tree:
+            parent[w] = -1
+            base[w] = w
+    return [(v, mate[v]) for v in _bits(comp) if v < mate[v]]
 
 
 # -- public operations ---------------------------------------------------------
 
 
 def maximum_matching(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> Matching:
-    """One maximum matching, deterministically chosen."""
+    """One maximum matching, deterministically chosen. No path is budgeted;
+    budgets is accepted so that every invariant takes the same arguments."""
     adj = g.adj
     pairs: list[tuple[int, int]] = []
-    memo: dict[int, int] = {}
     for comp in g.components():
-        nv = comp.bit_count()
-        ne = _edge_count(adj, comp)
-        if ne <= nv:
+        if _edge_count(adj, comp) <= comp.bit_count():
             pairs += _strip_matching(adj, comp)
         elif (left := _two_coloring(adj, comp)) is not None:
             pairs += [(v, u) for u, v in _match(adj, left, comp).items()]
         else:
-            if nv > budgets.matching_n:
-                raise BudgetExceededError(
-                    f"exact matching limited to components of {budgets.matching_n} "
-                    f"vertices, got {nv}"
-                )
-            pairs += _exact_matching(adj, comp, memo)
+            pairs += _blossom_matching(adj, comp)
     return Matching(g, pairs)
 
 

@@ -22,6 +22,15 @@ each pendant tree. sweep builds one record per graph and runs the chosen
 checkers against it in the given order, so each graph pays for one subset
 sweep, one alpha and one mu however many checkers read them.
 
+On a bipartite component with more edges than vertices, core() and corona()
+read their answer off one maximum matching (core = D(G) and corona =
+V - A(G), the Gallai-Edmonds sets), so N(core) = V - corona and
+|core| + |corona| = 2 alpha hold there by construction. The checkers of
+statements of that kind (TH1, TH2B, TH4A and TH4B) therefore take core and
+corona from the enumerated family whenever the graph has such a component,
+as TH11 and TH12 always do; on every other graph they read core() and
+corona() like the rest.
+
 A report's witness payload is re-verified under its defining predicate before
 it is returned (matchings are rebuilt through the validating constructor and
 checked for saturation), so a report never carries an unchecked certificate.
@@ -38,7 +47,15 @@ from typing import Callable, Iterable
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
 from .errors import DomainError
-from .graph import Graph, VertexSet, classify_shape, parse_edge_list, serialize
+from .graph import (
+    Graph,
+    VertexSet,
+    _edge_count,
+    _two_coloring,
+    classify_shape,
+    parse_edge_list,
+    serialize,
+)
 from .independence import _alpha_active, _edge_raises_alpha, core, corona, enumerate_mis, is_independent
 from .matching import enumerate_maximum_matchings, mu, saturating_matching
 from .unicyclic import decompose, find_cycle
@@ -134,6 +151,45 @@ class _Facts:
     @cached_property
     def mis_family(self) -> tuple[VertexSet, ...]:
         return enumerate_mis(self.g, self.budgets)
+
+    @cached_property
+    def mis_core(self) -> VertexSet:
+        """core as the intersection of the MIS family."""
+        inter = self.mis_family[0]
+        for s in self.mis_family[1:]:
+            inter = inter & s
+        return inter
+
+    @cached_property
+    def mis_corona(self) -> VertexSet:
+        """corona as the union of the MIS family."""
+        union = self.mis_family[0]
+        for s in self.mis_family[1:]:
+            union = union | s
+        return union
+
+    @cached_property
+    def matching_read(self) -> bool:
+        """Whether core() and corona() read some component of the graph off
+        one maximum matching: a bipartite component with more edges than
+        vertices (the Gallai-Edmonds branch of independence._alpha_drops)."""
+        adj = self.g.adj
+        return any(
+            _edge_count(adj, c) > c.bit_count() and _two_coloring(adj, c) is not None
+            for c in self.g.components()
+        )
+
+    @cached_property
+    def ke_core(self) -> VertexSet:
+        """core for the checkers of statements about KE graphs (TH1, TH2B,
+        TH4A, TH4B): from the MIS family where core() reads a component off
+        a matching, since that rests on statements of the same kind."""
+        return self.mis_core if self.matching_read else self.core
+
+    @cached_property
+    def ke_corona(self) -> VertexSet:
+        """corona for the same checkers, by the same rule as ke_core."""
+        return self.mis_corona if self.matching_read else self.corona
 
     @cached_property
     def subset_sweep(self):
@@ -261,11 +317,8 @@ def _check_th11(f: _Facts, gid: str) -> TheoremReport:
     """Every graph: for each maximum independent set S there is a matching
     from S - core(G) into corona(G) - S."""
     family = f.mis_family
-    inter = family[0]
-    union = family[0]
-    for s in family[1:]:
-        inter = inter & s
-        union = union | s
+    inter = f.mis_core
+    union = f.mis_corona
     checked = 0
     for s in family:
         sources = s - inter
@@ -290,7 +343,7 @@ def _check_th1(f: _Facts, gid: str) -> TheoremReport:
     skip = _not_ke("TH1", f, gid)
     if skip:
         return skip
-    c = f.core
+    c = f.ke_core
     nc = f.g.neighborhood(c)
     matchings = enumerate_maximum_matchings(f.g, f.budgets)
     for match in matchings:
@@ -345,7 +398,7 @@ def _check_th2b(f: _Facts, gid: str) -> TheoremReport:
     if not f.shape.bipartite:
         return _report("TH2B", gid, False)
     k = f.subset_sweep.ker
-    c = f.core
+    c = f.ke_core
     wit = [("ker", _fmt(k)), ("core", _fmt(c))]
     if k == c:
         return _report("TH2B", gid, True, True, wit)
@@ -388,8 +441,8 @@ def _check_th4a(f: _Facts, gid: str) -> TheoremReport:
     skip = _not_ke("TH4A", f, gid)
     if skip:
         return skip
-    nc = f.g.neighborhood(f.core)
-    rest = f.corona.complement()
+    nc = f.g.neighborhood(f.ke_core)
+    rest = f.ke_corona.complement()
     wit = [("n_core", _fmt(nc)), ("v_minus_corona", _fmt(rest))]
     if nc == rest:
         return _report("TH4A", gid, True, True, wit)
@@ -402,8 +455,8 @@ def _check_th4b(f: _Facts, gid: str) -> TheoremReport:
     if skip:
         return skip
     a = f.alpha
-    c = f.core
-    cor = f.corona
+    c = f.ke_core
+    cor = f.ke_corona
     total = len(cor) + len(c)
     wit = [("core_size", len(c)), ("corona_size", len(cor)), ("sum", total), ("two_alpha", 2 * a)]
     if total == 2 * a:
@@ -436,9 +489,7 @@ def _check_th12(f: _Facts, gid: str) -> TheoremReport:
             if s & tv not in tree_family:
                 restricts = False
                 bad.append(("bad_restriction", f"{pt.root}:{sorted(s & tv)}"))
-    inter = family[0]
-    for s in family[1:]:
-        inter = inter & s
+    inter = f.mis_core
     union_core = 0
     for pt in dec.pendant_trees:
         for lab in core(pt.tree, f.budgets).labels():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
 from .errors import NotUnicyclicError, PreconditionError
-from .graph import Graph, VertexSet, _strip_to_cycles, classify_shape
+from .graph import Graph, VertexSet, _strip_to_cycles
 from .independence import _alpha_active, _edge_raises_alpha, core, corona
 from .matching import mu
 
@@ -36,11 +36,13 @@ __all__ = [
 
 
 def _require_unicyclic(g: Graph) -> None:
-    shape = classify_shape(g)
-    if not (shape.connected and shape.kind == "unicyclic"):
+    """A graph has exactly one cycle and is connected iff it has one
+    component and as many edges as vertices."""
+    comps = g.components()
+    if len(comps) != 1 or g.m != g.n:
         raise NotUnicyclicError(
             f"expected a connected graph with exactly one cycle, "
-            f"got n={g.n}, m={g.m}, connected={shape.connected}"
+            f"got n={g.n}, m={g.m}, connected={len(comps) <= 1}"
         )
 
 
@@ -48,6 +50,11 @@ def find_cycle(g: Graph) -> tuple[str, ...]:
     """The unique cycle, in canonical order: starting at its smallest label
     and moving toward the smaller of that vertex's two cycle neighbours."""
     _require_unicyclic(g)
+    return _walk_cycle(g)
+
+
+def _walk_cycle(g: Graph) -> tuple[str, ...]:
+    """find_cycle on a graph already known to be connected unicyclic."""
     cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)
     members = sorted(VertexSet(g, cyc).labels())
     start = g.index_of(members[0])
@@ -97,7 +104,8 @@ class Decomposition:
 
 
 def decompose(g: Graph) -> Decomposition:
-    cycle = find_cycle(g)
+    _require_unicyclic(g)
+    cycle = _walk_cycle(g)
     cycle_set = g.set_of(cycle)
     roots = g.neighborhood(cycle_set) - cycle_set
     trees = []
@@ -140,7 +148,7 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
     _require_unicyclic(g)
     a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
     total = a + mu(g, budgets)
-    cycle = find_cycle(g)
+    cycle = _walk_cycle(g)
     bad = []
     for k in range(len(cycle)):
         u, v = cycle[k], cycle[(k + 1) % len(cycle)]

@@ -207,11 +207,24 @@ def test_search_connected_above_budget_exits_3():
 
 
 def test_analyze_budget_exit_3(tmp_path):
-    # 30 vertices, not bipartite: beyond the exact-matching budget for mu
+    # 60 vertices, not bipartite: beyond the branch-and-bound budget for alpha
     big = tmp_path / "big.txt"
-    big.write_text(serialize(random_connected(30, 0)))
+    big.write_text(serialize(random_connected(60, 0)))
     res = run_cli("analyze", str(big))
     assert res.returncode == 3
+    assert "alpha branch-and-bound limited to components of 40 vertices" in res.stderr
+
+
+def test_analyze_general_graph_above_old_matching_budget(tmp_path):
+    # 30 vertices, not bipartite: mu needs no budget
+    path = tmp_path / "g.txt"
+    path.write_text(serialize(random_connected(30, 0)))
+    res = run_cli("analyze", "--format", "json", str(path))
+    assert res.returncode == 0, res.stderr
+    rec = json.loads(res.stdout)
+    assert rec["n"] == 30 and not rec["shape"]["bipartite"]
+    assert set(rec["ker"]) <= set(rec["core"]) <= set(rec["corona"])
+    assert rec["ke"] == (rec["alpha"] + rec["mu"] == rec["n"])
 
 
 def test_analyze_accepts_labels_ending_in_a_prime(tmp_path):

@@ -4,11 +4,14 @@ cross-checked against subset-sweep oracles."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import random
+
 from corekit import (
     BudgetExceededError,
     Budgets,
     Graph,
     alpha,
+    classify_shape,
     core,
     corona,
     enumerate_mis,
@@ -132,17 +135,58 @@ def test_core_and_corona_match_oracle(
 def test_core_and_corona_match_definition_on_large_inputs():
     for seed in range(2):
         for g in (random_tree(300, seed), random_unicyclic(300, seed)):
-            a = alpha(g)
-            in_core = set()
-            in_corona = set()
-            for lab in g.labels:
-                v = g.vertex(lab)
-                if alpha(g.delete_vertices(v)) == a - 1:
-                    in_core.add(lab)
-                if alpha(g.delete_vertices(g.neighborhood(v, closed=True))) == a - 1:
-                    in_corona.add(lab)
+            in_core, in_corona = _definition(g)
             assert set(core(g).labels()) == in_core
             assert set(corona(g).labels()) == in_corona
+
+
+def _definition(g):
+    """core and corona by one alpha query per vertex."""
+    a = alpha(g)
+    in_core = set()
+    in_corona = set()
+    for lab in g.labels:
+        v = g.vertex(lab)
+        if alpha(g.delete_vertices(v)) == a - 1:
+            in_core.add(lab)
+        if alpha(g.delete_vertices(g.neighborhood(v, closed=True))) == a - 1:
+            in_corona.add(lab)
+    return in_core, in_corona
+
+
+def _random_bipartite(seed):
+    """Up to 40 vertices: two random sides joined with a random density,
+    usually disconnected, plus up to three isolated vertices."""
+    rng = random.Random(f"bipartite:{seed}")
+    left = [f"l{i}" for i in range(rng.randint(1, 19))]
+    right = [f"r{i}" for i in range(rng.randint(1, 18))]
+    p = rng.uniform(0.1, 0.6)
+    edges = [(u, v) for u in left for v in right if rng.random() < p]
+    used = {x for e in edges for x in e}
+    isolated = [x for x in left + right if x not in used]
+    isolated += [f"z{i}" for i in range(rng.randint(0, 3))]
+    return Graph.from_edges(edges, isolated=isolated)
+
+
+def test_core_and_corona_match_oracle_on_bipartite_graphs(connected_by_n):
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n] if classify_shape(g).bipartite]
+    assert len(graphs) == 72
+    for g in graphs:
+        assert frozenset(core(g).labels()) == oracle_core(g), g.edge_labels()
+        assert frozenset(corona(g).labels()) == oracle_corona(g), g.edge_labels()
+
+
+def test_bipartite_core_and_corona_match_definition_on_random_graphs():
+    dense = 0
+    for seed in range(200):
+        g = _random_bipartite(seed)
+        assert g.n <= 40 and classify_shape(g).bipartite
+        # then some component has more edges than vertices
+        dense += g.m > g.n
+        in_core, in_corona = _definition(g)
+        assert set(core(g).labels()) == in_core, seed
+        assert set(corona(g).labels()) == in_corona, seed
+    assert dense >= 100
 
 
 def test_core_and_corona_need_no_recursion_on_a_long_path():

@@ -14,11 +14,13 @@ from corekit import (
     enumerate_maximum_matchings,
     is_koenig_egervary,
     is_mu_critical_edge,
+    kernel_gap_family,
     maximum_matching,
     mu,
     random_connected,
     saturating_matching,
 )
+from corekit.matching import _mu_active
 from helpers import oracle_mu
 
 from test_independence import complete, cycle, path
@@ -50,6 +52,38 @@ def test_mu_matches_oracle_on_small_corpora(trees_by_n, unicyclic_by_n, connecte
     for n in range(1, 7):
         for g in connected_by_n[n]:
             assert mu(g) == oracle_mu(g)
+
+
+def test_mu_matches_the_exhaustive_memo(connected_by_n):
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
+    graphs += [random_connected(16, s) for s in range(300)]
+    for g in graphs:
+        assert mu(g) == _mu_active(g.adj, (1 << g.n) - 1, {}), g.edge_labels()
+
+
+def test_maximum_matching_needs_no_budget_on_large_general_graphs():
+    for s in range(3):
+        g = random_connected(300, s)
+        # the Matching constructor inside re-verifies every pair
+        mm = maximum_matching(g, Budgets(enum_n=1, subset_n=1, bb_n=1))
+        assert len(mm) == 150
+
+
+def _flower(k):
+    """The odd cycle C_{2k+1} with a triangle hanging from each cycle vertex:
+    nested odd cycles, neither bipartite nor unicyclic."""
+    size = 2 * k + 1
+    edges = [(f"c{i}", f"c{(i + 1) % size}") for i in range(size)]
+    for i in range(size):
+        edges += [(f"c{i}", f"a{i}"), (f"a{i}", f"b{i}"), (f"b{i}", f"c{i}")]
+    return Graph.from_edges(edges)
+
+
+def test_mu_of_odd_cycles_with_pendant_blossoms():
+    for k in range(1, 7):
+        for g in (complete(2 * k + 1), complete(2 * k + 2), kernel_gap_family(k), _flower(k)):
+            assert mu(g) == g.n // 2, (k, g.n)
+            assert len(maximum_matching(g).vertices()) == 2 * (g.n // 2)
 
 
 def test_maximum_matching_is_valid_and_maximum(all_fixtures):

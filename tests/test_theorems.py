@@ -169,6 +169,29 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
         assert [calls.get((name, g.adj)) for g in graphs] == [1] * len(graphs), name
 
 
+def test_ke_checkers_read_core_and_corona_from_the_mis_family(monkeypatch):
+    # K_{2,3} with a pendant path: bipartite, two independent cycles
+    g = parse_edge_list(
+        "a1 b1\na1 b2\na1 b3\na2 b1\na2 b2\na2 b3\nb3 p\np q\n"
+    )
+    tids = ("TH1", "TH2B", "TH4A", "TH4B", "TH2A", "MAIN")
+    before = [check(tid, g, "k23p") for tid in tids]
+    assert all(rep.applicable and rep.holds for rep in before[:5])
+
+    def wrong(g, budgets):
+        return g.full_set()
+
+    monkeypatch.setattr(theorems_module, "core", wrong)
+    monkeypatch.setattr(theorems_module, "corona", wrong)
+    after = [check(tid, g, "k23p") for tid in tids]
+    assert after[:4] == before[:4]
+    # the other checkers still read core() and corona()
+    assert after[4] != before[4] and after[5] != before[5]
+    # and so do these four on a graph without such a component
+    uni = fixture("uni7-ke")
+    assert check("TH4A", uni, "u").holds is False
+
+
 def test_sweep_over_generated_family_is_clean():
     items = family_items("unicyclic", max_n=6)
     summary = sweep(items, THEOREM_IDS, family="unicyclic(max_n=6)")
