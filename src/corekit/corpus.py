@@ -8,8 +8,13 @@ deduped by center-rooted canonical codes; unicyclic graphs are free trees plus
 one non-edge, deduped by a cycle-necklace code; connected graphs on at most 7
 vertices are grown one vertex at a time from the graphs one vertex smaller and
 deduped by their least edge mask over the labellings with a non-increasing
-degree vector. Every enumerator is gated in the tests by published counts and,
-at small n, by cross-checks against labeled streams or a reference sweep.
+degree vector. That mask is computed for all such labellings at once: for
+each structure of equal-degree runs, a table built on first use packs the
+image of every position pair under every labelling into one int, 32 bits per
+labelling, so a candidate's masks are the OR of its edges' entries and its
+canonical mask the least field. Every enumerator is gated in the tests by
+published counts and, at small n, by cross-checks against labeled streams or
+a reference sweep.
 
 All randomness is drawn from string-seeded random.Random instances, so every
 stream is reproducible from (n, seed) alone, independent of process history.
@@ -19,8 +24,10 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
+from array import array
 from importlib import resources
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from typing import Iterator
 
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -323,53 +330,77 @@ def enumerate_unicyclic(
                     yield g
 
 
+def _labelling_table(runs: tuple[int, ...], bit: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """The labellings of k = sum(runs) positions that permute each run of
+    positions within itself, in product(permutations(run)) order, packed
+    into one int per position pair: field p of table[a][b] (32 bits wide)
+    is bit[pos_p[a]][pos_p[b]] for labelling p. Returns the labelling count
+    and the table, symmetric in a and b.
+
+    A mask has k(k-1)/2 bits, at most 28 up to k = 8, so 32-bit fields
+    suffice; k = 9 needs 64-bit fields."""
+    k = sum(runs)
+    blocks = []
+    start = 0
+    for r in runs:
+        blocks.append(permutations(range(start, start + r)))
+        start += r
+    labellings = [[p for part in parts for p in part] for parts in product(*blocks)]
+    table = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            fields = array("I", [bit[pos[a]][pos[b]] for pos in labellings])
+            table[a][b] = table[b][a] = int.from_bytes(fields.tobytes(), sys.byteorder)
+    return len(labellings), table
+
+
+# (k, runs) -> (the bit matrix the table was built from, labelling count,
+# table); a pure cache, about 0.9 MB for every run structure met up to k = 7
+_TABLES: dict[tuple[int, tuple[int, ...]], tuple[list[list[int]], int, list[list[int]]]] = {}
+
+
 def _canonical_mask(adj: list[int], n: int, bit: list[list[int]]) -> int:
     """The least edge mask over all labellings of the graph whose degree
     vector is non-increasing by position; bit[p][q] is the mask bit of the
-    position pair p, q. Isomorphic graphs, and only they, share it."""
+    position pair p, q. Isomorphic graphs, and only they, share it.
+
+    The vertices are placed by non-increasing degree, ties by index; a
+    labelling then permutes each run of equal degree within its positions.
+    The labelling table of the run structure holds the image of every
+    position pair under every labelling in one packed int, so the OR of the
+    entries of the graph's edges holds its mask under every labelling at
+    once, and the answer is the least 32-bit field of that OR."""
     deg = [a.bit_count() for a in adj]
-    order = sorted(range(n), key=lambda v: -deg[v])
-    place = {v: i for i, v in enumerate(order)}
-    edges = [(place[u], place[v]) for u in range(n) for v in _bits(adj[u]) if u < v]
-    # runs of equal degree in the sorted order; a labelling permutes each run
-    # within its own positions
-    runs = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or deg[order[i]] != deg[order[start]]:
-            runs.append(permutations(range(start, i)))
-            start = i
-    best = -1
-    for parts in product(*runs):
-        pos = [p for part in parts for p in part]
-        mask = 0
-        for a, b in edges:
-            mask |= bit[pos[a]][pos[b]]
-        if best < 0 or mask < best:
-            best = mask
-    return best
+    order = sorted(range(n), key=deg.__getitem__, reverse=True)
+    runs = tuple(len(list(group)) for _, group in groupby(deg[v] for v in order))
+    entry = _TABLES.get((n, runs))
+    if entry is None or entry[0] != bit:
+        entry = _TABLES[n, runs] = (bit, *_labelling_table(runs, bit))
+    _, count, table = entry
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = i
+    masks = 0
+    for u in range(n):
+        row = table[place[u]]
+        for off in _bits(adj[u] >> u):
+            masks |= row[place[u + off]]
+    return min(memoryview(masks.to_bytes(4 * count, sys.byteorder)).cast("I"))
 
 
-def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """Connected graphs on n <= 7 vertices, one per isomorphism class, in
-    ascending order of their canonical edge masks (bit k is pair k of the
-    row-major pairs i < j; the canonical mask is the least one over the
-    labellings whose degree vector is non-increasing).
+def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]]]:
+    """For k = 1..n, the row-major position pairs i < j of k vertices and the
+    ascending canonical edge masks of the connected graphs on k vertices,
+    one per isomorphism class (bit b of a mask is pair b).
 
     Built by vertex augmentation: every connected graph on k vertices has a
     vertex whose removal leaves it connected (a leaf of a spanning tree), so
     joining a new vertex to each non-empty subset of each graph on k - 1
     vertices, and keeping the distinct canonical masks, gives every graph on
     k vertices."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    _check_enum_n("connected-graph", n, _CONNECTED_MAX_N)
-    if n == 1:
-        yield Graph.from_edges(isolated=("v1",))
-        return
-    # canonical masks of the graphs on k - 1 vertices, and their bit pairs
     level = [0]
     pairs: list[tuple[int, int]] = []
+    yield pairs, level
     for k in range(2, n + 1):
         below = pairs
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -388,10 +419,29 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
                 grown[k - 1] = s
                 found.add(_canonical_mask(grown, k, bit))
         level = sorted(found)
-    for mask in level:
-        yield Graph.from_edges(
-            [(f"v{pairs[b][0] + 1}", f"v{pairs[b][1] + 1}") for b in _bits(mask)]
-        )
+        yield pairs, level
+
+
+def _level_graphs(pairs: list[tuple[int, int]], masks: list[int]) -> Iterator[Graph]:
+    """The graphs on v1..vk of one level of _connected_levels."""
+    if not pairs:
+        yield Graph.from_edges(isolated=("v1",))
+        return
+    for mask in masks:
+        yield Graph.from_edges([(f"v{pairs[b][0] + 1}", f"v{pairs[b][1] + 1}") for b in _bits(mask)])
+
+
+def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
+    """Connected graphs on n <= 7 vertices, one per isomorphism class, in
+    ascending order of their canonical edge masks (bit k is pair k of the
+    row-major pairs i < j; the canonical mask is the least one over the
+    labellings whose degree vector is non-increasing)."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    _check_enum_n("connected-graph", n, _CONNECTED_MAX_N)
+    for pairs, masks in _connected_levels(n):
+        pass
+    yield from _level_graphs(pairs, masks)
 
 
 # -- seeded random generation -------------------------------------------------
@@ -489,8 +539,8 @@ def family_items(
         if max_n is None:
             raise DomainError("connected family needs max_n")
         _check_enum_n("connected-graph", max_n, _CONNECTED_MAX_N)
-        for n in range(1, max_n + 1):
-            for i, g in enumerate(enumerate_connected_graphs(n)):
+        for n, (pairs, masks) in enumerate(_connected_levels(max_n), 1):
+            for i, g in enumerate(_level_graphs(pairs, masks)):
                 yield f"conn:n{n}:{i}", g
     elif family == "random-unicyclic":
         if count is None or size is None:

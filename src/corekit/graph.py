@@ -344,7 +344,7 @@ class Graph:
     def induced_subgraph(self, vs: "VertexSet") -> "Graph":
         """The subgraph induced on vs; labels kept, index order preserved."""
         self._own(vs)
-        keep = [i for i in range(self.n) if vs.mask >> i & 1]
+        keep = list(_bits(vs.mask))
         labels = tuple(self.labels[i] for i in keep)
         pos = {old: new for new, old in enumerate(keep)}
         adj = []

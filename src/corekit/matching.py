@@ -20,6 +20,8 @@ enumerate_maximum_matchings, which is budgeted by enum_n.
 
 from __future__ import annotations
 
+import heapq
+
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
 from .graph import (
@@ -114,32 +116,32 @@ class Matching:
 def _strip_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
     """Exact maximum matching for components whose 2-core is empty or a bare
     cycle (forests and unicyclic components). Matching a leaf to its support
-    is always optimal; what survives stripping is a disjoint union of cycles."""
-    pairs = []
+    is always optimal; what survives stripping is a disjoint union of cycles.
+
+    The current leaves sit in a min-heap, entries going stale when a vertex
+    is matched or loses its last neighbour, so each round matches the
+    lowest-index leaf in O(log n) instead of rescanning the component."""
+    deg = {v: (adj[v] & comp).bit_count() for v in _bits(comp)}
     active = comp
-    while active:
-        drop = -1
-        leaf = -1
-        rest = active
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            d = (adj[v] & active).bit_count()
-            if d == 0:
-                drop = v
-                break
-            if d == 1 and leaf < 0:
-                leaf = v
-        if drop >= 0:
-            active &= ~(1 << drop)
+    for v, d in deg.items():
+        if d == 0:
+            active &= ~(1 << v)
+    leaves = [v for v, d in deg.items() if d == 1]  # ascending, so a heap
+    pairs = []
+    while leaves:
+        leaf = heapq.heappop(leaves)
+        if not active >> leaf & 1 or deg[leaf] != 1:
             continue
-        if leaf < 0:
-            break
         nb = adj[leaf] & active
         sup = (nb & -nb).bit_length() - 1
         pairs.append((leaf, sup))
         active &= ~(1 << leaf | 1 << sup)
+        for w in _bits(adj[sup] & active):
+            deg[w] -= 1
+            if deg[w] == 1:
+                heapq.heappush(leaves, w)
+            elif deg[w] == 0:
+                active &= ~(1 << w)
     # leftover: disjoint cycles; take alternating edges along each
     for cyc in _components_in(adj, active):
         order = _cycle_order(adj, cyc)

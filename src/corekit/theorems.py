@@ -39,7 +39,6 @@ checked for saturation), so a report never carries an unchecked certificate.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -707,6 +706,10 @@ def sweep(
     if workers <= 1:
         results = ((serialize(g), _check_graph(g, gid, tids, budgets)) for gid, g in items)
         return _summarize(results, tids, fail_fast, family, start)
+    # imported here: the pool pulls in multiprocessing, which every other
+    # command would pay for at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     payload = [(gid, serialize(g), tids, budgets) for gid, g in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         reports = pool.map(_check_one_serialized, payload, chunksize=8)

@@ -1,8 +1,8 @@
 """Structure of connected unicyclic graphs.
 
 A connected graph with exactly one cycle decomposes into that cycle plus
-pendant trees: removing a cycle vertex x's neighbour set splits off, for each
-off-cycle neighbour r of the cycle, the tree T_r hanging below r. For such
+pendant trees: removing the cycle splits off, for each off-cycle neighbour r
+of the cycle, the tree T_r hanging below r. For such
 graphs alpha + mu is either n or n - 1, and the n - 1 case (not
 Koenig-Egervary) is exactly the case where every cycle edge is alpha-critical.
 In that case core, corona and ker are unions of the corresponding sets of the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
 from .errors import NotUnicyclicError, PreconditionError
-from .graph import Graph, VertexSet, _strip_to_cycles
+from .graph import Graph, VertexSet, _components_in, _strip_to_cycles
 from .independence import _alpha_active, _edge_raises_alpha, core, corona
 from .matching import mu
 
@@ -104,30 +104,29 @@ class Decomposition:
 
 
 def decompose(g: Graph) -> Decomposition:
+    """The cycle and the pendant trees, ordered by root label. The pendant
+    trees are the components of G - C, C the cycle: each one meets C through
+    one edge, from its root to its anchor, since a second would close a
+    second cycle."""
     _require_unicyclic(g)
     cycle = _walk_cycle(g)
     cycle_set = g.set_of(cycle)
-    roots = g.neighborhood(cycle_set) - cycle_set
+    cyc = cycle_set.mask
+    roots = (g.neighborhood(cycle_set) - cycle_set).mask
     trees = []
-    for r in sorted(roots.labels()):
-        ri = g.index_of(r)
-        anchor_mask = g.adj[ri] & cycle_set.mask
-        # a second cycle neighbour would close a second cycle
-        anchor = g.labels[(anchor_mask & -anchor_mask).bit_length() - 1]
-        body = g.delete_vertices(g.vertex(anchor))
-        for comp in body.components():
-            if comp >> body.index_of(r) & 1:
-                labels = VertexSet(body, comp).labels()
-                break
-        vertices = g.set_of(labels)
+    for comp in _components_in(g.adj, (1 << g.n) - 1 & ~cyc):
+        root = (comp & roots).bit_length() - 1
+        anchor = (g.adj[root] & cyc).bit_length() - 1
+        vertices = VertexSet(g, comp)
         trees.append(
             PendantTree(
-                root=r,
-                anchor=anchor,
+                root=g.labels[root],
+                anchor=g.labels[anchor],
                 vertices=vertices,
                 tree=g.induced_subgraph(vertices),
             )
         )
+    trees.sort(key=lambda pt: pt.root)
     return Decomposition(
         graph=g, cycle=cycle, cycle_set=cycle_set, pendant_trees=tuple(trees)
     )

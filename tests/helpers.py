@@ -4,9 +4,15 @@ Everything here recomputes invariants from scratch by sweeping vertex or
 edge subsets, reading only the graph's labels and edge list. None of the
 library's clever paths (tree DP, branch and bound, augmenting paths) are
 reused, so a shared bug cannot hide in both sides of a comparison.
+
+The last functions keep loops that faster library code replaced, on the
+library's bitmask adjacency, so the tests can require the replacements to
+give the very same results.
 """
 
 from __future__ import annotations
+
+from itertools import permutations, product
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -146,3 +152,67 @@ def oracle_critical(g) -> tuple[int, int, frozenset[str]]:
 
 def oracle_ker(g) -> frozenset[str]:
     return oracle_critical(g)[2]
+
+
+def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> int:
+    """The least edge mask over the labellings whose degree vector is
+    non-increasing by position, one labelling at a time: the loop that
+    corpus._canonical_mask's labelling tables replaced."""
+    deg = [a.bit_count() for a in adj]
+    order = sorted(range(n), key=lambda v: -deg[v])
+    place = {v: i for i, v in enumerate(order)}
+    edges = [(place[u], place[v]) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
+    runs = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or deg[order[i]] != deg[order[start]]:
+            runs.append(permutations(range(start, i)))
+            start = i
+    best = -1
+    for parts in product(*runs):
+        pos = [p for part in parts for p in part]
+        mask = 0
+        for a, b in edges:
+            mask |= bit[pos[a]][pos[b]]
+        if best < 0 or mask < best:
+            best = mask
+    return best
+
+
+def strip_matching_reference(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
+    """matching._strip_matching as a rescan per matched pair: each round
+    drops an isolated vertex or matches the lowest-index leaf to its
+    support. The leftover cycles are matched by the library's cycle walk,
+    which the two versions share."""
+    from corekit.graph import _components_in, _cycle_order
+
+    pairs = []
+    active = comp
+    while active:
+        drop = -1
+        leaf = -1
+        rest = active
+        while rest:
+            b = rest & -rest
+            v = b.bit_length() - 1
+            rest ^= b
+            d = (adj[v] & active).bit_count()
+            if d == 0:
+                drop = v
+                break
+            if d == 1 and leaf < 0:
+                leaf = v
+        if drop >= 0:
+            active &= ~(1 << drop)
+            continue
+        if leaf < 0:
+            break
+        nb = adj[leaf] & active
+        sup = (nb & -nb).bit_length() - 1
+        pairs.append((leaf, sup))
+        active &= ~(1 << leaf | 1 << sup)
+    for cyc in _components_in(adj, active):
+        order = _cycle_order(adj, cyc)
+        for k in range(0, len(order) - 1, 2):
+            pairs.append((order[k], order[k + 1]))
+    return pairs

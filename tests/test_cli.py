@@ -256,6 +256,22 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in err
 
 
+def test_cli_import_loads_no_process_pool():
+    # -S keeps site hooks from importing modules of their own
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import corekit.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(REPO / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_generate_fixture_matches_canonical_serialization():
     res = run_cli("generate", "--fixture", "p3")
     assert res.returncode == 0

@@ -33,8 +33,9 @@ from corekit import (
     tree_code,
     unicyclic_code,
 )
+from corekit import corpus
 from corekit.corpus import _canonical_mask
-from helpers import oracle_alpha, oracle_core, oracle_ker, oracle_mu
+from helpers import canonical_mask_reference, oracle_alpha, oracle_core, oracle_ker, oracle_mu
 
 # structural goldens: n, m, sorted degree sequence
 FIXTURE_SHAPES = {
@@ -248,6 +249,53 @@ def test_canonical_mask_is_labelling_free_and_in_the_stream(connected_by_n):
         canon = _canonical_mask(list(g.adj), 7, bit)
         assert _canonical_mask(moved, 7, bit) == canon, s
         assert canon in stream, s
+
+
+def test_canonical_mask_equals_the_labelling_loop_on_every_candidate(monkeypatch):
+    calls = []
+
+    def recording(adj, n, bit):
+        calls.append((list(adj), n, bit))
+        return _canonical_mask(adj, n, bit)
+
+    monkeypatch.setattr(corpus, "_canonical_mask", recording)
+    assert len(list(corpus.enumerate_connected_graphs(6))) == CONNECTED_COUNTS[6]
+    assert len(calls) == 1 + 3 + 14 + 90 + 651
+    assert {n for _, n, _ in calls} == {2, 3, 4, 5, 6}
+    for adj, n, bit in calls:
+        assert _canonical_mask(adj, n, bit) == canonical_mask_reference(adj, n, bit), adj
+
+
+def _adjacency(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def test_canonical_mask_equals_the_labelling_loop_on_seven_vertices():
+    pairs, bit = _row_major_bits(7)
+    graphs = []
+    for s in range(300):
+        mask = random.Random(s).getrandbits(len(pairs))
+        graphs.append(_adjacency(7, [p for k, p in enumerate(pairs) if mask >> k & 1]))
+    cycle7 = [(i, (i + 1) % 7) for i in range(7)]
+    named = [
+        cycle7,
+        pairs,  # K7
+        [(i, j) for i in range(3) for j in range(3, 7)],  # K_{3,4}
+        [p for p in pairs if p not in cycle7 and p[::-1] not in cycle7],
+        [],
+    ]
+    graphs += [_adjacency(7, edges) for edges in named]
+    # a matrix other than the row-major one gets tables of its own
+    column_major = [[0] * 7 for _ in range(7)]
+    for k, (i, j) in enumerate(sorted(pairs, key=lambda p: (p[1], p[0]))):
+        column_major[i][j] = column_major[j][i] = 1 << k
+    for adj in graphs:
+        for b in (bit, column_major, bit):
+            assert _canonical_mask(adj, 7, b) == canonical_mask_reference(adj, 7, b), adj
 
 
 def test_connected_enumeration_bails_above_seven():

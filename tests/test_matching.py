@@ -1,6 +1,8 @@
 """Maximum matchings, the Koenig-Egervary test, saturating matchings,
 and maximum-matching enumeration, against an edge-subset oracle."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +20,12 @@ from corekit import (
     maximum_matching,
     mu,
     random_connected,
+    random_tree,
+    random_unicyclic,
     saturating_matching,
 )
-from corekit.matching import _mu_active
-from helpers import oracle_mu
+from corekit.matching import _mu_active, _strip_matching
+from helpers import oracle_mu, strip_matching_reference
 
 from test_independence import complete, cycle, path
 
@@ -59,6 +63,24 @@ def test_mu_matches_the_exhaustive_memo(connected_by_n):
     graphs += [random_connected(16, s) for s in range(300)]
     for g in graphs:
         assert mu(g) == _mu_active(g.adj, (1 << g.n) - 1, {}), g.edge_labels()
+
+
+def test_strip_matching_equals_the_rescanning_loop(trees_by_n, unicyclic_by_n):
+    graphs = [g for n in range(1, 10) for g in trees_by_n[n]]
+    graphs += [g for n in range(3, 10) for g in unicyclic_by_n[n]]
+    graphs += [random_tree(40, s) for s in range(20)] + [random_unicyclic(40, s) for s in range(20)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        assert _strip_matching(g.adj, full) == strip_matching_reference(g.adj, full), g.edge_labels()
+
+
+def test_strip_matching_is_not_quadratic():
+    g = random_tree(6000, 0)
+    start = time.perf_counter()
+    got = mu(g)
+    elapsed = time.perf_counter() - start
+    assert got == g.n - alpha(g)
+    assert elapsed < 1.0, elapsed
 
 
 def test_maximum_matching_needs_no_budget_on_large_general_graphs():

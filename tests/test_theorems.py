@@ -1,6 +1,8 @@
 """Theorem checkers: spot values on named fixtures, corpus sweeps, failure
 reporting/replay, and the counterexample searches."""
 
+import concurrent.futures
+
 import pytest
 
 from corekit import (
@@ -240,7 +242,7 @@ def test_sweep_of_one_graph_starts_no_process_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool started")
 
-    monkeypatch.setattr(theorems_module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     summary = sweep([("p3", fixture("p3"))], THEOREM_IDS, workers=4)
     assert summary.graphs_tested == 1
     assert summary.all_hold()

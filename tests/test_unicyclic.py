@@ -18,6 +18,7 @@ from corekit import (
     is_koenig_egervary,
     ker,
     random_unicyclic,
+    serialize,
     structural_core,
     structural_corona,
     structural_ker,
@@ -78,6 +79,33 @@ def test_decompose_uni10_names():
     assert pt.root == "x"
     assert pt.anchor == "y"
     assert sorted(pt.vertices.labels()) == ["a", "b", "u", "v", "x"]
+
+
+def _pendant_trees_by_deletion(g, cycle):
+    """Reference: for each root in label order, the component holding it
+    once its anchor is deleted, as (root, anchor, vertex labels)."""
+    cycle_set = g.set_of(cycle)
+    out = []
+    for r in sorted((g.neighborhood(cycle_set) - cycle_set).labels()):
+        anchor_mask = g.adj[g.index_of(r)] & cycle_set.mask
+        anchor = g.labels[(anchor_mask & -anchor_mask).bit_length() - 1]
+        body = g.delete_vertices(g.vertex(anchor))
+        comp = next(c for c in body.components() if c >> body.index_of(r) & 1)
+        out.append((r, anchor, sorted(body.labels[i] for i in range(body.n) if comp >> i & 1)))
+    return out
+
+
+def test_decompose_equals_the_deletion_construction(unicyclic_by_n):
+    graphs = [g for n in range(3, 10) for g in unicyclic_by_n[n]]
+    graphs += [random_unicyclic(300, s) for s in range(5)]
+    for g in graphs:
+        dec = decompose(g)
+        got = [(pt.root, pt.anchor, sorted(pt.vertices.labels())) for pt in dec.pendant_trees]
+        assert got == _pendant_trees_by_deletion(g, dec.cycle), serialize(g)
+        for pt in dec.pendant_trees:
+            want = g.induced_subgraph(g.set_of(pt.vertices.labels()))
+            assert pt.tree.labels == want.labels
+            assert serialize(pt.tree) == serialize(want)
 
 
 def test_classify_ke_unicyclic_consistency(unicyclic_by_n):
