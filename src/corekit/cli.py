@@ -26,6 +26,7 @@ from .matching import mu
 from .theorems import (
     THEOREM_IDS,
     _check_graph,
+    _compact,
     _known_ids,
     _summarize,
     search_problem1,
@@ -233,7 +234,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         gid, g = single
         reports = _check_graph(g, gid, _known_ids(tids), budgets)
-        summary = _summarize([(serialize(g), reports)], tids, args.fail_fast, family, start)
+        summary = _summarize([(serialize(g), _compact(reports))], tids, args.fail_fast, family, start)
         for rep in reports:
             print(_render_report_line(rep))
     print(f"family: {summary.family}")

@@ -4,17 +4,22 @@ seeded random generators.
 
 Enumeration up to isomorphism is direct, not dedupe-after-the-fact on labeled
 streams: rooted trees come from the level-sequence successor algorithm and are
-deduped by center-rooted canonical codes; unicyclic graphs are free trees plus
-one non-edge, deduped by a cycle-necklace code; connected graphs on at most 7
+deduped by center-rooted canonical codes, computed on the int adjacency of
+each level sequence, so a Graph is built only for a tree that is kept.
+Unicyclic graphs are free trees plus one non-edge, deduped by a cycle-necklace
+code: for each tree, in stream order, and each non-edge (i, j) in row-major
+order, the code is read off the tree itself (the cycle is the tree path from i
+to j, the pendant codes come from a per-tree memo of rooted codes per directed
+edge), and the first candidate of each class is kept and only then built as a
+Graph, from the tree's edges plus (i, j). Connected graphs on at most 7
 vertices are grown one vertex at a time from the graphs one vertex smaller and
 deduped by their least edge mask over the labellings with a non-increasing
-degree vector. That mask is computed for all such labellings at once: for
-each structure of equal-degree runs, a table built on first use packs the
-image of every position pair under every labelling into one int, 32 bits per
-labelling, so a candidate's masks are the OR of its edges' entries and its
-canonical mask the least field. Every enumerator is gated in the tests by
-published counts and, at small n, by cross-checks against labeled streams or
-a reference sweep.
+degree vector. That mask is computed for all such labellings at once: for each
+structure of equal-degree runs, a table built on first use packs the image of
+every position pair under every labelling into one int, 32 bits per labelling,
+so a candidate's masks are the OR of its edges' entries and its canonical mask
+the least field. Every enumerator is gated in the tests by published counts
+and, at small n, by cross-checks against labeled streams or a reference sweep.
 
 All randomness is drawn from string-seeded random.Random instances, so every
 stream is reproducible from (n, seed) alone, independent of process history.
@@ -177,10 +182,21 @@ def _tree_centers(adj: tuple[int, ...], n: int) -> list[int]:
     return [v for v in range(n) if alive >> v & 1]
 
 
+def _tree_code(adj: tuple[int, ...] | list[int], n: int) -> str:
+    return min(_rooted_code(adj, c, -1) for c in _tree_centers(adj, n))
+
+
 def tree_code(g: Graph) -> str:
     """Canonical string; two trees get the same code iff they are isomorphic."""
-    centers = _tree_centers(g.adj, g.n)
-    return min(_rooted_code(g.adj, c, -1) for c in centers)
+    return _tree_code(g.adj, g.n)
+
+
+def _necklace_code(codes: list[str]) -> str:
+    """The cycle length and the least rotation or reflection of the pendant
+    codes along the cycle, compared as sequences of codes."""
+    ell = len(codes)
+    turns = (codes * 2, codes[::-1] * 2)
+    return f"{ell}:" + "".join(min(d[s : s + ell] for d in turns for s in range(ell)))
 
 
 def unicyclic_code(g: Graph) -> str:
@@ -200,14 +216,64 @@ def unicyclic_code(g: Graph) -> str:
             rest ^= b
         sub.sort()
         codes.append("(" + "".join(sub) + ")")
-    ell = len(codes)
-    best = None
-    for shift in range(ell):
-        for direction in (1, -1):
-            cand = tuple(codes[(shift + direction * i) % ell] for i in range(ell))
-            if best is None or cand < best:
-                best = cand
-    return f"{ell}:" + "".join(best)
+    return _necklace_code(codes)
+
+
+def _added_edge_codes(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, str]]:
+    """(i, j, code) for each non-edge i < j of the tree with adjacency adj, in
+    row-major order, where code is unicyclic_code of the tree plus edge ij.
+
+    The cycle is the tree path from i to j, found through parent pointers
+    from vertex 0. The pendant trees at a cycle vertex are its branches off
+    that path, and they are the same in the tree and in the unicyclic graph,
+    so each branch's rooted code is computed once per tree (per directed
+    edge) and each cycle vertex's pendant code once per pair of cycle
+    neighbours."""
+    parent = [-1] * n
+    depth = [0] * n
+    order = [0]
+    for v in order:
+        for u in _bits(adj[v] & ~(1 << parent[v] if v else 0)):
+            parent[u] = v
+            depth[u] = depth[v] + 1
+            order.append(u)
+    branch: dict[tuple[int, int], str] = {}
+
+    def branch_code(u: int, p: int) -> str:
+        code = branch.get((u, p))
+        if code is None:
+            subs = sorted(branch_code(w, u) for w in _bits(adj[u] & ~(1 << p)))
+            code = branch[u, p] = "(" + "".join(subs) + ")"
+        return code
+
+    pendant: dict[tuple[int, int], str] = {}
+
+    def pendant_code(v: int, on_cycle: int) -> str:
+        code = pendant.get((v, on_cycle))
+        if code is None:
+            subs = sorted(branch_code(u, v) for u in _bits(adj[v] & ~on_cycle))
+            code = pendant[v, on_cycle] = "(" + "".join(subs) + ")"
+        return code
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i] >> j & 1:
+                continue
+            a, b = i, j
+            down: list[int] = []
+            up: list[int] = []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    down.append(a)
+                    a = parent[a]
+                else:
+                    up.append(b)
+                    b = parent[b]
+            cycle = down + [a] + up[::-1]
+            mask = 0
+            for v in cycle:
+                mask |= 1 << v
+            yield i, j, _necklace_code([pendant_code(v, adj[v] & mask) for v in cycle])
 
 
 # -- enumeration up to isomorphism -------------------------------------------
@@ -236,17 +302,15 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
         seq = nxt
 
 
-def _tree_from_levels(seq: list[int]) -> Graph:
-    n = len(seq)
-    if n == 1:
-        return Graph.from_edges(isolated=("v1",))
+def _level_parents(seq: list[int]) -> list[int]:
+    """The parent of each vertex of the rooted tree with level sequence seq,
+    -1 for the root."""
+    parent = [-1] * len(seq)
     parent_at = {seq[0]: 0}
-    edges = []
-    for i in range(1, n):
-        lev = seq[i]
-        edges.append((f"v{parent_at[lev - 1] + 1}", f"v{i + 1}"))
-        parent_at[lev] = i
-    return Graph.from_edges(edges)
+    for i in range(1, len(seq)):
+        parent[i] = parent_at[seq[i] - 1]
+        parent_at[seq[i]] = i
+    return parent
 
 
 _CONNECTED_MAX_N = 7
@@ -269,13 +333,20 @@ def enumerate_trees(
     if not dedupe:
         yield from _labeled_trees(n)
         return
+    if n == 1:
+        yield Graph.from_edges(isolated=("v1",))
+        return
     seen = set()
     for seq in _level_sequences(n):
-        g = _tree_from_levels(seq)
-        code = tree_code(g)
+        parent = _level_parents(seq)
+        adj = [0] * n
+        for v in range(1, n):
+            adj[v] |= 1 << parent[v]
+            adj[parent[v]] |= 1 << v
+        code = _tree_code(adj, n)
         if code not in seen:
             seen.add(code)
-            yield g
+            yield Graph.from_edges([(f"v{parent[v] + 1}", f"v{v + 1}") for v in range(1, n)])
 
 
 def _canonical_cycle_edge(g: Graph) -> tuple[str, str]:
@@ -305,15 +376,10 @@ def enumerate_unicyclic(
         seen = set()
         for t in enumerate_trees(n, dedupe=True, budgets=budgets):
             tree_edges = t.edge_labels()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if t.adj[i] >> j & 1:
-                        continue
-                    g = Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
-                    code = unicyclic_code(g)
-                    if code not in seen:
-                        seen.add(code)
-                        yield g
+            for i, j, code in _added_edge_codes(t.adj, n):
+                if code not in seen:
+                    seen.add(code)
+                    yield Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
         return
     # labeled: a tree plus a non-edge builds each graph once per cycle edge,
     # so emit only when the added edge is the canonical one

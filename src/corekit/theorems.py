@@ -38,10 +38,13 @@ checked for saturation), so a report never carries an unchecked certificate.
 
 from __future__ import annotations
 
+import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
@@ -637,36 +640,49 @@ def _check_graph(g: Graph, gid: str, tids: tuple[str, ...], budgets: Budgets) ->
     return [check(tid, f, gid) for tid in tids]
 
 
-def _check_one_serialized(args: tuple[str, str, tuple[str, ...], Budgets]):
-    gid, text, theorem_ids, budgets = args
-    return _check_graph(parse_edge_list(text), gid, theorem_ids, budgets)
+def _compact(reports: list[TheoremReport]) -> tuple[TheoremReport | bool, ...]:
+    """A graph's reports in the form _summarize reads: each failing report
+    in full, every other report as its applicable flag."""
+    return tuple(
+        rep if rep.applicable and rep.holds is False else rep.applicable for rep in reports
+    )
+
+
+def _check_chunk(
+    chunk: list[tuple[str, str]], tids: tuple[str, ...], budgets: Budgets
+) -> list[tuple[TheoremReport | bool, ...]]:
+    """The compact reports of each (graph_id, serialization) of a chunk."""
+    return [
+        _compact(_check_graph(parse_edge_list(text), gid, tids, budgets)) for gid, text in chunk
+    ]
 
 
 def _summarize(
-    results: Iterable[tuple[str, list[TheoremReport]]],
+    results: Iterable[tuple[str, tuple[TheoremReport | bool, ...]]],
     tids: tuple[str, ...],
     fail_fast: bool,
     family: str,
     start: float,
 ) -> SweepSummary:
-    """Count a stream of (serialization, reports) pairs, read in order and
-    no further than the first failure under fail_fast."""
+    """Count a stream of (serialization, compact reports) pairs, read in
+    order and no further than the first failure under fail_fast."""
     graphs_tested = 0
     checks_run = 0
     checks_applicable = 0
     failures: list[tuple[str, TheoremReport]] = []
     truncated = False
-    for text, reports in results:
+    for text, outcome in results:
         graphs_tested += 1
-        for rep in reports:
+        for rep in outcome:
             checks_run += 1
-            if rep.applicable:
-                checks_applicable += 1
-                if rep.holds is False:
-                    failures.append((text, rep))
-                    if fail_fast:
-                        truncated = True
-                        break
+            if rep is False:
+                continue
+            checks_applicable += 1
+            if rep is not True:
+                failures.append((text, rep))
+                if fail_fast:
+                    truncated = True
+                    break
         if truncated:
             break
     failures.sort(key=lambda fr: (fr[0], fr[1].theorem_id))
@@ -683,6 +699,42 @@ def _summarize(
     )
 
 
+# graphs per pool task, and tasks per worker submitted ahead of the one read
+_CHUNK = 8
+_CHUNKS_PER_WORKER = 4
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pooled(
+    pool,
+    items: Iterator[tuple[str, Graph]],
+    tids: tuple[str, ...],
+    budgets: Budgets,
+    in_flight: int,
+) -> Iterator[tuple[str, tuple[TheoremReport | bool, ...]]]:
+    """(serialization, compact reports) of each graph, in stream order, from
+    chunks checked in the pool. At most in_flight chunks are submitted and
+    not yet read, so the stream is read only that far ahead of the results."""
+    pending: deque = deque()
+
+    def oldest():
+        chunk, future = pending.popleft()
+        for (_, text), outcome in zip(chunk, future.result()):
+            yield text, outcome
+
+    while chunk := [(gid, serialize(g)) for gid, g in islice(items, _CHUNK)]:
+        pending.append((chunk, pool.submit(_check_chunk, chunk, tids, budgets)))
+        if len(pending) == in_flight:
+            yield from oldest()
+    while pending:
+        yield from oldest()
+
+
 def sweep(
     items: Iterable[tuple[str, Graph]],
     theorem_ids: Iterable[str],
@@ -696,25 +748,37 @@ def sweep(
     Deterministic for a fixed stream regardless of worker count: work is
     submitted and merged in stream order, and failures are finally sorted by
     (graph serialization, theorem id).
+
+    With workers > 1 the pool has at most one process per available CPU and
+    per graph: the first that many graphs are read before it starts, and
+    with fewer than two of them the sweep runs in this process. The stream
+    is then read as the workers go: it is serialized in chunks of _CHUNK
+    graphs, and at most _CHUNKS_PER_WORKER chunks per worker are submitted
+    and not yet read. Each graph's reports are summarized in compact form,
+    in a worker as in this process: the failing reports in full and an
+    applicable flag for each other one. Under fail_fast the sweep stops
+    reading the stream at the first failure and cancels the chunks not yet
+    started.
     """
     tids = _known_ids(theorem_ids)
     start = time.perf_counter()
-    if workers > 1:
-        # a pool for fewer graphs than workers only adds start-up cost
-        items = list(items)
-        workers = min(workers, len(items))
-    if workers <= 1:
-        results = ((serialize(g), _check_graph(g, gid, tids, budgets)) for gid, g in items)
+    items = iter(items)
+    workers = min(workers, _available_cpus())
+    head = list(islice(items, workers)) if workers > 1 else []
+    items = chain(head, items)
+    if len(head) <= 1:
+        results = ((serialize(g), _compact(_check_graph(g, gid, tids, budgets))) for gid, g in items)
         return _summarize(results, tids, fail_fast, family, start)
     # imported here: the pool pulls in multiprocessing, which every other
     # command would pay for at start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    payload = [(gid, serialize(g), tids, budgets) for gid, g in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        reports = pool.map(_check_one_serialized, payload, chunksize=8)
-        results = zip((text for _, text, _, _ in payload), reports)
+    pool = ProcessPoolExecutor(max_workers=len(head))
+    try:
+        results = _pooled(pool, items, tids, budgets, len(head) * _CHUNKS_PER_WORKER)
         return _summarize(results, tids, fail_fast, family, start)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # -- open-problem searches ------------------------------------------------------

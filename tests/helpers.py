@@ -216,3 +216,48 @@ def strip_matching_reference(adj: tuple[int, ...], comp: int) -> list[tuple[int,
         for k in range(0, len(order) - 1, 2):
             pairs.append((order[k], order[k + 1]))
     return pairs
+
+
+def trees_reference(n: int):
+    """The free trees on n vertices as enumerate_trees yielded them before it
+    computed codes on int adjacency: a Graph per level sequence, deduped by
+    tree_code, in level-sequence order."""
+    from corekit import Graph, tree_code
+    from corekit.corpus import _level_sequences
+
+    seen = set()
+    for seq in _level_sequences(n):
+        if n == 1:
+            g = Graph.from_edges(isolated=("v1",))
+        else:
+            parent_at = {seq[0]: 0}
+            edges = []
+            for i in range(1, n):
+                edges.append((f"v{parent_at[seq[i] - 1] + 1}", f"v{i + 1}"))
+                parent_at[seq[i]] = i
+            g = Graph.from_edges(edges)
+        code = tree_code(g)
+        if code not in seen:
+            seen.add(code)
+            yield g
+
+
+def unicyclic_reference(n: int):
+    """The unicyclic graphs on n vertices as enumerate_unicyclic yielded them
+    before it computed codes per candidate edge: each tree of trees_reference
+    plus each non-edge in row-major order, built as a Graph and kept when its
+    unicyclic_code is new."""
+    from corekit import Graph, unicyclic_code
+
+    seen = set()
+    for t in trees_reference(n):
+        tree_edges = t.edge_labels()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if t.adj[i] >> j & 1:
+                    continue
+                g = Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
+                code = unicyclic_code(g)
+                if code not in seen:
+                    seen.add(code)
+                    yield g

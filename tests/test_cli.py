@@ -13,6 +13,7 @@ from corekit import theorems as theorems_module
 from corekit import (
     Graph,
     alpha,
+    family_items,
     fixture,
     fixture_text,
     kernel_gap_family,
@@ -148,6 +149,43 @@ def test_verify_counterexample_exits_1(monkeypatch, capsys):
     assert "failure: ZHANG" in out
     assert "result: counterexample found" in out
     assert "why: forced" in out
+
+
+def test_verify_fail_fast_pool_stops_reading_the_stream(monkeypatch, capsys):
+    def fails_on_even_n(f, gid):
+        holds = f.g.n % 2 == 1
+        return theorems_module._report(
+            "ZHANG", gid, applicable=True, holds=holds,
+            counterexample=() if holds else (("why", "forced"),),
+        )
+
+    pulled = []
+
+    def counting(*args, **kwargs):
+        for item in family_items(*args, **kwargs):
+            pulled.append(item[0])
+            yield item
+
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", fails_on_even_n)
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cli_module, "family_items", counting)
+    runs = []
+    for workers in ("1", "2"):
+        pulled.clear()
+        code = cli_module.main(
+            ["verify", "--theorem", "ZHANG", "--family", "unicyclic", "--max-n", "10",
+             "--fail-fast", "--workers", workers]
+        )
+        runs.append((code, capsys.readouterr().out, len(pulled)))
+    (code1, out1, pulled1), (code2, out2, pulled2) = runs
+    assert code1 == code2 == 1
+    assert out2 == out1
+    assert "graphs tested: 2\n" in out1 and "truncated: fail-fast\n" in out1
+    assert pulled1 == 2
+    # the two graphs read before the pool starts, and the chunks submitted
+    # before the first result is read; the stream has 1040 graphs
+    in_flight = 2 * theorems_module._CHUNKS_PER_WORKER * theorems_module._CHUNK
+    assert pulled2 <= 2 + in_flight < 1040
 
 
 @pytest.mark.parametrize(

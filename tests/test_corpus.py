@@ -35,7 +35,15 @@ from corekit import (
 )
 from corekit import corpus
 from corekit.corpus import _canonical_mask
-from helpers import canonical_mask_reference, oracle_alpha, oracle_core, oracle_ker, oracle_mu
+from helpers import (
+    canonical_mask_reference,
+    oracle_alpha,
+    oracle_core,
+    oracle_ker,
+    oracle_mu,
+    trees_reference,
+    unicyclic_reference,
+)
 
 # structural goldens: n, m, sorted degree sequence
 FIXTURE_SHAPES = {
@@ -170,6 +178,49 @@ def test_labeled_and_deduped_unicyclic_cover_the_same_codes():
     labeled = {unicyclic_code(g) for g in enumerate_unicyclic(6, dedupe=False)}
     deduped = {unicyclic_code(g) for g in enumerate_unicyclic(6)}
     assert labeled == deduped
+
+
+def test_tree_and_unicyclic_streams_equal_the_graph_per_candidate_loops(
+    trees_by_n, unicyclic_by_n
+):
+    def stream(graphs):
+        return [(serialize(g), g.labels) for g in graphs]
+
+    for n in range(1, 10):
+        assert stream(trees_by_n[n]) == stream(trees_reference(n)), n
+    for n in range(3, 10):
+        assert stream(unicyclic_by_n[n]) == stream(unicyclic_reference(n)), n
+
+
+# sha256 over serialize() and the labels of each graph of family_items(family,
+# 10), recorded on the graph-per-candidate loops that the int-adjacency codes
+# replaced
+STREAM_10_SHA256 = {
+    "trees": "09efdd47b087f1b888fa6237663498a1dfd171caa3c2b55756fb062a05c03b7f",
+    "unicyclic": "50c592640ddae2d68900a3475586ad77d027fa7a2fb8c0233183200440fa6d37",
+}
+
+
+def test_tree_and_unicyclic_streams_to_ten_are_pinned():
+    for family, want in STREAM_10_SHA256.items():
+        h = hashlib.sha256()
+        for _, g in family_items(family, max_n=10):
+            h.update(serialize(g).encode())
+            h.update((" ".join(g.labels) + "\n").encode())
+        assert h.hexdigest() == want, family
+
+
+def test_added_edge_codes_equal_unicyclic_code_on_every_candidate(trees_by_n):
+    for n in range(3, 10):
+        for t in trees_by_n[n]:
+            got = list(corpus._added_edge_codes(t.adj, n))
+            non_edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if not t.adj[i] >> j & 1]
+            assert [(i, j) for i, j, _ in got] == non_edges
+            tree_edges = t.edge_labels()
+            for i, j, code in got:
+                g = Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
+                assert code == unicyclic_code(g), (serialize(t), i, j)
 
 
 def test_connected_counts(connected_by_n):

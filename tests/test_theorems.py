@@ -2,6 +2,8 @@
 reporting/replay, and the counterexample searches."""
 
 import concurrent.futures
+import dataclasses
+import os
 
 import pytest
 
@@ -90,14 +92,115 @@ def test_every_theorem_holds_on_every_fixture(all_fixtures):
     assert summary.elapsed >= 0
 
 
-def test_sweep_worker_counts_agree(all_fixtures):
+def _timeless(summary):
+    return dataclasses.replace(summary, elapsed=0.0)
+
+
+def test_sweep_worker_counts_agree(monkeypatch, all_fixtures):
+    # two CPUs whatever the host has, so that workers=2 starts a pool
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    for family, items in (("fixtures", list(all_fixtures.items())),
+                          ("unicyclic", list(family_items("unicyclic", max_n=8)))):
+        seq = sweep(items, THEOREM_IDS, family=family, workers=1)
+        par = sweep(items, THEOREM_IDS, family=family, workers=2)
+        assert seq.graphs_tested == len(items)
+        assert _timeless(par) == _timeless(seq), family
+
+
+def _fails_on_even_n(f, gid):
+    """A ZHANG checker that fails on every graph with an even vertex count."""
+    n = f.g.n
+    if n % 2:
+        return theorems_module._report("ZHANG", gid, True, True, witness=(("n", n),))
+    return theorems_module._report(
+        "ZHANG", gid, True, False, witness=(("n", n),),
+        counterexample=(("why", "forced for the test"), ("gid", gid)),
+    )
+
+
+def test_sweep_failures_agree_across_worker_counts(monkeypatch, all_fixtures):
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
     items = list(all_fixtures.items())
-    seq = sweep(items, THEOREM_IDS, family="fixtures", workers=1)
-    par = sweep(items, THEOREM_IDS, family="fixtures", workers=2)
-    assert seq.graphs_tested == par.graphs_tested
-    assert seq.checks_run == par.checks_run
-    assert seq.checks_applicable == par.checks_applicable
-    assert seq.failures == par.failures
+    tids = ("TH2A", "ZHANG", "MAIN")
+    for fail_fast in (False, True):
+        seq = sweep(items, tids, fail_fast=fail_fast, workers=1, family="forced")
+        par = sweep(items, tids, fail_fast=fail_fast, workers=2, family="forced")
+        assert _timeless(par) == _timeless(seq), fail_fast
+        assert par.truncated == fail_fast
+        # the pool sends each failing report back whole
+        assert len(par.failures) == (1 if fail_fast else 6)
+        for text, rep in par.failures:
+            assert rep.witness_dict() == {"n": parse_edge_list(text).n}
+            assert rep.counterexample_dict() == {"why": "forced for the test", "gid": rep.graph_id}
+    # the first failure is ZHANG on the second fixture, so the count stops there
+    assert (par.graphs_tested, par.checks_run) == (2, 5)
+
+
+class _LazyFuture(concurrent.futures.Future):
+    def __init__(self, fn, args):
+        super().__init__()
+        self.task = fn, args
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self.task
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+class _LazyPool:
+    """Stands in for ProcessPoolExecutor without starting a process: a task
+    runs when its result is read, or at shutdown unless cancelled there, as
+    in a pool whose workers have not reached it yet."""
+
+    def __init__(self, max_workers, started):
+        self.max_workers = max_workers
+        self.tasks = []
+        started.append(self)
+
+    def submit(self, fn, *args):
+        self.tasks.append(_LazyFuture(fn, args))
+        return self.tasks[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        for future in self.tasks:
+            if cancel_futures:
+                future.cancel()
+            else:
+                future.result()
+
+
+@pytest.fixture
+def lazy_pools(monkeypatch):
+    """The _LazyPools that sweep starts in place of process pools."""
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _LazyPool(max_workers, started))
+    return started
+
+
+def test_sweep_pool_is_capped_at_the_available_cpus(monkeypatch, lazy_pools, all_fixtures):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    items = list(family_items("unicyclic", max_n=7))
+    one = sweep(items, THEOREM_IDS, workers=1)
+    assert lazy_pools == []
+    assert _timeless(sweep(items, THEOREM_IDS, workers=5000)) == _timeless(one)
+    sweep(list(all_fixtures.items())[:2], THEOREM_IDS, workers=5000)
+    assert [pool.max_workers for pool in lazy_pools] == [3, 2]
+
+
+def test_fail_fast_sweep_cancels_the_chunks_not_started(monkeypatch, lazy_pools):
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
+    seq = sweep(family_items("unicyclic", max_n=10), ("ZHANG",), fail_fast=True, workers=1)
+    par = sweep(family_items("unicyclic", max_n=10), ("ZHANG",), fail_fast=True, workers=2)
+    assert _timeless(par) == _timeless(seq)
+    assert par.graphs_tested == 2
+    (pool,) = lazy_pools
+    # the chunks in flight when the first one was read; only that one ran
+    assert len(pool.tasks) == 2 * theorems_module._CHUNKS_PER_WORKER
+    assert [future.cancelled() for future in pool.tasks] == [False] + [True] * (len(pool.tasks) - 1)
 
 
 def test_sweep_failure_reports_are_replayable(monkeypatch, all_fixtures):
