@@ -28,7 +28,9 @@ _FORBIDDEN_LABEL = "node"
 
 
 def _check_label(label: str) -> str:
-    if not label or label != label.strip() or any(c.isspace() for c in label):
+    # label.split() == [label] exactly when label is non-empty and has no
+    # whitespace, tested in C rather than per character
+    if label.split() != [label]:
         raise DomainError(f"invalid vertex label {label!r}: labels are non-empty whitespace-free tokens")
     if "#" in label:
         raise DomainError(f"invalid vertex label {label!r}: '#' starts a comment in the edge-list format")

@@ -22,7 +22,14 @@ decided per component, with the same dispatch:
   alpha(C - v) = alpha(C) - 1 exactly when mu(C - v) = mu(C), that is
   core = D(C). D(C) is independent on a bipartite graph, so N(D) is the set
   A(C) and corona = C - N(D(C));
-- any other component: one alpha query of the component per vertex.
+- any other component: the branch-and-bound returns a maximum independent
+  set S, and each further query returns a witness set. core lies inside
+  every maximum independent set, so only the vertices of S are asked
+  alpha(C - v), and a witness of size alpha(C) that avoids v cuts the
+  candidates down to itself. Every witness W of size alpha(C) - 1 for
+  C - N[v] makes W + v a maximum independent set, all of it in corona, so
+  only the vertices outside S and outside every earlier such W are asked.
+  That is at most |S| queries for core and |C| - |S| for corona.
 
 ker is not derived from core here: critical.ker reads it off one matching of
 the bipartite double cover (v is in ker iff some maximum matching of the
@@ -140,13 +147,15 @@ def _forest_removals(
     return total, after
 
 
-def _bb_alpha(adj: tuple[int, ...], active: int) -> int:
-    """Branch-and-bound alpha: greedy lower bound, isolated/leaf reductions,
-    branch on a maximum-degree vertex (include first)."""
-    best = _greedy_independent(adj, active)
+def _bb_set(adj: tuple[int, ...], active: int) -> int:
+    """Mask of a maximum independent set of the subgraph induced on the
+    active mask, by branch-and-bound: greedy start, isolated/leaf
+    reductions, branch on a maximum-degree vertex (include first)."""
+    best = _greedy_set(adj, active)
+    best_size = best.bit_count()
 
-    def rec(active: int, size: int) -> None:
-        nonlocal best
+    def rec(active: int, chosen: int, size: int) -> None:
+        nonlocal best, best_size
         # reductions: vertices of active degree <= 1 can always be taken
         while active:
             picked = -1
@@ -161,12 +170,13 @@ def _bb_alpha(adj: tuple[int, ...], active: int) -> int:
             if picked < 0:
                 break
             size += 1
+            chosen |= 1 << picked
             active &= ~(adj[picked] | 1 << picked)
         if not active:
-            if size > best:
-                best = size
+            if size > best_size:
+                best, best_size = chosen, size
             return
-        if size + active.bit_count() <= best:
+        if size + active.bit_count() <= best_size:
             return
         v = -1
         vdeg = -1
@@ -178,15 +188,17 @@ def _bb_alpha(adj: tuple[int, ...], active: int) -> int:
             d = (adj[u] & active).bit_count()
             if d > vdeg:
                 v, vdeg = u, d
-        rec(active & ~(adj[v] | 1 << v), size + 1)
-        rec(active & ~(1 << v), size)
+        rec(active & ~(adj[v] | 1 << v), chosen | 1 << v, size + 1)
+        rec(active & ~(1 << v), chosen, size)
 
-    rec(active, 0)
+    rec(active, 0, 0)
     return best
 
 
-def _greedy_independent(adj: tuple[int, ...], active: int) -> int:
-    size = 0
+def _greedy_set(adj: tuple[int, ...], active: int) -> int:
+    """Mask of a maximal independent set: take a minimum-degree vertex and
+    drop its closed neighbourhood until nothing is left."""
+    chosen = 0
     while active:
         v = -1
         vdeg = -1
@@ -198,9 +210,19 @@ def _greedy_independent(adj: tuple[int, ...], active: int) -> int:
             d = (adj[u] & active).bit_count()
             if vdeg < 0 or d < vdeg:
                 v, vdeg = u, d
-        size += 1
+        chosen |= 1 << v
         active &= ~(adj[v] | 1 << v)
-    return size
+    return chosen
+
+
+def _check_bb(nv: int, budgets: Budgets) -> None:
+    """The bb_n budget of a general component of nv vertices, checked
+    before any branching."""
+    if nv > budgets.bb_n:
+        raise BudgetExceededError(
+            f"alpha branch-and-bound limited to components of {budgets.bb_n} "
+            f"vertices, got {nv}"
+        )
 
 
 def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
@@ -225,13 +247,9 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
             if left is not None:
                 # Koenig: alpha = n - mu on a bipartite component
                 total += nv - len(_match(adj, left, comp))
-            elif nv > budgets.bb_n:
-                raise BudgetExceededError(
-                    f"alpha branch-and-bound limited to components of {budgets.bb_n} "
-                    f"vertices, got {nv}"
-                )
             else:
-                total += _bb_alpha(adj, comp)
+                _check_bb(nv, budgets)
+                total += _bb_set(adj, comp).bit_count()
     return total
 
 
@@ -246,8 +264,11 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
     is the larger of alpha(F1 - X_v) with F1 = C - u and 1 + alpha(F2 - X_v)
     with F2 = C - N[u]. For v in N(u) the second branch is 1 + alpha(F2)
     when X_v = {v} and gone when X_v = N[v]. A bipartite C reads both sets
-    off one maximum matching (see the module docstring). Any other component
-    asks alpha once per vertex."""
+    off one maximum matching (see the module docstring). Any other
+    component, within the bb_n budget, starts from one branch-and-bound
+    maximum independent set S: core is what is left of S after each witness
+    of alpha(C - v) = |S| cuts it down, and corona is S grown by each
+    witness W + v of alpha(C - N[v]) = |S| - 1."""
     out = 0
     for comp in _components_in(adj, active):
         nv = comp.bit_count()
@@ -285,11 +306,27 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
                 out |= comp & ~nd
             continue
         else:
-            a = _alpha_active(adj, comp, budgets)
-            after = {
-                v: _alpha_active(adj, comp & ~(adj[v] | 1 << v if closed else 1 << v), budgets)
-                for v in _bits(comp)
-            }
+            _check_bb(nv, budgets)
+            known = _bb_set(adj, comp)
+            a = known.bit_count()
+            if closed:
+                # every witness W + v is a maximum independent set, so all of
+                # it lies in corona and needs no query of its own
+                for v in _bits(comp & ~known):
+                    if not known >> v & 1:
+                        w = _bb_set(adj, comp & ~(adj[v] | 1 << v))
+                        if w.bit_count() == a - 1:
+                            known |= w | 1 << v
+            else:
+                # core lies inside every maximum independent set, so each
+                # witness that avoids v cuts the candidates down to itself
+                for v in _bits(known):
+                    if known >> v & 1:
+                        w = _bb_set(adj, comp & ~(1 << v))
+                        if w.bit_count() == a:
+                            known &= w
+            out |= known
+            continue
         for v, b in after.items():
             if b == a - 1:
                 out |= 1 << v

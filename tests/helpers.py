@@ -179,6 +179,58 @@ def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> in
     return best
 
 
+def bb_alpha_reference(adj: tuple[int, ...], active: int) -> int:
+    """alpha of the subgraph induced on the active mask by the counting
+    branch-and-bound that independence._bb_set replaced: the same greedy
+    start, degree <= 1 reductions and branching order, keeping only sizes."""
+    best = 0
+    rest_active = active
+    while rest_active:
+        v = min(
+            (u for u in range(len(adj)) if rest_active >> u & 1),
+            key=lambda u: (adj[u] & rest_active).bit_count(),
+        )
+        best += 1
+        rest_active &= ~(adj[v] | 1 << v)
+
+    def rec(active: int, size: int) -> None:
+        nonlocal best
+        while active:
+            picked = -1
+            rest = active
+            while rest:
+                b = rest & -rest
+                v = b.bit_length() - 1
+                rest ^= b
+                if (adj[v] & active).bit_count() <= 1:
+                    picked = v
+                    break
+            if picked < 0:
+                break
+            size += 1
+            active &= ~(adj[picked] | 1 << picked)
+        if not active:
+            best = max(best, size)
+            return
+        if size + active.bit_count() <= best:
+            return
+        v = -1
+        vdeg = -1
+        rest = active
+        while rest:
+            b = rest & -rest
+            u = b.bit_length() - 1
+            rest ^= b
+            d = (adj[u] & active).bit_count()
+            if d > vdeg:
+                v, vdeg = u, d
+        rec(active & ~(adj[v] | 1 << v), size + 1)
+        rec(active & ~(1 << v), size)
+
+    rec(active, 0)
+    return best
+
+
 def strip_matching_reference(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
     """matching._strip_matching as a rescan per matched pair: each round
     drops an isolated vertex or matches the lowest-index leaf to its

@@ -39,6 +39,26 @@ def test_label_validation():
             Graph.from_edges([(bad, "ok")])
 
 
+def test_label_check_agrees_with_per_character_scan():
+    """_check_label's split() test rejects exactly the labels that the
+    per-character whitespace scan it replaced rejected."""
+    from corekit.graph import _check_label
+
+    def scan_rejects(label):
+        return not label or label != label.strip() or any(c.isspace() for c in label)
+
+    points = set(range(0x3100)) | {c for c in range(0x110000) if chr(c).isspace()}
+    for c in points:
+        ch = chr(c)
+        for label in (ch, f"a{ch}b", f"{ch}a"):
+            try:
+                _check_label(label)
+                rejected = False
+            except DomainError as exc:
+                rejected = "whitespace-free" in str(exc)
+            assert rejected == scan_rejects(label), hex(c)
+
+
 def test_index_of_unknown_vertex():
     g = Graph.from_edges([("a", "b")])
     with pytest.raises(DomainError):

@@ -1,19 +1,23 @@
 """alpha, MIS enumeration, core, corona, and alpha-critical edges,
 cross-checked against subset-sweep oracles."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import random
-
+import corekit.independence as independence
 from corekit import (
     BudgetExceededError,
     Budgets,
     Graph,
+    VertexSet,
     alpha,
     classify_shape,
     core,
     corona,
+    enumerate_connected_graphs,
     enumerate_mis,
     is_alpha_critical_edge,
     is_independent,
@@ -21,7 +25,14 @@ from corekit import (
     random_tree,
     random_unicyclic,
 )
-from helpers import oracle_alpha, oracle_core, oracle_corona, oracle_mis_family
+from corekit.graph import _components_in, _edge_count, _two_coloring
+from helpers import (
+    bb_alpha_reference,
+    oracle_alpha,
+    oracle_core,
+    oracle_corona,
+    oracle_mis_family,
+)
 
 
 def path(n):
@@ -152,6 +163,100 @@ def _definition(g):
         if alpha(g.delete_vertices(g.neighborhood(v, closed=True))) == a - 1:
             in_corona.add(lab)
     return in_core, in_corona
+
+
+def _general_graphs():
+    """Every connected graph on 7 vertices, 200 seeded random connected
+    graphs with 8 <= n <= 30, and 30 disjoint unions of two random connected
+    graphs and an isolated vertex."""
+    graphs = list(enumerate_connected_graphs(7))
+    graphs += [random_connected(8 + seed % 23, seed) for seed in range(200)]
+    for seed in range(30):
+        graphs.append(
+            _disjoint_union(
+                [
+                    random_connected(5 + seed % 6, seed),
+                    random_connected(4 + seed % 9, 1000 + seed),
+                    Graph.from_edges(isolated=("z",)),
+                ]
+            )
+        )
+    return graphs
+
+
+def _is_general(adj, comp):
+    return _edge_count(adj, comp) > comp.bit_count() and _two_coloring(adj, comp) is None
+
+
+def test_witness_driven_core_and_corona_match_definition():
+    graphs = _general_graphs()
+    assert len(graphs) == 853 + 200 + 30
+    general = 0
+    for g in graphs:
+        general += any(_is_general(g.adj, c) for c in _components_in(g.adj, (1 << g.n) - 1))
+        in_core, in_corona = _definition(g)
+        assert set(core(g).labels()) == in_core, g.edge_labels()
+        assert set(corona(g).labels()) == in_corona, g.edge_labels()
+    assert general >= 900
+
+
+def test_bb_set_is_a_maximum_independent_set(connected_by_n):
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
+    graphs += [random_connected(8 + seed % 23, seed) for seed in range(200)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        s = independence._bb_set(g.adj, full)
+        assert s & ~full == 0
+        assert is_independent(g, VertexSet(g, s)), g.edge_labels()
+        assert s.bit_count() == bb_alpha_reference(g.adj, full), g.edge_labels()
+
+
+def test_core_and_corona_query_bound(monkeypatch):
+    """One branch-and-bound for the witness S, then at most one query per
+    vertex of S (core) or per vertex outside it (corona)."""
+    real = independence._bb_set
+    calls = []
+
+    def counting(adj, active):
+        calls.append(active)
+        return real(adj, active)
+
+    monkeypatch.setattr(independence, "_bb_set", counting)
+    checked = 0
+    for seed in range(40):
+        g = random_connected(12 + seed % 19, seed)
+        full = (1 << g.n) - 1
+        if not _is_general(g.adj, full):
+            continue
+        checked += 1
+        s = real(g.adj, full).bit_count()
+        for fn, bound in ((core, s + 1), (corona, g.n - s + 1)):
+            calls.clear()
+            fn(g)
+            assert 1 <= len(calls) <= bound, (fn.__name__, seed, len(calls), bound)
+    assert checked >= 30
+
+
+def test_core_and_corona_of_a_large_general_graph_are_fast():
+    g = random_connected(120, 0)
+    budgets = Budgets(bb_n=1000)
+    start = time.perf_counter()
+    c = core(g, budgets)
+    cor = corona(g, budgets)
+    assert time.perf_counter() - start < 5
+    assert c <= cor
+
+
+@pytest.mark.parametrize("fn", [alpha, core, corona])
+def test_general_component_over_budget_raises_before_branching(monkeypatch, fn):
+    def refuse(adj, active):
+        raise AssertionError("branch-and-bound started over budget")
+
+    monkeypatch.setattr(independence, "_bb_set", refuse)
+    g = complete(8)
+    with pytest.raises(BudgetExceededError) as exc:
+        fn(g, Budgets(bb_n=7))
+    assert str(exc.value) == "alpha branch-and-bound limited to components of 7 vertices, got 8"
 
 
 def _random_bipartite(seed):
