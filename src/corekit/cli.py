@@ -19,7 +19,7 @@ from pathlib import Path
 from .budgets import Budgets
 from .corpus import FIXTURE_NAMES, family_items, fixture, kernel_gap_family, random_unicyclic
 from .critical import critical_difference, ker
-from .errors import BudgetExceededError, CorekitError, ParseError
+from .errors import BudgetExceededError, CorekitError
 from .graph import Graph, classify_shape, parse_edge_list, serialize
 from .independence import alpha, core, corona
 from .matching import mu
@@ -68,7 +68,7 @@ def _read_graph(path: str) -> Graph:
 def _analysis_record(gid: str, g: Graph, budgets: Budgets) -> dict:
     shape = classify_shape(g)
     a = alpha(g, budgets)
-    m = mu(g, budgets)
+    m = mu(g)
     c = core(g, budgets)
     cor = corona(g, budgets)
     k = ker(g)
@@ -434,19 +434,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return _EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
-    except CorekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except IsADirectoryError as exc:
+    except (CorekitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -15,11 +15,12 @@ Graph, from the tree's edges plus (i, j). Connected graphs on at most 7
 vertices are grown one vertex at a time from the graphs one vertex smaller and
 deduped by their least edge mask over the labellings with a non-increasing
 degree vector. That mask is computed for all such labellings at once: for each
-structure of equal-degree runs, a table built on first use packs the image of
-every position pair under every labelling into one int, 32 bits per labelling,
-so a candidate's masks are the OR of its edges' entries and its canonical mask
-the least field. Every enumerator is gated in the tests by published counts
-and, at small n, by cross-checks against labeled streams or a reference sweep.
+structure of equal-degree runs, a table built on first use in each level
+packs the image of every position pair under every labelling into one int, 32
+bits per labelling, so a candidate's masks are the OR of its edges' entries
+and its canonical mask the least field. Every enumerator is gated in the tests
+by published counts and, at small n, by cross-checks against labeled streams
+or a reference sweep.
 
 All randomness is drawn from string-seeded random.Random instances, so every
 stream is reproducible from (n, seed) alone, independent of process history.
@@ -123,25 +124,6 @@ def prufer_decode(seq: tuple[int, ...]) -> Graph:
     v = heapq.heappop(leaf_heap)
     edges.append((f"v{u + 1}", f"v{v + 1}"))
     return Graph.from_edges(edges)
-
-
-def _labeled_trees(n: int) -> Iterator[Graph]:
-    if n == 1:
-        yield Graph.from_edges(isolated=("v1",))
-        return
-    if n == 2:
-        yield Graph.from_edges([("v1", "v2")])
-        return
-    seq = [0] * (n - 2)
-    while True:
-        yield prufer_decode(tuple(seq))
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        seq[i] += 1
 
 
 # -- canonical codes ----------------------------------------------------------
@@ -322,17 +304,11 @@ def _check_enum_n(what: str, n: int, limit: int) -> None:
         raise BudgetExceededError(f"{what} enumeration limited to n <= {limit}")
 
 
-def enumerate_trees(
-    n: int, dedupe: bool = True, budgets: Budgets = DEFAULT_BUDGETS
-) -> Iterator[Graph]:
-    """Trees on n vertices: one per isomorphism class by default, the full
-    labeled stream (n^(n-2) trees on v1..vn) with dedupe=False."""
+def enumerate_trees(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Graph]:
+    """Trees on n vertices, one per isomorphism class."""
     if n < 1:
         raise DomainError(f"trees need n >= 1, got {n}")
     _check_enum_n("tree", n, budgets.enum_n)
-    if not dedupe:
-        yield from _labeled_trees(n)
-        return
     if n == 1:
         yield Graph.from_edges(isolated=("v1",))
         return
@@ -349,51 +325,18 @@ def enumerate_trees(
             yield Graph.from_edges([(f"v{parent[v] + 1}", f"v{v + 1}") for v in range(1, n)])
 
 
-def _canonical_cycle_edge(g: Graph) -> tuple[str, str]:
-    """The cycle edge with the lexicographically smallest sorted label pair.
-    A label-only choice, so it is the same however the graph was built."""
-    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)
-    order = _cycle_order(g.adj, cyc)
-    best = None
-    for k in range(len(order)):
-        a = g.labels[order[k]]
-        b = g.labels[order[(k + 1) % len(order)]]
-        pair = (a, b) if a <= b else (b, a)
-        if best is None or pair < best:
-            best = pair
-    return best
-
-
-def enumerate_unicyclic(
-    n: int, dedupe: bool = True, budgets: Budgets = DEFAULT_BUDGETS
-) -> Iterator[Graph]:
-    """Connected unicyclic graphs on n vertices: one per isomorphism class by
-    default, each labeled graph on v1..vn exactly once with dedupe=False."""
+def enumerate_unicyclic(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Graph]:
+    """Connected unicyclic graphs on n vertices, one per isomorphism class."""
     if n < 3:
         raise DomainError(f"unicyclic graphs need n >= 3, got {n}")
     _check_enum_n("unicyclic", n, budgets.enum_n)
-    if dedupe:
-        seen = set()
-        for t in enumerate_trees(n, dedupe=True, budgets=budgets):
-            tree_edges = t.edge_labels()
-            for i, j, code in _added_edge_codes(t.adj, n):
-                if code not in seen:
-                    seen.add(code)
-                    yield Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
-        return
-    # labeled: a tree plus a non-edge builds each graph once per cycle edge,
-    # so emit only when the added edge is the canonical one
-    for t in _labeled_trees(n):
+    seen = set()
+    for t in enumerate_trees(n, budgets=budgets):
         tree_edges = t.edge_labels()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if t.adj[i] >> j & 1:
-                    continue
-                a, b = t.labels[i], t.labels[j]
-                added = (a, b) if a <= b else (b, a)
-                g = Graph.from_edges(tree_edges + [(a, b)])
-                if _canonical_cycle_edge(g) == added:
-                    yield g
+        for i, j, code in _added_edge_codes(t.adj, n):
+            if code not in seen:
+                seen.add(code)
+                yield Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
 
 
 def _labelling_table(runs: tuple[int, ...], bit: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -420,15 +363,12 @@ def _labelling_table(runs: tuple[int, ...], bit: list[list[int]]) -> tuple[int, 
     return len(labellings), table
 
 
-# (k, runs) -> (the bit matrix the table was built from, labelling count,
-# table); a pure cache, about 0.9 MB for every run structure met up to k = 7
-_TABLES: dict[tuple[int, tuple[int, ...]], tuple[list[list[int]], int, list[list[int]]]] = {}
-
-
-def _canonical_mask(adj: list[int], n: int, bit: list[list[int]]) -> int:
+def _canonical_mask(adj: list[int], n: int, bit: list[list[int]], tables: dict) -> int:
     """The least edge mask over all labellings of the graph whose degree
     vector is non-increasing by position; bit[p][q] is the mask bit of the
-    position pair p, q. Isomorphic graphs, and only they, share it.
+    position pair p, q. Isomorphic graphs, and only they, share it. tables
+    maps each run structure met so far to its labelling count and table, and
+    serves one bit matrix only.
 
     The vertices are placed by non-increasing degree, ties by index; a
     labelling then permutes each run of equal degree within its positions.
@@ -439,10 +379,10 @@ def _canonical_mask(adj: list[int], n: int, bit: list[list[int]]) -> int:
     deg = [a.bit_count() for a in adj]
     order = sorted(range(n), key=deg.__getitem__, reverse=True)
     runs = tuple(len(list(group)) for _, group in groupby(deg[v] for v in order))
-    entry = _TABLES.get((n, runs))
-    if entry is None or entry[0] != bit:
-        entry = _TABLES[n, runs] = (bit, *_labelling_table(runs, bit))
-    _, count, table = entry
+    entry = tables.get(runs)
+    if entry is None:
+        entry = tables[runs] = _labelling_table(runs, bit)
+    count, table = entry
     place = [0] * n
     for i, v in enumerate(order):
         place[v] = i
@@ -473,6 +413,8 @@ def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
         bit = [[0] * k for _ in range(k)]
         for b, (i, j) in enumerate(pairs):
             bit[i][j] = bit[j][i] = 1 << b
+        # run structure -> (labelling count, table), for this level's bit only
+        tables: dict[tuple[int, ...], tuple[int, list[list[int]]]] = {}
         found = set()
         for mask in level:
             adj = [0] * k
@@ -483,7 +425,7 @@ def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
             for s in range(1, 1 << (k - 1)):
                 grown = [a | (s >> i & 1) << (k - 1) for i, a in enumerate(adj)]
                 grown[k - 1] = s
-                found.add(_canonical_mask(grown, k, bit))
+                found.add(_canonical_mask(grown, k, bit, tables))
         level = sorted(found)
         yield pairs, level
 
@@ -516,8 +458,10 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
 def random_tree(n: int, seed) -> Graph:
     if n < 1:
         raise DomainError(f"trees need n >= 1, got {n}")
-    if n <= 2:
-        return next(_labeled_trees(n))
+    if n == 1:
+        return Graph.from_edges(isolated=("v1",))
+    if n == 2:
+        return Graph.from_edges([("v1", "v2")])
     rng = random.Random(f"tree:{n}:{seed}")
     return prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)))
 
@@ -556,7 +500,7 @@ def random_connected(n: int, seed) -> Graph:
     t = (
         prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)))
         if n > 2
-        else next(_labeled_trees(2))
+        else Graph.from_edges([("v1", "v2")])
     )
     p = rng.uniform(0.0, 0.6)
     edges = list(t.edge_labels())

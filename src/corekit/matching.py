@@ -1,39 +1,25 @@
 """Maximum matchings, the Koenig-Egervary test, and saturating matchings.
 
-maximum_matching dispatches per component and is polynomial on every graph,
-with no size budget: forest and unicyclic components use exact
-leaf-stripping (match a leaf to its support; the leftover is a bare cycle),
-bipartite components use augmenting paths, and every other component uses
-Edmonds' blossom algorithm (Edmonds, "Paths, trees, and flowers", Canad. J.
-Math. 1965). A graph is Koenig-Egervary when alpha + mu = n; every
-bipartite graph is, and checking that is one of the test gates.
+maximum_matching is Edmonds' blossom algorithm (Edmonds, "Paths, trees, and
+flowers", Canad. J. Math. 1965) on the whole vertex set, exact on every
+graph and polynomial, with no size budget. A graph is Koenig-Egervary when
+alpha + mu = n; every bipartite graph is, and checking that is one of the
+test gates.
 
 The augmenting-path matcher is graph._match, the package's only bipartite
-one. Here it matches the two colour classes of a bipartite component and,
-for saturating_matching, a source set into a disjoint target set (Hall's
-condition holds iff every source is matched). critical.py runs it on the
-bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and ker is
-the set of vertices whose left copy some maximum matching misses (Levit and
-Mandrescu 2012). The exhaustive memo _mu_active serves only
+one. saturating_matching runs it on a source set and a disjoint target set
+(Hall's condition holds iff every source is matched). critical.py runs it
+on the bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and
+ker is the set of vertices whose left copy some maximum matching misses
+(Levit and Mandrescu 2012). The exhaustive memo _mu_active serves only
 enumerate_maximum_matchings, which is budgeted by enum_n.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
-from .graph import (
-    Graph,
-    VertexSet,
-    _bits,
-    _components_in,
-    _cycle_order,
-    _edge_count,
-    _match,
-    _two_coloring,
-)
+from .graph import Graph, VertexSet, _bits, _match
 from .independence import _alpha_active
 
 __all__ = [
@@ -110,44 +96,7 @@ class Matching:
                                for a, b in self.edge_labels()) + "}"
 
 
-# -- component matchers -------------------------------------------------------
-
-
-def _strip_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
-    """Exact maximum matching for components whose 2-core is empty or a bare
-    cycle (forests and unicyclic components). Matching a leaf to its support
-    is always optimal; what survives stripping is a disjoint union of cycles.
-
-    The current leaves sit in a min-heap, entries going stale when a vertex
-    is matched or loses its last neighbour, so each round matches the
-    lowest-index leaf in O(log n) instead of rescanning the component."""
-    deg = {v: (adj[v] & comp).bit_count() for v in _bits(comp)}
-    active = comp
-    for v, d in deg.items():
-        if d == 0:
-            active &= ~(1 << v)
-    leaves = [v for v, d in deg.items() if d == 1]  # ascending, so a heap
-    pairs = []
-    while leaves:
-        leaf = heapq.heappop(leaves)
-        if not active >> leaf & 1 or deg[leaf] != 1:
-            continue
-        nb = adj[leaf] & active
-        sup = (nb & -nb).bit_length() - 1
-        pairs.append((leaf, sup))
-        active &= ~(1 << leaf | 1 << sup)
-        for w in _bits(adj[sup] & active):
-            deg[w] -= 1
-            if deg[w] == 1:
-                heapq.heappush(leaves, w)
-            elif deg[w] == 0:
-                active &= ~(1 << w)
-    # leftover: disjoint cycles; take alternating edges along each
-    for cyc in _components_in(adj, active):
-        order = _cycle_order(adj, cyc)
-        for k in range(0, len(order) - 1, 2):
-            pairs.append((order[k], order[k + 1]))
-    return pairs
+# -- matchers ------------------------------------------------------------------
 
 
 def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
@@ -179,9 +128,10 @@ def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
     return best
 
 
-def _blossom_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
-    """Maximum matching of a component by Edmonds' blossom algorithm (1965),
-    started from a greedy matching.
+def _blossom_matching(adj: tuple[int, ...], active: int) -> list[tuple[int, int]]:
+    """Maximum matching of the subgraph induced on the active mask, connected
+    or not, by Edmonds' blossom algorithm (1965), started from a greedy
+    matching.
 
     From each vertex the matching leaves free, an alternating tree is grown
     breadth-first. An edge from an outer vertex to a free vertex outside the
@@ -194,15 +144,15 @@ def _blossom_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
     perfect. No recursion."""
     mate = [-1] * len(adj)
     size = 0
-    unmatched = comp
-    for v in _bits(comp):
+    unmatched = active
+    for v in _bits(active):
         nb = adj[v] & unmatched
         if unmatched >> v & 1 and nb:
             u = (nb & -nb).bit_length() - 1
             mate[v], mate[u] = u, v
             unmatched &= ~(1 << v | 1 << u)
             size += 1
-    cap = comp.bit_count() // 2
+    cap = active.bit_count() // 2
     parent = [-1] * len(adj)
     base = list(range(len(adj)))
     for root in _bits(unmatched):
@@ -215,7 +165,7 @@ def _blossom_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
         queue = [root]
         end = -1
         for v in queue:
-            for u in _bits(adj[v] & comp):
+            for u in _bits(adj[v] & active):
                 if base[v] == base[u] or mate[v] == u:
                     continue
                 if outer >> u & 1:
@@ -269,35 +219,25 @@ def _blossom_matching(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
         for w in tree:
             parent[w] = -1
             base[w] = w
-    return [(v, mate[v]) for v in _bits(comp) if v < mate[v]]
+    return [(v, mate[v]) for v in _bits(active) if v < mate[v]]
 
 
 # -- public operations ---------------------------------------------------------
 
 
-def maximum_matching(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> Matching:
-    """One maximum matching, deterministically chosen. No path is budgeted;
-    budgets is accepted so that every invariant takes the same arguments."""
-    adj = g.adj
-    pairs: list[tuple[int, int]] = []
-    for comp in g.components():
-        if _edge_count(adj, comp) <= comp.bit_count():
-            pairs += _strip_matching(adj, comp)
-        elif (left := _two_coloring(adj, comp)) is not None:
-            pairs += [(v, u) for u, v in _match(adj, left, comp).items()]
-        else:
-            pairs += _blossom_matching(adj, comp)
-    return Matching(g, pairs)
+def maximum_matching(g: Graph) -> Matching:
+    """One maximum matching, deterministically chosen. No size budget."""
+    return Matching(g, _blossom_matching(g.adj, (1 << g.n) - 1))
 
 
-def mu(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    return len(maximum_matching(g, budgets))
+def mu(g: Graph) -> int:
+    return len(maximum_matching(g))
 
 
 def is_koenig_egervary(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """alpha(G) + mu(G) = n. Always true for bipartite graphs (a test gate,
     not an assumption of this function)."""
-    return _alpha_active(g.adj, (1 << g.n) - 1, budgets) + mu(g, budgets) == g.n
+    return _alpha_active(g.adj, (1 << g.n) - 1, budgets) + mu(g) == g.n
 
 
 def saturating_matching(g: Graph, sources: VertexSet, targets: VertexSet) -> Matching | None:
@@ -314,10 +254,10 @@ def saturating_matching(g: Graph, sources: VertexSet, targets: VertexSet) -> Mat
     return Matching(g, [(v, u) for u, v in mate.items()])
 
 
-def is_mu_critical_edge(g: Graph, u: str, v: str, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+def is_mu_critical_edge(g: Graph, u: str, v: str) -> bool:
     """True iff deleting the edge lowers mu, i.e. the edge lies in every
     maximum matching."""
-    return mu(g.delete_edge(u, v), budgets) < mu(g, budgets)
+    return mu(g.delete_edge(u, v)) < mu(g)
 
 
 def enumerate_maximum_matchings(

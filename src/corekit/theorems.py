@@ -140,7 +140,7 @@ class _Facts:
 
     @cached_property
     def mu(self) -> int:
-        return mu(self.g, self.budgets)
+        return mu(self.g)
 
     @cached_property
     def core(self) -> VertexSet:

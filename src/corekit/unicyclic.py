@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
 from .errors import NotUnicyclicError, PreconditionError
-from .graph import Graph, VertexSet, _components_in, _strip_to_cycles
+from .graph import Graph, VertexSet, _components_in, _cycle_order, _strip_to_cycles
 from .independence import _alpha_active, _edge_raises_alpha, core, corona
 from .matching import mu
 
@@ -54,23 +54,16 @@ def find_cycle(g: Graph) -> tuple[str, ...]:
 
 
 def _walk_cycle(g: Graph) -> tuple[str, ...]:
-    """find_cycle on a graph already known to be connected unicyclic."""
-    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)
-    members = sorted(VertexSet(g, cyc).labels())
-    start = g.index_of(members[0])
-    first = min(
-        (i for i in range(g.n) if cyc >> i & 1 and g.adj[start] >> i & 1),
-        key=lambda i: g.labels[i],
-    )
-    order = [start, first]
-    while True:
-        prev, cur = order[-2], order[-1]
-        nb = g.adj[cur] & cyc & ~(1 << prev)
-        nxt = (nb & -nb).bit_length() - 1
-        if nxt == start:
-            break
-        order.append(nxt)
-    return tuple(g.labels[i] for i in order)
+    """find_cycle on a graph already known to be connected unicyclic: the
+    index-order walk of the cycle, rotated to its smallest label and turned
+    toward that vertex's smaller-labelled neighbour."""
+    labels = g.labels
+    order = _cycle_order(g.adj, _strip_to_cycles(g.adj, (1 << g.n) - 1))
+    k = min(range(len(order)), key=lambda i: labels[order[i]])
+    order = order[k:] + order[:k]
+    if labels[order[-1]] < labels[order[1]]:
+        order = order[:1] + order[:0:-1]
+    return tuple(labels[i] for i in order)
 
 
 @dataclass(frozen=True)
@@ -146,7 +139,7 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
     alpha-critical, and any non-critical cycle edge is reported as a witness."""
     _require_unicyclic(g)
     a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
-    total = a + mu(g, budgets)
+    total = a + mu(g)
     cycle = _walk_cycle(g)
     bad = []
     for k in range(len(cycle)):
@@ -164,7 +157,7 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
 
 def _require_non_ke(g: Graph, budgets: Budgets) -> Decomposition:
     _require_unicyclic(g)
-    if _alpha_active(g.adj, (1 << g.n) - 1, budgets) + mu(g, budgets) == g.n:
+    if _alpha_active(g.adj, (1 << g.n) - 1, budgets) + mu(g) == g.n:
         raise PreconditionError(
             "structural core/corona/ker need alpha + mu = n - 1; "
             "this graph is Koenig-Egervary"

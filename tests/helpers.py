@@ -5,9 +5,10 @@ edge subsets, reading only the graph's labels and edge list. None of the
 library's clever paths (tree DP, branch and bound, augmenting paths) are
 reused, so a shared bug cannot hide in both sides of a comparison.
 
-The last functions keep loops that faster library code replaced, on the
+The later functions keep loops that faster library code replaced, on the
 library's bitmask adjacency, so the tests can require the replacements to
-give the very same results.
+give the very same results, and the labelled tree and unicyclic streams,
+which only the tests use.
 """
 
 from __future__ import annotations
@@ -232,10 +233,12 @@ def bb_alpha_reference(adj: tuple[int, ...], active: int) -> int:
 
 
 def strip_matching_reference(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
-    """matching._strip_matching as a rescan per matched pair: each round
-    drops an isolated vertex or matches the lowest-index leaf to its
-    support. The leftover cycles are matched by the library's cycle walk,
-    which the two versions share."""
+    """A maximum matching of a forest or unicyclic vertex mask by
+    leaf-stripping, an oracle for mu independent of the blossom algorithm:
+    matching a leaf to its support is always optimal, so each round drops an
+    isolated vertex or matches the lowest-index leaf to its support, and the
+    leftover disjoint cycles take alternate edges along the library's cycle
+    walk."""
     from corekit.graph import _components_in, _cycle_order
 
     pairs = []
@@ -312,4 +315,89 @@ def unicyclic_reference(n: int):
                 code = unicyclic_code(g)
                 if code not in seen:
                     seen.add(code)
+                    yield g
+
+
+def walk_cycle_reference(g) -> tuple[str, ...]:
+    """unicyclic.find_cycle as it walked the cycle itself before it reused
+    the library's cycle walk: from the smallest label toward its
+    smaller-labelled cycle neighbour, one step at a time."""
+    from corekit import VertexSet
+    from corekit.graph import _strip_to_cycles
+
+    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)
+    members = sorted(VertexSet(g, cyc).labels())
+    start = g.index_of(members[0])
+    first = min(
+        (i for i in range(g.n) if cyc >> i & 1 and g.adj[start] >> i & 1),
+        key=lambda i: g.labels[i],
+    )
+    order = [start, first]
+    while True:
+        prev, cur = order[-2], order[-1]
+        nb = g.adj[cur] & cyc & ~(1 << prev)
+        nxt = (nb & -nb).bit_length() - 1
+        if nxt == start:
+            break
+        order.append(nxt)
+    return tuple(g.labels[i] for i in order)
+
+
+def labeled_trees(n: int):
+    """Every labelled tree on v1..vn (n^(n-2) of them), in Pruefer-sequence
+    order: the stream enumerate_trees gave with dedupe=False."""
+    from corekit import Graph, prufer_decode
+
+    if n == 1:
+        yield Graph.from_edges(isolated=("v1",))
+        return
+    if n == 2:
+        yield Graph.from_edges([("v1", "v2")])
+        return
+    seq = [0] * (n - 2)
+    while True:
+        yield prufer_decode(tuple(seq))
+        i = n - 3
+        while i >= 0 and seq[i] == n - 1:
+            seq[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        seq[i] += 1
+
+
+def _canonical_cycle_edge(g) -> tuple[str, str]:
+    """The cycle edge with the lexicographically smallest sorted label pair.
+    A label-only choice, so it is the same however the graph was built."""
+    from corekit.graph import _cycle_order, _strip_to_cycles
+
+    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)
+    order = _cycle_order(g.adj, cyc)
+    best = None
+    for k in range(len(order)):
+        a = g.labels[order[k]]
+        b = g.labels[order[(k + 1) % len(order)]]
+        pair = (a, b) if a <= b else (b, a)
+        if best is None or pair < best:
+            best = pair
+    return best
+
+
+def labeled_unicyclic(n: int):
+    """Every labelled connected unicyclic graph on v1..vn exactly once: the
+    stream enumerate_unicyclic gave with dedupe=False. A tree plus a
+    non-edge builds each graph once per cycle edge, so a graph is kept only
+    when the added edge is its canonical cycle edge."""
+    from corekit import Graph
+
+    for t in labeled_trees(n):
+        tree_edges = t.edge_labels()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if t.adj[i] >> j & 1:
+                    continue
+                a, b = t.labels[i], t.labels[j]
+                added = (a, b) if a <= b else (b, a)
+                g = Graph.from_edges(tree_edges + [(a, b)])
+                if _canonical_cycle_edge(g) == added:
                     yield g

@@ -95,6 +95,17 @@ def test_analyze_parse_error_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_non_utf8_input_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"a b\n\xff\xfe c\n")
+    for args in (("analyze", str(bad)), ("verify", "--theorem", "all", "--graph", str(bad))):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith("error: "), args
+        assert "Traceback" not in res.stderr, args
+        assert res.stdout == "", args
+
+
 def test_verify_single_graph_reports_and_exits_0():
     res = run_cli("verify", "--theorem", "TH4B", "--graph", str(FIXDIR / "uni10-nonke.txt"))
     assert res.returncode == 0

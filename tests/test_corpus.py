@@ -37,6 +37,8 @@ from corekit import corpus
 from corekit.corpus import _canonical_mask
 from helpers import (
     canonical_mask_reference,
+    labeled_trees,
+    labeled_unicyclic,
     oracle_alpha,
     oracle_core,
     oracle_ker,
@@ -147,12 +149,12 @@ def test_free_tree_counts(trees_by_n):
 
 def test_labeled_tree_counts_follow_cayley():
     for n in range(2, 8):
-        labeled = list(enumerate_trees(n, dedupe=False))
+        labeled = list(labeled_trees(n))
         assert len(labeled) == n ** (n - 2), n
 
 
 def test_labeled_and_deduped_trees_cover_the_same_codes():
-    labeled = {tree_code(g) for g in enumerate_trees(6, dedupe=False)}
+    labeled = {tree_code(g) for g in labeled_trees(6)}
     deduped = {tree_code(g) for g in enumerate_trees(6)}
     assert labeled == deduped
 
@@ -170,12 +172,12 @@ def test_unicyclic_counts(unicyclic_by_n):
 
 def test_labeled_unicyclic_counts():
     for n, want in {3: 1, 4: 15, 5: 222}.items():
-        labeled = list(enumerate_unicyclic(n, dedupe=False))
+        labeled = list(labeled_unicyclic(n))
         assert len(labeled) == want, n
 
 
 def test_labeled_and_deduped_unicyclic_cover_the_same_codes():
-    labeled = {unicyclic_code(g) for g in enumerate_unicyclic(6, dedupe=False)}
+    labeled = {unicyclic_code(g) for g in labeled_unicyclic(6)}
     deduped = {unicyclic_code(g) for g in enumerate_unicyclic(6)}
     assert labeled == deduped
 
@@ -297,24 +299,24 @@ def test_canonical_mask_is_labelling_free_and_in_the_stream(connected_by_n):
         for u, v in g.edges():
             moved[perm[u]] |= 1 << perm[v]
             moved[perm[v]] |= 1 << perm[u]
-        canon = _canonical_mask(list(g.adj), 7, bit)
-        assert _canonical_mask(moved, 7, bit) == canon, s
+        canon = _canonical_mask(list(g.adj), 7, bit, {})
+        assert _canonical_mask(moved, 7, bit, {}) == canon, s
         assert canon in stream, s
 
 
 def test_canonical_mask_equals_the_labelling_loop_on_every_candidate(monkeypatch):
     calls = []
 
-    def recording(adj, n, bit):
+    def recording(adj, n, bit, tables):
         calls.append((list(adj), n, bit))
-        return _canonical_mask(adj, n, bit)
+        return _canonical_mask(adj, n, bit, tables)
 
     monkeypatch.setattr(corpus, "_canonical_mask", recording)
     assert len(list(corpus.enumerate_connected_graphs(6))) == CONNECTED_COUNTS[6]
     assert len(calls) == 1 + 3 + 14 + 90 + 651
     assert {n for _, n, _ in calls} == {2, 3, 4, 5, 6}
     for adj, n, bit in calls:
-        assert _canonical_mask(adj, n, bit) == canonical_mask_reference(adj, n, bit), adj
+        assert _canonical_mask(adj, n, bit, {}) == canonical_mask_reference(adj, n, bit), adj
 
 
 def _adjacency(n, edges):
@@ -344,9 +346,10 @@ def test_canonical_mask_equals_the_labelling_loop_on_seven_vertices():
     column_major = [[0] * 7 for _ in range(7)]
     for k, (i, j) in enumerate(sorted(pairs, key=lambda p: (p[1], p[0]))):
         column_major[i][j] = column_major[j][i] = 1 << k
+    row_tables, column_tables = {}, {}
     for adj in graphs:
-        for b in (bit, column_major, bit):
-            assert _canonical_mask(adj, 7, b) == canonical_mask_reference(adj, 7, b), adj
+        for b, tables in ((bit, row_tables), (column_major, column_tables), (bit, row_tables)):
+            assert _canonical_mask(adj, 7, b, tables) == canonical_mask_reference(adj, 7, b), adj
 
 
 def test_connected_enumeration_bails_above_seven():

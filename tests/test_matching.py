@@ -1,6 +1,7 @@
 """Maximum matchings, the Koenig-Egervary test, saturating matchings,
 and maximum-matching enumeration, against an edge-subset oracle."""
 
+import random
 import time
 
 import pytest
@@ -13,7 +14,9 @@ from corekit import (
     Graph,
     Matching,
     alpha,
+    classify_shape,
     enumerate_maximum_matchings,
+    find_cycle,
     is_koenig_egervary,
     is_mu_critical_edge,
     kernel_gap_family,
@@ -24,7 +27,7 @@ from corekit import (
     random_unicyclic,
     saturating_matching,
 )
-from corekit.matching import _mu_active, _strip_matching
+from corekit.matching import _mu_active
 from helpers import oracle_mu, strip_matching_reference
 
 from test_independence import complete, cycle, path
@@ -58,36 +61,80 @@ def test_mu_matches_oracle_on_small_corpora(trees_by_n, unicyclic_by_n, connecte
             assert mu(g) == oracle_mu(g)
 
 
-def test_mu_matches_the_exhaustive_memo(connected_by_n):
+def _first(make, n, seed, wanted):
+    """The first make(n, ...) from the seed on that has the wanted property."""
+    while not wanted(g := make(n, seed)):
+        seed += 1000
+    return g
+
+
+def _disjoint_union(parts, seed):
+    """The parts with labels made distinct, plus an isolated vertex, the
+    edges shuffled so that the parts' vertex indices interleave."""
+    edges = [(f"{k}.{a}", f"{k}.{b}") for k, g in enumerate(parts) for a, b in g.edge_labels()]
+    random.Random(seed).shuffle(edges)
+    return Graph.from_edges(edges, isolated=["z"])
+
+
+def test_mu_matches_the_exhaustive_memo(trees_by_n, unicyclic_by_n, connected_by_n):
     graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
+    graphs += [g for n in range(1, 10) for g in trees_by_n[n]]
+    graphs += [g for n in range(3, 10) for g in unicyclic_by_n[n]]
     graphs += [random_connected(16, s) for s in range(300)]
+    for s in range(30):
+        rng = random.Random(s)
+        parts = [
+            random_tree(rng.randint(2, 7), s),
+            _first(random_unicyclic, rng.randint(3, 7), s, lambda g: len(find_cycle(g)) % 2),
+            _first(random_connected, rng.randint(4, 7), s,
+                   lambda g: g.m > g.n and not classify_shape(g).bipartite),
+        ]
+        graphs.append(_disjoint_union(parts, s))
     for g in graphs:
         assert mu(g) == _mu_active(g.adj, (1 << g.n) - 1, {}), g.edge_labels()
 
 
-def test_strip_matching_equals_the_rescanning_loop(trees_by_n, unicyclic_by_n):
-    graphs = [g for n in range(1, 10) for g in trees_by_n[n]]
-    graphs += [g for n in range(3, 10) for g in unicyclic_by_n[n]]
-    graphs += [random_tree(40, s) for s in range(20)] + [random_unicyclic(40, s) for s in range(20)]
-    for g in graphs:
-        full = (1 << g.n) - 1
-        assert _strip_matching(g.adj, full) == strip_matching_reference(g.adj, full), g.edge_labels()
+def test_mu_equals_leaf_stripping_on_large_trees_and_unicyclic_graphs():
+    for n in (40, 300):
+        for s in range(10):
+            for g in (random_tree(n, s), random_unicyclic(n, s)):
+                full = (1 << g.n) - 1
+                assert mu(g) == len(strip_matching_reference(g.adj, full)), (n, s)
 
 
-def test_strip_matching_is_not_quadratic():
+def _shuffled(n, closed):
+    """The path on n vertices, or the cycle when closed, with shuffled
+    labels and edge order."""
+    rng = random.Random(n)
+    names = [f"x{i}" for i in range(n)]
+    rng.shuffle(names)
+    edges = [(names[i], names[i + 1]) for i in range(n - 1)]
+    if closed:
+        edges.append((names[-1], names[0]))
+    rng.shuffle(edges)
+    return Graph.from_edges(edges)
+
+
+def test_mu_is_fast_on_a_large_tree_path_and_cycle():
     g = random_tree(6000, 0)
     start = time.perf_counter()
     got = mu(g)
     elapsed = time.perf_counter() - start
     assert got == g.n - alpha(g)
     assert elapsed < 1.0, elapsed
+    for g in (_shuffled(20000, False), _shuffled(20001, True)):
+        start = time.perf_counter()
+        got = mu(g)
+        elapsed = time.perf_counter() - start
+        assert got == 10000, g.n
+        assert elapsed < 5.0, (g.n, elapsed)
 
 
 def test_maximum_matching_needs_no_budget_on_large_general_graphs():
     for s in range(3):
         g = random_connected(300, s)
         # the Matching constructor inside re-verifies every pair
-        mm = maximum_matching(g, Budgets(enum_n=1, subset_n=1, bb_n=1))
+        mm = maximum_matching(g)
         assert len(mm) == 150
 
 

@@ -1,6 +1,8 @@
 """Cycle finding, pendant-tree decomposition, KE classification, and the
 structural core/corona/ker shortcuts for unicyclic graphs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,7 @@ from corekit import (
     structural_corona,
     structural_ker,
 )
-from helpers import oracle_core, oracle_corona, oracle_ker
+from helpers import oracle_core, oracle_corona, oracle_ker, walk_cycle_reference
 
 from test_independence import cycle, path
 
@@ -34,6 +36,20 @@ def test_find_cycle_canonical_form():
     # starts at the smallest cycle label, walks toward its smaller neighbor
     g = Graph.from_edges([("d", "b"), ("b", "a"), ("a", "c"), ("c", "d"), ("d", "x")])
     assert find_cycle(g) == ("a", "b", "d", "c")
+
+
+def test_find_cycle_equals_the_label_walk(unicyclic_by_n):
+    graphs = [g for n in range(3, 10) for g in unicyclic_by_n[n]]
+    # the same graphs with shuffled labels, so label order and index order differ
+    relabelled = []
+    for s, g in enumerate(graphs):
+        names = list(g.labels)
+        random.Random(s).shuffle(names)
+        rename = dict(zip(g.labels, names))
+        relabelled.append(Graph.from_edges([(rename[a], rename[b]) for a, b in g.edge_labels()]))
+    graphs += relabelled + [random_unicyclic(300, s) for s in range(10)]
+    for g in graphs:
+        assert find_cycle(g) == walk_cycle_reference(g), g.edge_labels()
 
 
 def test_find_cycle_requires_unicyclic():
