@@ -17,7 +17,8 @@ from dataclasses import dataclass
 class Budgets:
     # max n for family enumeration (maximum independent sets, maximum matchings)
     enum_n: int = 20
-    # max n for the 2^n subset sweep (critical_difference_bruteforce)
+    # max n for the 2^n subset sweep (critical_difference_bruteforce), whose
+    # bit-sliced planes take n x 2^n bits: 2.5 MB at n = 20, 4 GB at n = 30
     subset_n: int = 20
     # max n for branch-and-bound alpha on general graphs
     bb_n: int = 40

@@ -17,8 +17,15 @@ import time
 from pathlib import Path
 
 from .budgets import Budgets
-from .corpus import FIXTURE_NAMES, family_items, fixture, kernel_gap_family, random_unicyclic
-from .critical import critical_difference, ker
+from .corpus import (
+    FIXTURE_NAMES,
+    _family_orders,
+    family_items,
+    fixture,
+    kernel_gap_family,
+    random_unicyclic,
+)
+from .critical import _check_subset_n, critical_difference, ker
 from .errors import BudgetExceededError, CorekitError
 from .graph import Graph, classify_shape, parse_edge_list, serialize
 from .independence import alpha, core, corona
@@ -215,6 +222,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("error: --family needs --max-n", file=sys.stderr)
             return _EXIT_USAGE
         items = family_items(args.family, max_n=args.max_n, budgets=budgets)
+        # TH2A and ZHANG sweep the subsets of every graph: refuse an order
+        # above subset_n before the first graph, not after all smaller ones.
+        # An unknown id is still a usage error first, as in sweep.
+        sweeps_all = "TH2A" in _known_ids(tids) or "ZHANG" in tids
+        if sweeps_all and args.family in ("trees", "unicyclic", "connected"):
+            for n in _family_orders(args.family, args.max_n, budgets):
+                _check_subset_n(n, budgets)
         family = args.family if args.family == "fixtures" else f"{args.family}(max_n={args.max_n})"
     else:
         print("error: one of --graph/--family/--random is required", file=sys.stderr)

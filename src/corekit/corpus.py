@@ -514,6 +514,20 @@ def random_connected(n: int, seed) -> Graph:
 # -- streams ------------------------------------------------------------------
 
 
+def _family_orders(family: str, max_n: int | None, budgets: Budgets) -> range:
+    """The vertex counts of the graphs of an exhaustive family (trees,
+    unicyclic or connected) up to max_n, in increasing order. Raises when
+    max_n is missing or beyond the family's enumeration limit: the checks
+    family_items makes before its first graph."""
+    if max_n is None:
+        raise DomainError(f"{family} family needs max_n")
+    if family == "connected":
+        _check_enum_n("connected-graph", max_n, _CONNECTED_MAX_N)
+        return range(1, max_n + 1)
+    _check_enum_n("tree" if family == "trees" else "unicyclic", max_n, budgets.enum_n)
+    return range(1 if family == "trees" else 3, max_n + 1)
+
+
 def family_items(
     family: str,
     max_n: int | None = None,
@@ -532,23 +546,15 @@ def family_items(
         for name in FIXTURE_NAMES:
             yield name, fixture(name)
     elif family == "trees":
-        if max_n is None:
-            raise DomainError("trees family needs max_n")
-        _check_enum_n("tree", max_n, budgets.enum_n)
-        for n in range(1, max_n + 1):
+        for n in _family_orders(family, max_n, budgets):
             for i, g in enumerate(enumerate_trees(n, budgets=budgets)):
                 yield f"tree:n{n}:{i}", g
     elif family == "unicyclic":
-        if max_n is None:
-            raise DomainError("unicyclic family needs max_n")
-        _check_enum_n("unicyclic", max_n, budgets.enum_n)
-        for n in range(3, max_n + 1):
+        for n in _family_orders(family, max_n, budgets):
             for i, g in enumerate(enumerate_unicyclic(n, budgets=budgets)):
                 yield f"uni:n{n}:{i}", g
     elif family == "connected":
-        if max_n is None:
-            raise DomainError("connected family needs max_n")
-        _check_enum_n("connected-graph", max_n, _CONNECTED_MAX_N)
+        _family_orders(family, max_n, budgets)
         for n, (pairs, masks) in enumerate(_connected_levels(max_n), 1):
             for i, g in enumerate(_level_graphs(pairs, masks)):
                 yield f"conn:n{n}:{i}", g

@@ -155,6 +155,47 @@ def oracle_ker(g) -> frozenset[str]:
     return oracle_critical(g)[2]
 
 
+def subset_sweep_reference(g):
+    """The report critical.critical_difference_bruteforce gave before it was
+    bit-sliced: a list of 2^n neighbourhood masks, each built from a
+    previously visited subset by dropping its lowest bit, looped over three
+    times."""
+    from corekit import CriticalReport, VertexSet
+
+    n = g.n
+    adj = g.adj
+    size = 1 << n
+    nbh = [0] * size
+    for x in range(1, size):
+        low = x & -x
+        nbh[x] = nbh[x ^ low] | adj[low.bit_length() - 1]
+    d_c = 0
+    id_c = 0
+    witness = 0
+    for x in range(size):
+        d = x.bit_count() - nbh[x].bit_count()
+        if d > d_c:
+            d_c = d
+            witness = x
+        if d > id_c and nbh[x] & x == 0:
+            id_c = d
+    ker_mask = (1 << n) - 1 if n else 0
+    crit: list[int] = []
+    for x in range(size):
+        if nbh[x] & x:
+            continue
+        if x.bit_count() - nbh[x].bit_count() == id_c:
+            crit.append(x)
+            ker_mask &= x
+    return CriticalReport(
+        d_c=d_c,
+        id_c=id_c,
+        witness_set=VertexSet(g, witness),
+        ker=VertexSet(g, ker_mask),
+        critical_independent_sets=tuple(VertexSet(g, x) for x in crit),
+    )
+
+
 def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> int:
     """The least edge mask over the labellings whose degree vector is
     non-increasing by position, one labelling at a time: the loop that

@@ -234,6 +234,36 @@ def test_verify_one_graph_sweeps_its_subsets_once(monkeypatch, capsys):
     assert "checks run: 14\n" in out
 
 
+def test_verify_family_refuses_the_subset_budget_before_the_first_graph(monkeypatch, capsys):
+    sweep_calls = []
+    bruteforce = theorems_module.critical_difference_bruteforce
+
+    def counted(g, budgets):
+        sweep_calls.append(g.n)
+        return bruteforce(g, budgets)
+
+    monkeypatch.setattr(theorems_module, "critical_difference_bruteforce", counted)
+    code = cli_module.main(
+        ["verify", "--theorem", "all", "--family", "unicyclic", "--max-n", "12",
+         "--max-subset-n", "10", "--workers", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: subset sweep limited to 10 vertices, got 11\n"
+    assert sweep_calls == []
+    # with both budgets exceeded, the enumeration limit is reported
+    code = cli_module.main(
+        ["verify", "--theorem", "ZHANG", "--family", "trees", "--max-n", "12",
+         "--max-subset-n", "5", "--max-enum-n", "11", "--workers", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: tree enumeration limited to n <= 11\n"
+    assert sweep_calls == []
+
+
 def test_search_problem_1_golden():
     res = run_cli("search", "--problem", "1", "--max-n", "6")
     assert res.returncode == 0

@@ -1,5 +1,5 @@
-"""d(X), the subset-sweep report, and the matching-based d_c and ker held
-against it."""
+"""d(X), the subset-sweep report held against the list sweep it replaced,
+and the matching-based d_c and ker held against it."""
 
 import random
 
@@ -16,13 +16,16 @@ from corekit import (
     critical_difference,
     critical_difference_bruteforce,
     diff,
+    find_cycle,
     is_independent,
     ker,
     mu,
     parse_edge_list,
     random_connected,
+    random_tree,
+    random_unicyclic,
 )
-from helpers import oracle_critical, oracle_ker
+from helpers import oracle_critical, oracle_ker, subset_sweep_reference
 
 from test_independence import cycle, path
 
@@ -101,12 +104,57 @@ def test_subset_sweep_budget():
     edges += [("v1", "v3"), ("v18", "v20")]
     g = Graph.from_edges(edges)
     assert classify_shape(g).kind == "other"
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^subset sweep limited to 20 vertices, got 21$"):
         critical_difference_bruteforce(g, Budgets(subset_n=20))
     # the matching-based ker and d_c have no subset budget
     rep = critical_difference_bruteforce(g, Budgets(subset_n=21))
     assert ker(g) == rep.ker
     assert critical_difference(g) == rep.d_c
+
+
+def test_sweep_equals_the_list_sweep_on_exhaustive_corpora(
+    trees_by_n, unicyclic_by_n, connected_by_n
+):
+    graphs = [g for n in range(1, 11) for g in trees_by_n[n]]
+    graphs += [g for n in range(3, 11) for g in unicyclic_by_n[n]]
+    graphs += [g for n in range(1, 8) for g in connected_by_n[n]]
+    for g in graphs:
+        assert critical_difference_bruteforce(g) == subset_sweep_reference(g), g.edge_labels()
+
+
+def test_sweep_equals_the_list_sweep_on_random_connected():
+    for i in range(500):
+        g = random_connected(2 + i % 15, i // 15)
+        assert critical_difference_bruteforce(g) == subset_sweep_reference(g), g.edge_labels()
+
+
+def test_sweep_edge_cases_equal_the_list_sweep():
+    empty = Graph.from_edges([])
+    rep = critical_difference_bruteforce(empty)
+    assert rep == subset_sweep_reference(empty)
+    assert rep.critical_independent_sets == (empty.empty_set(),)
+
+    lonely = Graph.from_edges(isolated=[f"z{i}" for i in range(5)])
+    rep = critical_difference_bruteforce(lonely)
+    assert rep == subset_sweep_reference(lonely)
+    assert rep.d_c == rep.id_c == 5
+    assert rep.ker == lonely.full_set()
+
+    # a tree, an odd unicyclic graph and an isolated vertex, with the
+    # edges shuffled so that the parts' vertex indices interleave
+    odd = next(
+        g for s in range(100)
+        if len(find_cycle(g := random_unicyclic(6, s))) % 2
+    )
+    parts = [random_tree(5, 3), odd]
+    edges = [(f"{k}.{a}", f"{k}.{b}") for k, g in enumerate(parts) for a, b in g.edge_labels()]
+    random.Random(5).shuffle(edges)
+    union = Graph.from_edges(edges, isolated=["z"])
+    assert union.n == 12 and len(union.components()) == 3
+    assert critical_difference_bruteforce(union) == subset_sweep_reference(union)
+
+    big = random_connected(20, 1)
+    assert critical_difference_bruteforce(big) == subset_sweep_reference(big)
 
 
 @settings(max_examples=60, deadline=None)
