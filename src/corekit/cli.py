@@ -56,6 +56,21 @@ def _fmt_set(labels) -> str:
     return "{" + ", ".join(labels) + "}"
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low. A value below it is
+    a usage error (exit 2), not a budget to run under."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    # argparse names the type in its message for a non-integer
+    parse.__name__ = "int"
+    return parse
+
+
 def _budgets_from(args: argparse.Namespace) -> Budgets:
     return Budgets(
         enum_n=args.max_enum_n,
@@ -344,19 +359,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-enum-n",
-        type=int,
+        type=_int_at_least(0),
         default=20,
         help="largest n for enumeration-backed operations (default 20)",
     )
     common.add_argument(
         "--max-subset-n",
-        type=int,
+        type=_int_at_least(0),
         default=20,
         help="largest n for subset-sweep operations (default 20)",
     )
     common.add_argument(
         "--matching-limit",
-        type=int,
+        type=_int_at_least(0),
         default=10**6,
         help="cap on enumerated maximum matchings (default 1000000)",
     )
@@ -393,14 +408,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--max-n", type=int, help="largest n for --family")
     p_ver.add_argument(
-        "--random", type=int, metavar="COUNT", help="sweep COUNT random connected graphs"
+        "--random",
+        type=_int_at_least(0),
+        metavar="COUNT",
+        help="sweep COUNT random connected graphs",
     )
     p_ver.add_argument("--size", type=int, help="vertex count for --random")
     p_ver.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
     p_ver.add_argument("--fail-fast", action="store_true", help="stop at first failure")
     p_ver.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=max(1, os.cpu_count() or 1),
         help="parallel workers (default: available parallelism); output is "
         "identical for any value",

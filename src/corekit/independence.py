@@ -31,6 +31,13 @@ decided per component, with the same dispatch:
   only the vertices outside S and outside every earlier such W are asked.
   That is at most |S| queries for core and |C| - |S| for corona.
 
+enumerate_mis reads the family Omega(G) by exhaustive search alone, none of
+the dispatch above: the lowest live vertex is taken (dropping its closed
+neighbourhood) or skipped, and a branch ends once the alpha of its live
+vertices falls short of the sets it still needs. That alpha comes from
+_alpha_memo, an exhaustive search on vertex masks memoised for one call, the
+counterpart of the _mu_active memo behind enumerate_maximum_matchings.
+
 ker is not derived from core here: critical.ker reads it off one matching of
 the bipartite double cover (v is in ker iff some maximum matching of the
 cover misses v's left copy; Levit and Mandrescu, SIAM J. Discrete Math.
@@ -253,6 +260,31 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
     return total
 
 
+def _alpha_memo(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
+    """Exhaustive alpha on a vertex mask, for enumerate_mis: the lowest live
+    vertex is taken when it has at most one live neighbour (some maximum
+    independent set holds it), and otherwise alpha is the larger of skipping
+    it and taking it with its closed neighbourhood dropped."""
+    got = memo.get(active)
+    if got is not None:
+        return got
+    rest = active
+    size = 0
+    while rest:
+        b = rest & -rest
+        nb = adj[b.bit_length() - 1] & rest
+        if nb & (nb - 1):
+            size += max(
+                _alpha_memo(adj, rest ^ b, memo),
+                1 + _alpha_memo(adj, rest & ~(nb | b), memo),
+            )
+            break
+        size += 1
+        rest &= ~(nb | b)
+    memo[active] = size
+    return size
+
+
 def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bool) -> int:
     """Mask of the vertices v of the subgraph induced on the active mask with
     alpha(G[active] - X_v) = alpha(G[active]) - 1, where X_v = N[v] if closed
@@ -354,36 +386,34 @@ def alpha(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
 
 def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexSet, ...]:
     """The family Omega(G) of all maximum independent sets, sorted by their
-    label tuples. The 0-vertex graph has Omega = (empty set,)."""
+    label tuples. The 0-vertex graph has Omega = (empty set,).
+
+    The lowest live vertex is taken or skipped in turn, and a branch is cut
+    as soon as its live vertices cannot hold the sets still needed. The
+    target and every such bound come from _alpha_memo, one exhaustive
+    search whose memo lives for this call only, so the family rests on
+    exhaustive search alone."""
     if g.n > budgets.enum_n:
         raise BudgetExceededError(
             f"MIS enumeration limited to {budgets.enum_n} vertices, got {g.n}"
         )
     adj = g.adj
     full = (1 << g.n) - 1
-    target = _alpha_active(adj, full, budgets)
     memo: dict[int, int] = {}
-
-    def am(active: int) -> int:
-        got = memo.get(active)
-        if got is None:
-            got = memo[active] = _alpha_active(adj, active, budgets)
-        return got
-
     found: list[int] = []
 
     def rec(active: int, need: int, chosen: int) -> None:
         if need == 0:
             found.append(chosen)
             return
-        if active.bit_count() < need or am(active) < need:
+        if active.bit_count() < need or _alpha_memo(adj, active, memo) < need:
             return
         b = active & -active
         v = b.bit_length() - 1
         rec(active & ~(adj[v] | b), need - 1, chosen | b)
         rec(active & ~b, need, chosen)
 
-    rec(full, target, 0)
+    rec(full, _alpha_memo(adj, full, memo), 0)
     sets = [VertexSet(g, mask) for mask in found]
     sets.sort(key=lambda s: s.labels())
     return tuple(sets)

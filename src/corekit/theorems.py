@@ -18,9 +18,12 @@ made the first time a checker asks for it and then kept for that graph
 only. The record caches primitives, never a conclusion, so the rule above
 holds unchanged: ker comes from the sweep, core and corona from alpha
 queries or from the enumerated family, pendant-tree values from calls on
-each pendant tree. sweep builds one record per graph and runs the chosen
-checkers against it in the given order, so each graph pays for one subset
-sweep, one alpha and one mu however many checkers read them.
+each pendant tree. The family rests on exhaustive search only
+(independence._alpha_memo), never on the forest, unicyclic, Koenig or
+branch-and-bound paths of alpha, core and corona. sweep builds one record
+per graph and runs the chosen checkers against it in the given order, so
+each graph pays for one subset sweep, one alpha and one mu however many
+checkers read them.
 
 On a bipartite component with more edges than vertices, core() and corona()
 read their answer off one maximum matching (core = D(G) and corona =
@@ -157,18 +160,18 @@ class _Facts:
     @cached_property
     def mis_core(self) -> VertexSet:
         """core as the intersection of the MIS family."""
-        inter = self.mis_family[0]
-        for s in self.mis_family[1:]:
-            inter = inter & s
-        return inter
+        inter = (1 << self.g.n) - 1
+        for s in self.mis_family:
+            inter &= s.mask
+        return VertexSet(self.g, inter)
 
     @cached_property
     def mis_corona(self) -> VertexSet:
         """corona as the union of the MIS family."""
-        union = self.mis_family[0]
-        for s in self.mis_family[1:]:
-            union = union | s
-        return union
+        union = 0
+        for s in self.mis_family:
+            union |= s.mask
+        return VertexSet(self.g, union)
 
     @cached_property
     def matching_read(self) -> bool:

@@ -196,6 +196,44 @@ def subset_sweep_reference(g):
     )
 
 
+def mis_family_reference(g):
+    """The family independence.enumerate_mis gave before its exhaustive
+    alpha memo: the same lowest-vertex recursion, with the target and every
+    pruning bound from the dispatching independence._alpha_active, memoised
+    per mask."""
+    from corekit import VertexSet
+    from corekit.budgets import DEFAULT_BUDGETS
+    from corekit.independence import _alpha_active
+
+    adj = g.adj
+    full = (1 << g.n) - 1
+    memo: dict[int, int] = {}
+
+    def am(active: int) -> int:
+        got = memo.get(active)
+        if got is None:
+            got = memo[active] = _alpha_active(adj, active, DEFAULT_BUDGETS)
+        return got
+
+    found: list[int] = []
+
+    def rec(active: int, need: int, chosen: int) -> None:
+        if need == 0:
+            found.append(chosen)
+            return
+        if active.bit_count() < need or am(active) < need:
+            return
+        b = active & -active
+        v = b.bit_length() - 1
+        rec(active & ~(adj[v] | b), need - 1, chosen | b)
+        rec(active & ~b, need, chosen)
+
+    rec(full, am(full), 0)
+    sets = [VertexSet(g, mask) for mask in found]
+    sets.sort(key=lambda s: s.labels())
+    return tuple(sets)
+
+
 def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> int:
     """The least edge mask over the labellings whose degree vector is
     non-increasing by position, one labelling at a time: the loop that

@@ -214,6 +214,52 @@ def test_verify_budget_errors_exit_3(limit, message):
     assert res.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--random", "-2", "--size", "4"], "argument --random: must be at least 0, got -2"),
+        (["--family", "fixtures", "--max-enum-n", "-1"],
+         "argument --max-enum-n: must be at least 0, got -1"),
+        (["--family", "fixtures", "--max-subset-n", "-1"],
+         "argument --max-subset-n: must be at least 0, got -1"),
+        (["--family", "fixtures", "--matching-limit", "-5"],
+         "argument --matching-limit: must be at least 0, got -5"),
+        (["--family", "fixtures", "--workers", "0"],
+         "argument --workers: must be at least 1, got 0"),
+        (["--family", "fixtures", "--workers", "-3"],
+         "argument --workers: must be at least 1, got -3"),
+        (["--family", "fixtures", "--workers", "two"],
+         "argument --workers: invalid int value: 'two'"),
+    ],
+)
+def test_verify_out_of_range_integers_exit_2(args, message):
+    res = run_cli("verify", "--theorem", "MAIN", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.endswith(f"corekit verify: error: {message}\n")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("cmd", [["analyze", str(FIXDIR / "p3.txt")],
+                                 ["search", "--problem", "1", "--max-n", "4"]])
+def test_negative_budgets_exit_2_on_every_subcommand(cmd):
+    res = run_cli(*cmd, "--max-enum-n", "-1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "argument --max-enum-n: must be at least 0, got -1" in res.stderr
+
+
+def test_boundary_integers_are_accepted():
+    res = run_cli("verify", "--theorem", "MAIN", "--random", "0", "--size", "4",
+                  "--workers", "1")
+    assert res.returncode == 0
+    assert "graphs tested: 0\n" in res.stdout
+    res = run_cli("verify", "--theorem", "MAIN", "--graph", str(FIXDIR / "p3.txt"),
+                  "--max-enum-n", "0", "--matching-limit", "0", "--max-subset-n", "0")
+    assert res.returncode == 0
+    assert res.stdout.endswith("result: all hold\n")
+
+
 def test_verify_one_graph_sweeps_its_subsets_once(monkeypatch, capsys):
     sweep_calls = []
     bruteforce = theorems_module.critical_difference_bruteforce

@@ -21,6 +21,7 @@ from corekit import (
     enumerate_mis,
     is_alpha_critical_edge,
     is_independent,
+    kernel_gap_family,
     random_connected,
     random_tree,
     random_unicyclic,
@@ -28,6 +29,7 @@ from corekit import (
 from corekit.graph import _components_in, _edge_count, _two_coloring
 from helpers import (
     bb_alpha_reference,
+    mis_family_reference,
     oracle_alpha,
     oracle_core,
     oracle_corona,
@@ -104,6 +106,84 @@ def test_enumerate_mis_respects_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_mis(g, Budgets(enum_n=20))
     assert alpha(g) == 11  # the non-enumerating path is not budget-bound here
+
+
+def _adversarial_20():
+    """Shapes on 20 vertices that stress the MIS recursion: 2^10 maximum
+    independent sets from a perfect matching whose pairs sit 10 indices
+    apart, 3^6 * 2 from six triangles plus K2, and dense, sparse, empty and
+    grid graphs."""
+    labels = tuple(f"v{i}" for i in range(20))
+    matching = Graph(labels, tuple(1 << (i + 10) % 20 for i in range(20)), 10)
+    triangles = [(f"t{t}{a}", f"t{t}{b}") for t in range(6) for a, b in ("ab", "bc", "ac")]
+    grid = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(4) for c in range(4)]
+    grid += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(3) for c in range(5)]
+    return {
+        "matching": matching,
+        "triangles": Graph.from_edges(triangles + [("x", "y")]),
+        "K20": complete(20),
+        "K10,10": Graph.from_edges([(f"a{i}", f"b{j}") for i in range(10) for j in range(10)]),
+        "C20": cycle(20),
+        "P20": path(20),
+        "grid4x5": Graph.from_edges(grid),
+        "empty20": Graph.from_edges([], isolated=labels),
+    }
+
+
+def _exhaustive(trees_by_n, unicyclic_by_n, connected_by_n):
+    graphs = [g for n in range(1, 11) for g in trees_by_n[n]]
+    graphs += [g for n in range(3, 11) for g in unicyclic_by_n[n]]
+    graphs += [g for n in range(1, 8) for g in connected_by_n[n]]
+    return graphs
+
+
+def test_enumerate_mis_equals_the_dispatch_pruned_reference(
+    trees_by_n, unicyclic_by_n, connected_by_n
+):
+    graphs = _exhaustive(trees_by_n, unicyclic_by_n, connected_by_n)
+    graphs += [kernel_gap_family(k) for k in range(1, 7)]
+    graphs += [random_connected(2 + i % 19, i // 19) for i in range(300)]
+    graphs += list(_adversarial_20().values())
+    graphs.append(Graph.from_edges([]))
+    for g in graphs:
+        assert enumerate_mis(g) == mis_family_reference(g), g.edge_labels()
+
+
+def test_enumerate_mis_of_the_adversarial_shapes():
+    sizes = {
+        "matching": (10, 2**10),
+        "triangles": (7, 3**6 * 2),
+        "K20": (1, 20),
+        "K10,10": (10, 2),
+        "C20": (10, 2),
+        "P20": (10, 11),
+        "grid4x5": (10, 2),
+        "empty20": (20, 1),
+    }
+    for name, g in _adversarial_20().items():
+        fam = enumerate_mis(g)
+        assert (len(fam[0]), len(fam)) == sizes[name], name
+    empty = enumerate_mis(Graph.from_edges([]))
+    assert len(empty) == 1 and not empty[0]
+
+
+def test_alpha_memo_equals_alpha(trees_by_n, unicyclic_by_n, connected_by_n):
+    """The exhaustive memo against every dispatch branch of alpha."""
+    graphs = _exhaustive(trees_by_n, unicyclic_by_n, connected_by_n)
+    graphs += [random_connected(2 + i % 15, i // 15) for i in range(200)]
+    for g in graphs:
+        assert independence._alpha_memo(g.adj, (1 << g.n) - 1, {}) == alpha(g), g.edge_labels()
+
+
+def test_enumerate_mis_makes_no_dispatch_queries(monkeypatch, all_fixtures, unicyclic_by_n):
+    def refuse(*args):
+        raise AssertionError("enumerate_mis asked the dispatching alpha")
+
+    monkeypatch.setattr(independence, "_alpha_active", refuse)
+    graphs = list(all_fixtures.values())
+    graphs += [g for n in range(3, 9) for g in unicyclic_by_n[n]]
+    for g in graphs:
+        assert enumerate_mis(g)
 
 
 def _disjoint_union(parts):
