@@ -406,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("trees", "unicyclic", "connected", "fixtures", "kernel-gap"),
         help="exhaustive corpus to sweep",
     )
-    p_ver.add_argument("--max-n", type=int, help="largest n for --family")
+    p_ver.add_argument("--max-n", type=_int_at_least(0), help="largest n for --family")
     p_ver.add_argument(
         "--random",
         type=_int_at_least(0),
@@ -429,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "search", parents=[common], help="open-problem searches over corpora"
     )
     p_se.add_argument("--problem", type=int, choices=(1, 2), required=True)
-    p_se.add_argument("--max-n", type=int, required=True)
+    p_se.add_argument("--max-n", type=_int_at_least(0), required=True)
     p_se.add_argument(
         "--family",
         choices=("trees", "unicyclic", "connected"),

@@ -13,8 +13,9 @@ alpha(G) - 1. Removing v or N[v] changes only v's component, so both are
 decided per component, with the same dispatch:
 - forest: one rerooting pass of the tree DP gives alpha(T - v) and
   alpha(T - N[v]) for every v of a tree T at once;
-- unicyclic: the same branch on a cycle vertex u as alpha, then one
-  rerooting pass over each of the forests C - u and C - N[u];
+- unicyclic: the same split on a cycle vertex u as alpha, one rerooting
+  pass over each of the forests C - u and C - N[u], and the set of the side
+  with the larger alpha (on a tie, both sides intersected or united);
 - bipartite with more edges than vertices: one maximum matching of the two
   colour classes and one alternating search give the Gallai-Edmonds set
   D(C), the vertices that some maximum matching misses (Lovasz and
@@ -120,11 +121,10 @@ def _forest_alpha(adj: tuple[int, ...], active: int) -> int:
     return _forest_dp(adj, active)[0]
 
 
-def _forest_removals(
-    adj: tuple[int, ...], active: int, closed: bool
-) -> tuple[int, dict[int, int]]:
-    """alpha of the forest F induced on the active mask, and for every vertex
-    v of F the value alpha(F - N_F[v]) if closed, else alpha(F - v).
+def _forest_removals(adj: tuple[int, ...], active: int, closed: bool) -> tuple[int, int]:
+    """alpha of the forest F induced on the active mask, and the mask of the
+    vertices v of F with alpha(F - X_v) = alpha(F) - 1, where X_v = N_F[v]
+    if closed and X_v = {v} otherwise.
 
     Rerooting: a second pass in walk order gives each vertex v with parent p
     the sizes of the largest independent sets of its up-tree (the tree minus
@@ -132,26 +132,26 @@ def _forest_removals(
         ut[v] = take[p] - skip[v] + us[p]
         us[v] = skip[p] - max(take[v], skip[v]) + ub[p]
     all three 0 at a root. Then alpha(T - v) = skip[v] + ub[v] and
-    alpha(T - N[v]) = take[v] - 1 + us[v] on v's tree T, plus the alpha of
-    the forest's other trees."""
+    alpha(T - N[v]) = take[v] - 1 + us[v] on v's tree T. X_v lies in T, so v
+    drops alpha(F) by one exactly when it drops alpha(T) by one."""
     total, order, parent, take, skip = _forest_dp(adj, active)
     up_skip: dict[int, int] = {}
     up_best: dict[int, int] = {}
-    after: dict[int, int] = {}
-    rest = 0
+    drops = 0
     for v in order:
         p = parent[v]
         if p < 0:
             # a new tree starts; its vertices follow until the next root
-            rest = total - max(take[v], skip[v])
+            tree = max(take[v], skip[v])
             us = ub = 0
         else:
             us = skip[p] - max(take[v], skip[v]) + up_best[p]
             ub = max(take[p] - skip[v] + up_skip[p], us)
         up_skip[v] = us
         up_best[v] = ub
-        after[v] = rest + (take[v] - 1 + us if closed else skip[v] + ub)
-    return total, after
+        if (take[v] - 1 + us if closed else skip[v] + ub) == tree - 1:
+            drops |= 1 << v
+    return total, drops
 
 
 def _bb_set(adj: tuple[int, ...], active: int) -> int:
@@ -232,6 +232,20 @@ def _check_bb(nv: int, budgets: Budgets) -> None:
         )
 
 
+def _cycle_split(adj: tuple[int, ...], comp: int) -> tuple[int, int, int]:
+    """The bit of the lowest cycle vertex u of a unicyclic component C, and
+    the masks of the forests C - u and C - N[u] that splitting on u leaves."""
+    cyc = _strip_to_cycles(adj, comp)
+    u = cyc & -cyc
+    return u, comp & ~u, comp & ~(adj[u.bit_length() - 1] | u)
+
+
+def _matching_class(adj: tuple[int, ...], comp: int) -> int | None:
+    """A colour class of comp if _alpha_drops reads its core and corona off a
+    maximum matching (bipartite, more edges than vertices), else None."""
+    return _two_coloring(adj, comp) if _edge_count(adj, comp) > comp.bit_count() else None
+
+
 def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
     """alpha of the subgraph induced on the active mask, with per-component
     dispatch. The branch-and-bound budget applies per general component."""
@@ -242,13 +256,9 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
         if ne == nv - 1:
             total += _forest_alpha(adj, comp)
         elif ne == nv:
-            # unicyclic: alpha = max(alpha(G - u), 1 + alpha(G - N[u])) for a
-            # cycle vertex u; both arguments are forests
-            cyc = _strip_to_cycles(adj, comp)
-            u = (cyc & -cyc).bit_length() - 1
-            without_u = _forest_alpha(adj, comp & ~(1 << u))
-            with_u = 1 + _forest_alpha(adj, comp & ~(adj[u] | 1 << u))
-            total += max(without_u, with_u)
+            # unicyclic: alpha = max(alpha(C - u), 1 + alpha(C - N[u]))
+            _, without_u, with_u = _cycle_split(adj, comp)
+            total += max(_forest_alpha(adj, without_u), 1 + _forest_alpha(adj, with_u))
         else:
             left = _two_coloring(adj, comp)
             if left is not None:
@@ -292,37 +302,31 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
 
     X_v lies inside v's component C, so the test reads alpha(C - X_v) =
     alpha(C) - 1, component by component. A forest takes one rerooting pass.
-    A unicyclic C branches on a cycle vertex u as alpha does: alpha(C - X_v)
-    is the larger of alpha(F1 - X_v) with F1 = C - u and 1 + alpha(F2 - X_v)
-    with F2 = C - N[u]. For v in N(u) the second branch is 1 + alpha(F2)
-    when X_v = {v} and gone when X_v = N[v]. A bipartite C reads both sets
-    off one maximum matching (see the module docstring). Any other
-    component, within the bb_n budget, starts from one branch-and-bound
-    maximum independent set S: core is what is left of S after each witness
-    of alpha(C - v) = |S| cuts it down, and corona is S grown by each
-    witness W + v of alpha(C - N[v]) = |S| - 1."""
+    A unicyclic C splits on a cycle vertex u as alpha does: every maximum
+    independent set avoids u and is one of C - u (set D1, value alpha(C - u)),
+    or is u plus one of C - N[u] (set D2 + u, value 1 + alpha(C - N[u])). C
+    takes the set of the larger side, on a tie D1 & D2 for core and
+    D1 | D2 | {u} for corona. A bipartite C reads both sets off one
+    maximum matching (see the module docstring). Any other component,
+    within the bb_n budget, starts from one branch-and-bound maximum
+    independent set S: core is what is left of S after each witness of
+    alpha(C - v) = |S| cuts it down, and corona is S grown by each witness
+    W + v of alpha(C - N[v]) = |S| - 1."""
     out = 0
     for comp in _components_in(adj, active):
         nv = comp.bit_count()
         ne = _edge_count(adj, comp)
         if ne == nv - 1:
-            a, after = _forest_removals(adj, comp, closed)
+            out |= _forest_removals(adj, comp, closed)[1]
         elif ne == nv:
-            cyc = _strip_to_cycles(adj, comp)
-            u = (cyc & -cyc).bit_length() - 1
-            nbrs = adj[u] & comp
-            a1, f1 = _forest_removals(adj, comp & ~(1 << u), closed)
-            a2, f2 = _forest_removals(adj, comp & ~(nbrs | 1 << u), closed)
-            a = max(a1, 1 + a2)
-            after = {u: a2 if closed else a1}
-            for v in f1:
-                if not nbrs >> v & 1:
-                    after[v] = max(f1[v], 1 + f2[v])
-                elif closed:
-                    after[v] = f1[v]
-                else:
-                    after[v] = max(f1[v], 1 + a2)
-        elif (left := _two_coloring(adj, comp)) is not None:
+            u, f1, f2 = _cycle_split(adj, comp)
+            a1, d1 = _forest_removals(adj, f1, closed)
+            a2, d2 = _forest_removals(adj, f2, closed)
+            if a1 != a2 + 1:
+                out |= d1 if a1 > a2 + 1 else d2 | u
+            else:
+                out |= d1 | d2 | u if closed else d1 & d2
+        elif (left := _matching_class(adj, comp)) is not None:
             mate = _match(adj, left, comp)
             free = comp
             for t, s in list(mate.items()):
@@ -336,7 +340,6 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
                 for v in _bits(d):
                     nd |= adj[v]
                 out |= comp & ~nd
-            continue
         else:
             _check_bb(nv, budgets)
             known = _bb_set(adj, comp)
@@ -358,10 +361,6 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
                         if w.bit_count() == a:
                             known &= w
             out |= known
-            continue
-        for v, b in after.items():
-            if b == a - 1:
-                out |= 1 << v
     return out
 
 

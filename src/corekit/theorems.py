@@ -52,18 +52,10 @@ from typing import Callable, Iterable, Iterator
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
 from .errors import DomainError
-from .graph import (
-    Graph,
-    VertexSet,
-    _edge_count,
-    _two_coloring,
-    classify_shape,
-    parse_edge_list,
-    serialize,
-)
-from .independence import _alpha_active, _edge_raises_alpha, core, corona, enumerate_mis, is_independent
+from .graph import Graph, VertexSet, classify_shape, parse_edge_list, serialize
+from .independence import _alpha_active, _matching_class, core, corona, enumerate_mis, is_independent
 from .matching import enumerate_maximum_matchings, mu, saturating_matching
-from .unicyclic import decompose, find_cycle
+from .unicyclic import _non_critical_cycle_edges, _pull, decompose, find_cycle
 
 __all__ = [
     "THEOREM_IDS",
@@ -176,13 +168,9 @@ class _Facts:
     @cached_property
     def matching_read(self) -> bool:
         """Whether core() and corona() read some component of the graph off
-        one maximum matching: a bipartite component with more edges than
-        vertices (the Gallai-Edmonds branch of independence._alpha_drops)."""
-        adj = self.g.adj
-        return any(
-            _edge_count(adj, c) > c.bit_count() and _two_coloring(adj, c) is not None
-            for c in self.g.components()
-        )
+        one maximum matching, by the test independence._alpha_drops makes:
+        independence._matching_class (bipartite, more edges than vertices)."""
+        return any(_matching_class(self.g.adj, c) is not None for c in self.g.components())
 
     @cached_property
     def ke_core(self) -> VertexSet:
@@ -295,13 +283,7 @@ def _check_lem2(f: _Facts, gid: str) -> TheoremReport:
     g = f.g
     a, m = f.alpha, f.mu
     total = a + m
-    cycle = f.cycle
-    non_critical = []
-    for k in range(len(cycle)):
-        u, v = cycle[k], cycle[(k + 1) % len(cycle)]
-        if not _edge_raises_alpha(g, u, v, a, f.budgets):
-            non_critical.append((u, v) if u <= v else (v, u))
-    non_critical.sort()
+    non_critical = _non_critical_cycle_edges(g, f.cycle, a, f.budgets)
     bounds_ok = g.n - 1 <= total <= g.n
     iff_ok = (total == g.n - 1) == (not non_critical)
     wit = [
@@ -351,8 +333,9 @@ def _check_th1(f: _Facts, gid: str) -> TheoremReport:
     c = f.ke_core
     nc = f.g.neighborhood(c)
     matchings = enumerate_maximum_matchings(f.g, f.budgets)
+    nc_labels = nc.labels()
     for match in matchings:
-        for v in nc.labels():
+        for v in nc_labels:
             partner = match.matched_to(v)
             if partner is None or partner not in c:
                 return _report(
@@ -423,8 +406,7 @@ def _check_th3(f: _Facts, gid: str) -> TheoremReport:
     dec = f.decomposition
     assembled = dec.cycle_set.mask
     for pt in dec.pendant_trees:
-        for lab in corona(pt.tree, f.budgets).labels():
-            assembled |= 1 << g.index_of(lab)
+        assembled |= _pull(g, corona(pt.tree, f.budgets))
     assembled_set = VertexSet(g, assembled)
     eq_cover = covered == g.full_set()
     eq_parts = assembled_set == cor
@@ -497,8 +479,7 @@ def _check_th12(f: _Facts, gid: str) -> TheoremReport:
     inter = f.mis_core
     union_core = 0
     for pt in dec.pendant_trees:
-        for lab in core(pt.tree, f.budgets).labels():
-            union_core |= 1 << g.index_of(lab)
+        union_core |= _pull(g, core(pt.tree, f.budgets))
     cores_match = VertexSet(g, union_core) == inter
     if not cores_match:
         bad.append(("core_union", _fmt(VertexSet(g, union_core))))
@@ -550,8 +531,7 @@ def _check_kercore(f: _Facts, gid: str) -> TheoremReport:
     c = f.core
     union = 0
     for pt in f.decomposition.pendant_trees:
-        for lab in critical_difference_bruteforce(pt.tree, f.budgets).ker.labels():
-            union |= 1 << g.index_of(lab)
+        union |= _pull(g, critical_difference_bruteforce(pt.tree, f.budgets).ker)
     union_set = VertexSet(g, union)
     wit = [("ker", _fmt(k)), ("pendant_ker_union", _fmt(union_set)), ("core", _fmt(c))]
     if k == union_set and k == c:

@@ -140,19 +140,27 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
     _require_unicyclic(g)
     a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
     total = a + mu(g)
-    cycle = _walk_cycle(g)
-    bad = []
-    for k in range(len(cycle)):
-        u, v = cycle[k], cycle[(k + 1) % len(cycle)]
-        if not _edge_raises_alpha(g, u, v, a, budgets):
-            bad.append((u, v) if u <= v else (v, u))
-    bad.sort()
+    bad = _non_critical_cycle_edges(g, _walk_cycle(g), a, budgets)
     return KeClassification(
         koenig_egervary=total == g.n,
         alpha_plus_mu=total,
         all_cycle_edges_alpha_critical=not bad,
         non_critical_cycle_edges=tuple(bad),
     )
+
+
+def _non_critical_cycle_edges(
+    g: Graph, cycle: tuple[str, ...], a: int, budgets: Budgets
+) -> list[tuple[str, str]]:
+    """The edges of the cycle whose deletion leaves alpha(G) = a unchanged,
+    each as a label-sorted pair, in sorted order."""
+    bad = []
+    for k in range(len(cycle)):
+        u, v = cycle[k], cycle[(k + 1) % len(cycle)]
+        if not _edge_raises_alpha(g, u, v, a, budgets):
+            bad.append((u, v) if u <= v else (v, u))
+    bad.sort()
+    return bad
 
 
 def _require_non_ke(g: Graph, budgets: Budgets) -> Decomposition:

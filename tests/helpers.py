@@ -234,6 +234,76 @@ def mis_family_reference(g):
     return tuple(sets)
 
 
+def _forest_removals_reference(adj: tuple[int, ...], active: int, closed: bool):
+    """alpha of the forest F induced on the active mask and, for each vertex
+    v of F, alpha(F - N_F[v]) if closed, else alpha(F - v): the rerooting
+    pass of independence._forest_removals with its per-vertex table, before
+    it kept only the mask of the vertices whose removal drops alpha."""
+    from corekit.independence import _forest_dp
+
+    total, order, parent, take, skip = _forest_dp(adj, active)
+    up_skip: dict[int, int] = {}
+    up_best: dict[int, int] = {}
+    after: dict[int, int] = {}
+    rest = 0
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            rest = total - max(take[v], skip[v])
+            us = ub = 0
+        else:
+            us = skip[p] - max(take[v], skip[v]) + up_best[p]
+            ub = max(take[p] - skip[v] + up_skip[p], us)
+        up_skip[v] = us
+        up_best[v] = ub
+        after[v] = rest + (take[v] - 1 + us if closed else skip[v] + ub)
+    return total, after
+
+
+def unicyclic_drops_reference(g, closed: bool):
+    """core(g) if not closed, corona(g) if closed, as
+    independence._alpha_drops gave them before its unicyclic branch took the
+    set of the larger side of the split: each forest and unicyclic component
+    gets a per-vertex table of alpha(C - X_v), and on a unicyclic component
+    the tables of C - u and C - N[u] (u its lowest cycle vertex) are merged
+    vertex by vertex, with the neighbours of u as special cases. Every other
+    component goes to the library's _alpha_drops."""
+    from corekit import VertexSet
+    from corekit.budgets import DEFAULT_BUDGETS
+    from corekit.graph import _components_in, _edge_count, _strip_to_cycles
+    from corekit.independence import _alpha_drops
+
+    adj = g.adj
+    out = 0
+    for comp in _components_in(adj, (1 << g.n) - 1):
+        nv = comp.bit_count()
+        ne = _edge_count(adj, comp)
+        if ne == nv - 1:
+            a, after = _forest_removals_reference(adj, comp, closed)
+        elif ne == nv:
+            cyc = _strip_to_cycles(adj, comp)
+            u = (cyc & -cyc).bit_length() - 1
+            nbrs = adj[u] & comp
+            a1, f1 = _forest_removals_reference(adj, comp & ~(1 << u), closed)
+            a2, f2 = _forest_removals_reference(adj, comp & ~(nbrs | 1 << u), closed)
+            a = max(a1, 1 + a2)
+            after = {u: a2 if closed else a1}
+            for v in f1:
+                if not nbrs >> v & 1:
+                    after[v] = max(f1[v], 1 + f2[v])
+                elif closed:
+                    after[v] = f1[v]
+                else:
+                    after[v] = max(f1[v], 1 + a2)
+        else:
+            out |= _alpha_drops(adj, comp, DEFAULT_BUDGETS, closed)
+            continue
+        for v, b in after.items():
+            if b == a - 1:
+                out |= 1 << v
+    return VertexSet(g, out)
+
+
 def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> int:
     """The least edge mask over the labellings whose degree vector is
     non-increasing by position, one labelling at a time: the loop that

@@ -230,6 +230,9 @@ def test_verify_budget_errors_exit_3(limit, message):
          "argument --workers: must be at least 1, got -3"),
         (["--family", "fixtures", "--workers", "two"],
          "argument --workers: invalid int value: 'two'"),
+        (["--family", "trees", "--max-n", "-3"], "argument --max-n: must be at least 0, got -3"),
+        (["--family", "unicyclic", "--max-n", "-1"],
+         "argument --max-n: must be at least 0, got -1"),
     ],
 )
 def test_verify_out_of_range_integers_exit_2(args, message):
@@ -237,6 +240,14 @@ def test_verify_out_of_range_integers_exit_2(args, message):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.endswith(f"corekit verify: error: {message}\n")
+    assert "Traceback" not in res.stderr
+
+
+def test_search_negative_max_n_exits_2():
+    res = run_cli("search", "--problem", "1", "--max-n", "-2")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.endswith("corekit search: error: argument --max-n: must be at least 0, got -2\n")
     assert "Traceback" not in res.stderr
 
 

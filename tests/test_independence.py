@@ -26,7 +26,9 @@ from corekit import (
     random_tree,
     random_unicyclic,
 )
+from corekit.budgets import DEFAULT_BUDGETS
 from corekit.graph import _components_in, _edge_count, _two_coloring
+from corekit.theorems import _Facts
 from helpers import (
     bb_alpha_reference,
     mis_family_reference,
@@ -34,6 +36,7 @@ from helpers import (
     oracle_core,
     oracle_corona,
     oracle_mis_family,
+    unicyclic_drops_reference,
 )
 
 
@@ -231,6 +234,28 @@ def test_core_and_corona_match_definition_on_large_inputs():
             assert set(corona(g).labels()) == in_corona
 
 
+def test_unicyclic_split_equals_the_per_vertex_reference():
+    graphs = [random_unicyclic(n, s) for n in (30, 200, 1000) for s in range(20)]
+    # a unicyclic graph, a tree and a general graph in one call
+    mixed = 0
+    for seed in range(30):
+        g = _disjoint_union(
+            [
+                random_unicyclic(3 + seed % 12, seed),
+                random_tree(1 + seed % 9, seed),
+                random_connected(4 + seed % 9, seed),
+            ]
+        )
+        mixed += any(
+            _edge_count(g.adj, c) > c.bit_count() for c in _components_in(g.adj, (1 << g.n) - 1)
+        )
+        graphs.append(g)
+    assert mixed >= 20
+    for g in graphs:
+        assert core(g) == unicyclic_drops_reference(g, closed=False), g.edge_labels()
+        assert corona(g) == unicyclic_drops_reference(g, closed=True), g.edge_labels()
+
+
 def _definition(g):
     """core and corona by one alpha query per vertex."""
     a = alpha(g)
@@ -372,6 +397,33 @@ def test_bipartite_core_and_corona_match_definition_on_random_graphs():
         assert set(core(g).labels()) == in_core, seed
         assert set(corona(g).labels()) == in_corona, seed
     assert dense >= 100
+
+
+def test_matching_read_follows_the_gallai_edmonds_branch(monkeypatch, connected_by_n):
+    calls = []
+    real = independence._even_reach
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(independence, "_even_reach", counting)
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
+    graphs += [random_connected(8 + seed % 23, seed) for seed in range(200)]
+    graphs += [_random_bipartite(seed) for seed in range(200)]
+    for seed in range(30):
+        graphs.append(
+            _disjoint_union(
+                [random_connected(4 + seed % 9, seed), _random_bipartite(seed), random_tree(3, seed)]
+            )
+        )
+    read = 0
+    for g in graphs:
+        calls.clear()
+        core(g)
+        read += bool(calls)
+        assert _Facts(g, DEFAULT_BUDGETS).matching_read == bool(calls), g.edge_labels()
+    assert 100 <= read <= len(graphs) - 100
 
 
 def test_core_and_corona_need_no_recursion_on_a_long_path():
