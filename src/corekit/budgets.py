@@ -10,11 +10,10 @@ bounded, by enum_n and matching_limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     # max n for family enumeration (maximum independent sets, maximum matchings)
     enum_n: int = 20
     # max n for the 2^n subset sweep (critical_difference_bruteforce), whose

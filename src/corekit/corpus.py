@@ -29,10 +29,10 @@ stream is reproducible from (n, seed) alone, independent of process history.
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import sys
 from array import array
-from importlib import resources
 from itertools import groupby, permutations, product
 from typing import Iterator
 
@@ -77,9 +77,12 @@ FIXTURE_NAMES = (
 
 
 def fixture_text(name: str) -> str:
+    """The packaged file, read through this module's loader, which serves
+    files beside it from a directory or a zip archive alike."""
     if name not in FIXTURE_NAMES:
         raise DomainError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    return (resources.files("corekit") / "fixtures" / f"{name}.txt").read_text("utf-8")
+    path = os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.txt")
+    return __loader__.get_data(path).decode("utf-8")
 
 
 def fixture(name: str) -> Graph:

@@ -26,7 +26,7 @@ at n = 20 and 4 GB at n = 30, so subset_n stays small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError
@@ -47,8 +47,7 @@ def diff(g: Graph, xs: VertexSet) -> int:
     return len(xs) - len(g.neighborhood(xs))
 
 
-@dataclass(frozen=True)
-class CriticalReport:
+class CriticalReport(NamedTuple):
     """Everything the subset sweep knows about one graph."""
 
     d_c: int

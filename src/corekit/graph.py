@@ -9,8 +9,7 @@ deletions) are new objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, OwnershipError, ParseError
 
@@ -459,8 +458,7 @@ class VertexSet:
         return "{" + ", ".join(self.labels()) + "}"
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(NamedTuple):
     """Structural classification used for algorithm dispatch.
 
     kind is one of 'tree', 'forest', 'unicyclic', 'other'; tree and forest are

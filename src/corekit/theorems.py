@@ -44,10 +44,9 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
@@ -87,8 +86,7 @@ THEOREM_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of one checker on one graph.
 
     holds is None exactly when applicable is False; witness carries the
@@ -591,8 +589,7 @@ def check(
 # -- sweeps --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     family: str
     theorem_ids: tuple[str, ...]
     graphs_tested: int
@@ -767,8 +764,7 @@ def sweep(
 # -- open-problem searches ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Problem1Report:
+class Problem1Report(NamedTuple):
     """Non-bipartite KE unicyclic graphs up to max_n, split by whether
     core = ker."""
 

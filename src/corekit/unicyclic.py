@@ -13,7 +13,7 @@ whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
@@ -66,8 +66,7 @@ def _walk_cycle(g: Graph) -> tuple[str, ...]:
     return tuple(labels[i] for i in order)
 
 
-@dataclass(frozen=True)
-class PendantTree:
+class PendantTree(NamedTuple):
     """One tree hanging off the cycle.
 
     root is the tree vertex adjacent to the cycle, anchor the cycle vertex it
@@ -81,8 +80,7 @@ class PendantTree:
     tree: Graph
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     graph: Graph
     cycle: tuple[str, ...]
     cycle_set: VertexSet
@@ -125,8 +123,7 @@ def decompose(g: Graph) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class KeClassification:
+class KeClassification(NamedTuple):
     koenig_egervary: bool
     alpha_plus_mu: int
     all_cycle_edges_alpha_critical: bool

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output shape, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -406,6 +407,30 @@ def test_cli_import_loads_no_process_pool():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_cli_runs_load_no_dataclasses_inspect_or_zipfile():
+    # -S keeps site-packages .pth files from importing these themselves
+    code = (
+        "import sys; from corekit.cli import main\n"
+        "def loaded(*names): return [m for m in names if m in sys.modules]\n"
+        "main(['generate', '--fixture', 'k1'])\n"
+        "print('loaded', loaded('dataclasses', 'inspect', 'zipfile'))\n"
+        "main(['analyze', '--format', 'json', sys.argv[1]])\n"
+        "print('loaded', loaded('dataclasses', 'inspect'))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(FIXDIR / "uni10-nonke.txt")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert res.returncode == 0, res.stderr
+    assert [line for line in res.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded []",
+        "loaded []",
+    ]
 
 
 def test_generate_fixture_matches_canonical_serialization():
