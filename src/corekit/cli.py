@@ -27,20 +27,18 @@ from .corpus import (
 )
 from .critical import _check_subset_n, critical_difference, ker
 from .errors import BudgetExceededError, CorekitError
-from .graph import Graph, classify_shape, parse_edge_list, serialize
-from .independence import alpha, core, corona
-from .matching import mu
+from .graph import Graph, parse_edge_list, serialize
 from .theorems import (
     THEOREM_IDS,
     _check_graph,
     _compact,
+    _Facts,
     _known_ids,
     _summarize,
     search_problem1,
     sum_defect_histogram,
     sweep,
 )
-from .unicyclic import decompose
 
 _EXIT_OK = 0
 _EXIT_COUNTEREXAMPLE = 1
@@ -80,7 +78,8 @@ def _budgets_from(args: argparse.Namespace) -> Budgets:
 
 
 def _read_graph(path: str) -> Graph:
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a byte-order mark, which would start the first label
+    text = Path(path).read_text(encoding="utf-8-sig")
     return parse_edge_list(text)
 
 
@@ -88,34 +87,31 @@ def _read_graph(path: str) -> Graph:
 
 
 def _analysis_record(gid: str, g: Graph, budgets: Budgets) -> dict:
-    shape = classify_shape(g)
-    a = alpha(g, budgets)
-    m = mu(g)
-    c = core(g, budgets)
-    cor = corona(g, budgets)
-    k = ker(g)
-    d_c = critical_difference(g)
+    """The analyze report from one theorems._Facts record, computed in the
+    order shape, alpha, mu, core, corona, ker, d_c as the dict is built. ker
+    and d_c stay out of the record, whose checkers take ker from the sweep."""
+    f = _Facts(g, budgets)
     record = {
         "graph_id": gid,
         "n": g.n,
         "m": g.m,
         "shape": {
-            "kind": shape.kind,
-            "connected": shape.connected,
-            "bipartite": shape.bipartite,
+            "kind": f.shape.kind,
+            "connected": f.shape.connected,
+            "bipartite": f.shape.bipartite,
         },
-        "alpha": a,
-        "mu": m,
-        "ke": a + m == g.n,
-        "core": list(c.labels()),
-        "corona": list(cor.labels()),
-        "ker": list(k.labels()),
-        "d_c": d_c,
-        "sum_defect": len(cor) + len(c) - 2 * a,
+        "alpha": f.alpha,
+        "mu": f.mu,
+        "ke": f.alpha + f.mu == g.n,
+        "core": list(f.core.labels()),
+        "corona": list(f.corona.labels()),
+        "ker": list(ker(g).labels()),
+        "d_c": critical_difference(g),
+        "sum_defect": f.sum_defect,
         "unicyclic": None,
     }
-    if shape.connected and shape.kind == "unicyclic":
-        dec = decompose(g)
+    if f.unicyclic:
+        dec = f.decomposition
         record["unicyclic"] = {
             "cycle": list(dec.cycle),
             "n1": list(dec.outer_roots().labels()),

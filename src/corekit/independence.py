@@ -1,11 +1,12 @@
 """Independence-number machinery: alpha, the maximum-independent-set family,
 core (vertices in every MIS) and corona (vertices in some MIS).
 
-alpha dispatches per connected component: trees get a linear DP, unicyclic
-components reduce to two forest DPs by branching on one cycle vertex,
-bipartite components get alpha = n - mu from the package's one augmenting-path
-matcher (graph._match; Koenig's theorem), and everything else goes through
-exact branch-and-bound under a size budget.
+alpha dispatches per connected component, on the kind that _branches gives
+it, the one dispatch decision of this module: trees get a linear DP,
+unicyclic components reduce to two forest DPs by branching on one cycle
+vertex, bipartite components get alpha = n - mu from the package's one
+augmenting-path matcher (graph._match; Koenig's theorem), and everything else
+goes through exact branch-and-bound under a size budget.
 
 core and corona never enumerate the MIS family: v is in core iff
 alpha(G - v) = alpha(G) - 1, and v is in corona iff alpha(G - N[v]) =
@@ -240,33 +241,42 @@ def _cycle_split(adj: tuple[int, ...], comp: int) -> tuple[int, int, int]:
     return u, comp & ~u, comp & ~(adj[u.bit_length() - 1] | u)
 
 
-def _matching_class(adj: tuple[int, ...], comp: int) -> int | None:
-    """A colour class of comp if _alpha_drops reads its core and corona off a
-    maximum matching (bipartite, more edges than vertices), else None."""
-    return _two_coloring(adj, comp) if _edge_count(adj, comp) > comp.bit_count() else None
+def _branches(adj: tuple[int, ...], active: int):
+    """(kind, comp, left) for each component of the subgraph induced on the
+    active mask: kind is "forest", "unicyclic", "bipartite" (2-colourable
+    with more edges than vertices; left is a colour class) or "general",
+    and left is None but for "bipartite". No cycle is stripped here: the
+    unicyclic consumers call _cycle_split, and a caller that asks only for
+    the kinds (theorems._Facts.matching_read) pays for no strip."""
+    for comp in _components_in(adj, active):
+        extra = _edge_count(adj, comp) - comp.bit_count()
+        if extra < 0:
+            yield "forest", comp, None
+        elif extra == 0:
+            yield "unicyclic", comp, None
+        elif (left := _two_coloring(adj, comp)) is not None:
+            yield "bipartite", comp, left
+        else:
+            yield "general", comp, None
 
 
 def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
     """alpha of the subgraph induced on the active mask, with per-component
     dispatch. The branch-and-bound budget applies per general component."""
     total = 0
-    for comp in _components_in(adj, active):
-        nv = comp.bit_count()
-        ne = _edge_count(adj, comp)
-        if ne == nv - 1:
+    for kind, comp, left in _branches(adj, active):
+        if kind == "forest":
             total += _forest_alpha(adj, comp)
-        elif ne == nv:
-            # unicyclic: alpha = max(alpha(C - u), 1 + alpha(C - N[u]))
+        elif kind == "unicyclic":
+            # alpha = max(alpha(C - u), 1 + alpha(C - N[u]))
             _, without_u, with_u = _cycle_split(adj, comp)
             total += max(_forest_alpha(adj, without_u), 1 + _forest_alpha(adj, with_u))
+        elif kind == "bipartite":
+            # Koenig: alpha = n - mu on a bipartite component
+            total += comp.bit_count() - len(_match(adj, left, comp))
         else:
-            left = _two_coloring(adj, comp)
-            if left is not None:
-                # Koenig: alpha = n - mu on a bipartite component
-                total += nv - len(_match(adj, left, comp))
-            else:
-                _check_bb(nv, budgets)
-                total += _bb_set(adj, comp).bit_count()
+            _check_bb(comp.bit_count(), budgets)
+            total += _bb_set(adj, comp).bit_count()
     return total
 
 
@@ -301,24 +311,13 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
     and X_v = {v} otherwise.
 
     X_v lies inside v's component C, so the test reads alpha(C - X_v) =
-    alpha(C) - 1, component by component. A forest takes one rerooting pass.
-    A unicyclic C splits on a cycle vertex u as alpha does: every maximum
-    independent set avoids u and is one of C - u (set D1, value alpha(C - u)),
-    or is u plus one of C - N[u] (set D2 + u, value 1 + alpha(C - N[u])). C
-    takes the set of the larger side, on a tie D1 & D2 for core and
-    D1 | D2 | {u} for corona. A bipartite C reads both sets off one
-    maximum matching (see the module docstring). Any other component,
-    within the bb_n budget, starts from one branch-and-bound maximum
-    independent set S: core is what is left of S after each witness of
-    alpha(C - v) = |S| cuts it down, and corona is S grown by each witness
-    W + v of alpha(C - N[v]) = |S| - 1."""
+    alpha(C) - 1 on each component from _branches, by the branch the module
+    docstring describes for its kind."""
     out = 0
-    for comp in _components_in(adj, active):
-        nv = comp.bit_count()
-        ne = _edge_count(adj, comp)
-        if ne == nv - 1:
+    for kind, comp, left in _branches(adj, active):
+        if kind == "forest":
             out |= _forest_removals(adj, comp, closed)[1]
-        elif ne == nv:
+        elif kind == "unicyclic":
             u, f1, f2 = _cycle_split(adj, comp)
             a1, d1 = _forest_removals(adj, f1, closed)
             a2, d2 = _forest_removals(adj, f2, closed)
@@ -326,7 +325,7 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
                 out |= d1 if a1 > a2 + 1 else d2 | u
             else:
                 out |= d1 | d2 | u if closed else d1 & d2
-        elif (left := _matching_class(adj, comp)) is not None:
+        elif kind == "bipartite":
             mate = _match(adj, left, comp)
             free = comp
             for t, s in list(mate.items()):
@@ -341,7 +340,7 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
                     nd |= adj[v]
                 out |= comp & ~nd
         else:
-            _check_bb(nv, budgets)
+            _check_bb(comp.bit_count(), budgets)
             known = _bb_set(adj, comp)
             a = known.bit_count()
             if closed:

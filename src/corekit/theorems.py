@@ -11,19 +11,20 @@ statements under test), and core/corona of pendant trees come from alpha
 queries on the tree, not from the structural_* functions.
 
 The checkers read a graph's primitives from a per-graph record (_Facts):
-shape, alpha, mu, core, corona, the family of maximum independent sets, the
-subset-sweep report, the cycle and the unicyclic decomposition. Each value
-is the result of the same primitive call a checker would make on its own,
-made the first time a checker asks for it and then kept for that graph
-only. The record caches primitives, never a conclusion, so the rule above
-holds unchanged: ker comes from the sweep, core and corona from alpha
-queries or from the enumerated family, pendant-tree values from calls on
-each pendant tree. The family rests on exhaustive search only
-(independence._alpha_memo), never on the forest, unicyclic, Koenig or
-branch-and-bound paths of alpha, core and corona. sweep builds one record
-per graph and runs the chosen checkers against it in the given order, so
-each graph pays for one subset sweep, one alpha and one mu however many
-checkers read them.
+shape, alpha, mu, core, corona, the sum defect, the family of maximum
+independent sets, the subset-sweep report, the cycle and the unicyclic
+decomposition. It also serves `analyze` (cli._analysis_record) and `search
+--problem 2` (classify_sum_defect). Each value is the result of the same
+primitive call a checker would make on its own, made the first time it is
+asked for and then kept for that graph only. The record caches primitives,
+never a conclusion, so the rule above holds unchanged: ker comes from the
+sweep, core and corona from alpha queries or from the enumerated family,
+pendant-tree values from calls on each pendant tree. The family rests on
+exhaustive search only (independence._alpha_memo), never on the forest,
+unicyclic, Koenig or branch-and-bound paths of alpha, core and corona. sweep
+builds one record per graph and runs the chosen checkers against it in the
+given order, so each graph pays for one subset sweep, one alpha and one mu
+however many checkers read them.
 
 On a bipartite component with more edges than vertices, core() and corona()
 read their answer off one maximum matching (core = D(G) and corona =
@@ -32,7 +33,8 @@ V - A(G), the Gallai-Edmonds sets), so N(core) = V - corona and
 statements of that kind (TH1, TH2B, TH4A and TH4B) therefore take core and
 corona from the enumerated family whenever the graph has such a component,
 as TH11 and TH12 always do; on every other graph they read core() and
-corona() like the rest.
+corona() like the rest. _Facts.matching_read asks independence._branches,
+the dispatch core() and corona() follow, whether the graph has one.
 
 A report's witness payload is re-verified under its defining predicate before
 it is returned (matchings are rebuilt through the validating constructor and
@@ -52,7 +54,7 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
 from .errors import DomainError
 from .graph import Graph, VertexSet, classify_shape, parse_edge_list, serialize
-from .independence import _alpha_active, _matching_class, core, corona, enumerate_mis, is_independent
+from .independence import _alpha_active, _branches, core, corona, enumerate_mis, is_independent
 from .matching import enumerate_maximum_matchings, mu, saturating_matching
 from .unicyclic import _non_critical_cycle_edges, _pull, decompose, find_cycle
 
@@ -164,11 +166,15 @@ class _Facts:
         return VertexSet(self.g, union)
 
     @cached_property
+    def sum_defect(self) -> int:
+        """|corona| + |core| - 2 alpha."""
+        return len(self.corona) + len(self.core) - 2 * self.alpha
+
+    @cached_property
     def matching_read(self) -> bool:
         """Whether core() and corona() read some component of the graph off
-        one maximum matching, by the test independence._alpha_drops makes:
-        independence._matching_class (bipartite, more edges than vertices)."""
-        return any(_matching_class(self.g.adj, c) is not None for c in self.g.components())
+        one maximum matching: the dispatch gives it kind "bipartite"."""
+        return any(k == "bipartite" for k, _, _ in _branches(self.g.adj, (1 << self.g.n) - 1))
 
     @cached_property
     def ke_core(self) -> VertexSet:
@@ -498,10 +504,9 @@ def _check_main(f: _Facts, gid: str) -> TheoremReport:
     when the graph is not unicyclic, since the inapplicable value is itself
     informative."""
     a, m = f.alpha, f.mu
-    total = len(f.corona) + len(f.core)
-    defect = total - 2 * a
+    defect = f.sum_defect
     wit = [
-        ("sum", total),
+        ("sum", defect + 2 * a),
         ("two_alpha", 2 * a),
         ("sum_defect", defect),
         ("alpha_plus_mu", a + m),
@@ -801,8 +806,7 @@ def search_problem1(max_n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Problem1R
 def classify_sum_defect(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """|corona(G)| + |core(G)| - 2 alpha(G); 0 or 1 on connected unicyclic
     graphs, unconstrained in general."""
-    a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
-    return len(corona(g, budgets)) + len(core(g, budgets)) - 2 * a
+    return _Facts(g, budgets).sum_defect
 
 
 def sum_defect_histogram(

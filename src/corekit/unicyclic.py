@@ -20,7 +20,7 @@ from .critical import ker
 from .errors import NotUnicyclicError, PreconditionError
 from .graph import Graph, VertexSet, _components_in, _cycle_order, _strip_to_cycles
 from .independence import _alpha_active, _edge_raises_alpha, core, corona
-from .matching import mu
+from .matching import is_koenig_egervary, mu
 
 __all__ = [
     "find_cycle",
@@ -162,7 +162,7 @@ def _non_critical_cycle_edges(
 
 def _require_non_ke(g: Graph, budgets: Budgets) -> Decomposition:
     _require_unicyclic(g)
-    if _alpha_active(g.adj, (1 << g.n) - 1, budgets) + mu(g) == g.n:
+    if is_koenig_egervary(g, budgets):
         raise PreconditionError(
             "structural core/corona/ker need alpha + mu = n - 1; "
             "this graph is Koenig-Egervary"

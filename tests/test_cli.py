@@ -107,6 +107,63 @@ def test_non_utf8_input_exits_2_without_traceback(tmp_path):
         assert res.stdout == "", args
 
 
+def test_analyze_reads_a_byte_order_mark_as_no_part_of_a_label(tmp_path, capsys):
+    tri = tmp_path / "bom.txt"
+    tri.write_bytes(b"\xef\xbb\xbfa b\nb c\nc a\n")
+    assert cli_module.main(["analyze", str(tri)]) == 0
+    out = capsys.readouterr().out
+    assert "n: 3\n" in out
+    assert "shape: unicyclic (connected, non-bipartite)\n" in out
+    assert "corona: {a, b, c}\n" in out
+
+
+def test_verify_graph_reads_a_byte_order_mark_as_no_part_of_a_label(tmp_path, capsys):
+    tri = tmp_path / "bom.txt"
+    tri.write_bytes(b"\xef\xbb\xbfa b\nb c\nc a\n")
+    assert cli_module.main(["verify", "--theorem", "MAIN", "--graph", str(tri)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("MAIN bom applicable=true holds=true sum=3 two_alpha=2 sum_defect=1 ")
+
+
+_ONE_EACH = ("classify_shape", "alpha", "mu", "core", "corona")
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: cli_module.main(["analyze", str(FIXDIR / "uni10-nonke.txt")]),
+         _ONE_EACH + ("decompose",)),
+        (lambda: cli_module.main(["analyze", str(FIXDIR / "bicyclic10-ke.txt")]), _ONE_EACH),
+        (lambda: theorems_module.classify_sum_defect(fixture("uni10-nonke")),
+         ("alpha", "core", "corona")),
+    ],
+    ids=["analyze-uni10-nonke", "analyze-bicyclic10-ke", "classify_sum_defect"],
+)
+def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected):
+    # every value comes through the record's bindings in theorems, once
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("classify_shape", "mu", "core", "corona", "decompose"):
+        monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
+    alpha_active = theorems_module._alpha_active
+
+    def counted_alpha(adj, active, budgets):
+        if active == (1 << len(adj)) - 1:
+            calls.append("alpha")
+        return alpha_active(adj, active, budgets)
+
+    monkeypatch.setattr(theorems_module, "_alpha_active", counted_alpha)
+    run()
+    capsys.readouterr()
+    assert sorted(calls) == sorted(expected)
+
+
 def test_verify_single_graph_reports_and_exits_0():
     res = run_cli("verify", "--theorem", "TH4B", "--graph", str(FIXDIR / "uni10-nonke.txt"))
     assert res.returncode == 0
