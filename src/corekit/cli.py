@@ -233,19 +233,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("error: --family needs --max-n", file=sys.stderr)
             return _EXIT_USAGE
         items = family_items(args.family, max_n=args.max_n, budgets=budgets)
-        # TH2A and ZHANG sweep the subsets of every graph: refuse an order
-        # above subset_n before the first graph, not after all smaller ones.
-        # An unknown id is still a usage error first, as in sweep.
-        sweeps_all = "TH2A" in _known_ids(tids) or "ZHANG" in tids
-        if sweeps_all and args.family in ("trees", "unicyclic", "connected"):
-            for n in _family_orders(args.family, args.max_n, budgets):
-                _check_subset_n(n, budgets)
         family = args.family if args.family == "fixtures" else f"{args.family}(max_n={args.max_n})"
     else:
         print("error: one of --graph/--family/--random is required", file=sys.stderr)
         return _EXIT_USAGE
 
     if single is None:
+        # TH2A and ZHANG sweep the subsets of every graph: refuse an order
+        # above subset_n before the first graph is made, not after all
+        # smaller ones. An unknown id is still a usage error first, as in
+        # sweep.
+        if "TH2A" in _known_ids(tids) or "ZHANG" in tids:
+            orders = ()
+            if args.random is not None:
+                orders = (args.size,) if args.random else ()
+            elif args.family in ("trees", "unicyclic", "connected"):
+                orders = _family_orders(args.family, args.max_n, budgets)
+            for n in orders:
+                _check_subset_n(n, budgets)
         summary = sweep(
             items,
             tids,

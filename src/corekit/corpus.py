@@ -133,12 +133,10 @@ def prufer_decode(seq: tuple[int, ...]) -> Graph:
 
 
 def _rooted_code(adj: tuple[int, ...], root: int, parent: int) -> str:
-    subs = []
-    rest = adj[root] & ~(1 << parent if parent >= 0 else 0)
-    while rest:
-        b = rest & -rest
-        subs.append(_rooted_code(adj, b.bit_length() - 1, root))
-        rest ^= b
+    kids = adj[root] & ~(1 << parent if parent >= 0 else 0)
+    if not kids:
+        return "()"  # a leaf, about half the calls, starts no generator
+    subs = [_rooted_code(adj, u, root) for u in _bits(kids)]
     subs.sort()
     return "(" + "".join(subs) + ")"
 
@@ -155,11 +153,7 @@ def _tree_centers(adj: tuple[int, ...], n: int) -> list[int]:
         for v in layer:
             alive &= ~(1 << v)
             remaining -= 1
-            rest = adj[v] & alive
-            while rest:
-                b = rest & -rest
-                u = b.bit_length() - 1
-                rest ^= b
+            for u in _bits(adj[v] & alive):
                 degree[u] -= 1
                 if degree[u] == 1:
                     nxt.append(u)
@@ -193,13 +187,7 @@ def unicyclic_code(g: Graph) -> str:
     order = _cycle_order(adj, cyc)
     codes = []
     for v in order:
-        sub = []
-        rest = adj[v] & ~cyc
-        while rest:
-            b = rest & -rest
-            sub.append(_rooted_code(adj, b.bit_length() - 1, v))
-            rest ^= b
-        sub.sort()
+        sub = sorted(_rooted_code(adj, u, v) for u in _bits(adj[v] & ~cyc))
         codes.append("(" + "".join(sub) + ")")
     return _necklace_code(codes)
 

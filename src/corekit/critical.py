@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError
-from .graph import Graph, VertexSet, _bits, _even_reach, _match
+from .graph import Graph, VertexSet, _even_reach, _match, _union
 
 __all__ = [
     "diff",
@@ -138,9 +138,7 @@ def critical_difference_bruteforce(
     slices: list[int] = []
     clash = 0
     for u, nbrs in enumerate(g.adj):
-        near = 0
-        for w in _bits(nbrs):
-            near |= planes[w]
+        near = _union(planes, nbrs)
         clash |= planes[u] & near
         _add(slices, planes[u])
         _add(slices, full ^ near)

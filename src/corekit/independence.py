@@ -60,6 +60,7 @@ from .graph import (
     _match,
     _strip_to_cycles,
     _two_coloring,
+    _union,
 )
 
 __all__ = [
@@ -96,7 +97,7 @@ def _forest_dp(
             v = stack.pop()
             order.append(v)
             nb = adj[v] & active & ~seen
-            while nb:
+            while nb:  # inline, not _bits (1.4x per bit): each vertex of every tree DP
                 b = nb & -nb
                 u = b.bit_length() - 1
                 nb ^= b
@@ -115,11 +116,6 @@ def _forest_dp(
         else:
             total += max(take[v], skip[v])
     return total, order, parent, take, skip
-
-
-def _forest_alpha(adj: tuple[int, ...], active: int) -> int:
-    """Exact alpha of an acyclic induced subgraph via the classic tree DP."""
-    return _forest_dp(adj, active)[0]
 
 
 def _forest_removals(adj: tuple[int, ...], active: int, closed: bool) -> tuple[int, int]:
@@ -164,38 +160,32 @@ def _bb_set(adj: tuple[int, ...], active: int) -> int:
 
     def rec(active: int, chosen: int, size: int) -> None:
         nonlocal best, best_size
-        # reductions: vertices of active degree <= 1 can always be taken
+        # reductions: a vertex of active degree <= 1 can always be taken. A
+        # scan that finds none has also found v, the first vertex of maximum
+        # degree, to branch on.
         while active:
-            picked = -1
+            vdeg = 1
             rest = active
-            while rest:
+            while rest:  # inline, not _bits (1.4x per bit): one scan per search node
                 b = rest & -rest
-                v = b.bit_length() - 1
+                u = b.bit_length() - 1
                 rest ^= b
-                if (adj[v] & active).bit_count() <= 1:
-                    picked = v
+                d = (adj[u] & active).bit_count()
+                if d <= 1:
                     break
-            if picked < 0:
+                if d > vdeg:
+                    v, vdeg = u, d
+            else:  # no vertex to reduce
                 break
             size += 1
-            chosen |= 1 << picked
-            active &= ~(adj[picked] | 1 << picked)
+            chosen |= b
+            active &= ~(adj[u] | b)
         if not active:
             if size > best_size:
                 best, best_size = chosen, size
             return
         if size + active.bit_count() <= best_size:
             return
-        v = -1
-        vdeg = -1
-        rest = active
-        while rest:
-            b = rest & -rest
-            u = b.bit_length() - 1
-            rest ^= b
-            d = (adj[u] & active).bit_count()
-            if d > vdeg:
-                v, vdeg = u, d
         rec(active & ~(adj[v] | 1 << v), chosen | 1 << v, size + 1)
         rec(active & ~(1 << v), chosen, size)
 
@@ -211,7 +201,7 @@ def _greedy_set(adj: tuple[int, ...], active: int) -> int:
         v = -1
         vdeg = -1
         rest = active
-        while rest:
+        while rest:  # inline, not _bits (1.4x per bit): one scan per vertex taken
             b = rest & -rest
             u = b.bit_length() - 1
             rest ^= b
@@ -266,11 +256,11 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
     total = 0
     for kind, comp, left in _branches(adj, active):
         if kind == "forest":
-            total += _forest_alpha(adj, comp)
+            total += _forest_dp(adj, comp)[0]
         elif kind == "unicyclic":
             # alpha = max(alpha(C - u), 1 + alpha(C - N[u]))
             _, without_u, with_u = _cycle_split(adj, comp)
-            total += max(_forest_alpha(adj, without_u), 1 + _forest_alpha(adj, with_u))
+            total += max(_forest_dp(adj, without_u)[0], 1 + _forest_dp(adj, with_u)[0])
         elif kind == "bipartite":
             # Koenig: alpha = n - mu on a bipartite component
             total += comp.bit_count() - len(_match(adj, left, comp))
@@ -335,10 +325,7 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
             if not closed:
                 out |= d
             else:
-                nd = 0
-                for v in _bits(d):
-                    nd |= adj[v]
-                out |= comp & ~nd
+                out |= comp & ~_union(adj, d)
         else:
             _check_bb(comp.bit_count(), budgets)
             known = _bb_set(adj, comp)
@@ -368,13 +355,7 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
 
 def is_independent(g: Graph, vs: VertexSet) -> bool:
     g._own(vs)
-    rest = vs.mask
-    while rest:
-        b = rest & -rest
-        if g.adj[b.bit_length() - 1] & vs.mask:
-            return False
-        rest ^= b
-    return True
+    return not _union(g.adj, vs.mask) & vs.mask
 
 
 def alpha(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:

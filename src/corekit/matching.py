@@ -101,13 +101,8 @@ class Matching:
 
 def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
     """Exhaustive mu on a vertex mask, for enumerate_maximum_matchings: the
-    lowest vertex with a live neighbour is either unmatched or matched to
-    one of its neighbours."""
-    while active:
-        b = active & -active
-        if adj[b.bit_length() - 1] & active:
-            break
-        active ^= b
+    lowest vertex is either unmatched or matched to one of its live
+    neighbours."""
     if not active:
         return 0
     got = memo.get(active)
@@ -117,11 +112,10 @@ def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
     v = b.bit_length() - 1
     best = _mu_active(adj, active ^ b, memo)
     cap = active.bit_count() // 2
-    nb = adj[v] & active
-    while nb and best < cap:
-        ub = nb & -nb
-        nb ^= ub
-        r = 1 + _mu_active(adj, active ^ b ^ ub, memo)
+    for u in _bits(adj[v] & active):
+        if best == cap:
+            break
+        r = 1 + _mu_active(adj, active ^ b ^ 1 << u, memo)
         if r > best:
             best = r
     memo[active] = best
@@ -290,11 +284,8 @@ def enumerate_maximum_matchings(
             return
         if _mu_active(adj, active ^ b, memo) >= need:
             rec(active ^ b, need, chosen)
-        nb = adj[v] & active
-        while nb:
-            ub = nb & -nb
-            u = ub.bit_length() - 1
-            nb ^= ub
+        for u in _bits(adj[v] & active):
+            ub = 1 << u
             if 1 + _mu_active(adj, active ^ b ^ ub, memo) >= need:
                 rec(active ^ b ^ ub, need - 1, chosen + ((v, u),))
 

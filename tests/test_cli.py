@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corekit import cli as cli_module
+from corekit import corpus as corpus_module
 from corekit import theorems as theorems_module
 from corekit import (
     Graph,
@@ -357,7 +358,15 @@ def test_verify_family_refuses_the_subset_budget_before_the_first_graph(monkeypa
         sweep_calls.append(g.n)
         return bruteforce(g, budgets)
 
+    generated = []
+    make_random = corpus_module.random_connected
+
+    def counted_random(n, seed):
+        generated.append(n)
+        return make_random(n, seed)
+
     monkeypatch.setattr(theorems_module, "critical_difference_bruteforce", counted)
+    monkeypatch.setattr(corpus_module, "random_connected", counted_random)
     code = cli_module.main(
         ["verify", "--theorem", "all", "--family", "unicyclic", "--max-n", "12",
          "--max-subset-n", "10", "--workers", "1"]
@@ -376,6 +385,16 @@ def test_verify_family_refuses_the_subset_budget_before_the_first_graph(monkeypa
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: tree enumeration limited to n <= 11\n"
+    assert sweep_calls == []
+    # a --random stream has one order, its size, checked before any graph
+    code = cli_module.main(
+        ["verify", "--theorem", "ZHANG", "--random", "1", "--size", "4000", "--workers", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: subset sweep limited to 20 vertices, got 4000\n"
+    assert generated == []
     assert sweep_calls == []
 
 

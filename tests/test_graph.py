@@ -1,5 +1,10 @@
 """Graph construction, parsing, vertex sets, and shape classification."""
 
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from corekit import (
@@ -198,3 +203,79 @@ def test_shape_forest():
     assert shape.kind == "forest"
     assert not shape.connected
     assert shape.bipartite
+
+
+# -- one bit iterator ------------------------------------------------------------
+
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "corekit"
+
+# the only functions that may walk every set bit of a mask by hand: the two
+# helpers, and five hot loops kept inline for speed (the comment over the
+# mask helpers in graph.py gives the measurement)
+HAND_WALKS = {
+    "graph._bits",
+    "graph._union",
+    "graph._edge_count",
+    "graph._strip_to_cycles",
+    "independence._forest_dp",
+    "independence._bb_set.rec",
+    "independence._greedy_set",
+}
+
+
+def _own_nodes(loop: ast.While):
+    """The nodes of the loop's body, not descending into nested loops or
+    functions: those are judged on their own."""
+    stack = list(loop.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.While, ast.For, ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _walks_every_bit(loop: ast.While) -> bool:
+    """True if the loop itself binds b = x & -x and clears that b from x
+    (x ^= b, x -= b or x &= ~b), with b bound nowhere else in the loop: a
+    walk over every set bit of x. A loop that clears more than the low bit,
+    or grows it, is a pick."""
+    bound: Counter = Counter()
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            bound[node.target.id] += 1
+    low = {}
+    clears = []
+    for node in _own_nodes(loop):
+        text = ast.unparse(node) if isinstance(node, (ast.Assign, ast.AugAssign)) else ""
+        if m := re.fullmatch(r"((?:\w+ = )+)(\w+) & -\2", text):
+            low.update(dict.fromkeys(m[1].split(" = ")[:-1], m[2]))
+        elif m := re.fullmatch(r"(\w+) (?:\^= |-= |&= ~)(\w+)", text):
+            clears.append((m[1], m[2]))
+    return any(low.get(b) == x and bound[b] == 1 for x, b in clears)
+
+
+def _hand_walks(node: ast.AST, name: str):
+    """(qualified function name, loop) for each hand-written walk under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _hand_walks(child, f"{name}.{child.name}")
+            continue
+        if isinstance(child, ast.While) and _walks_every_bit(child):
+            yield name, child
+        yield from _hand_walks(child, name)
+
+
+def test_every_walk_over_a_mask_is_bits_union_or_a_named_hot_loop():
+    found = {}
+    for path in sorted(LIBRARY.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for name, loop in _hand_walks(ast.parse(source), path.stem):
+            found.setdefault(name, []).append(lines[loop.lineno - 1])
+    assert set(found) == HAND_WALKS
+    # each hot loop carries its reason on the loop line
+    for name, heads in found.items():
+        if name not in ("graph._bits", "graph._union"):
+            assert all("# inline, not _bits" in head for head in heads), name
