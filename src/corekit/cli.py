@@ -28,6 +28,7 @@ from .corpus import (
 from .critical import _check_subset_n, critical_difference, ker
 from .errors import BudgetExceededError, CorekitError
 from .graph import Graph, parse_edge_list, serialize
+from .independence import _check_mis_n
 from .theorems import (
     THEOREM_IDS,
     _check_graph,
@@ -239,18 +240,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _EXIT_USAGE
 
     if single is None:
-        # TH2A and ZHANG sweep the subsets of every graph: refuse an order
-        # above subset_n before the first graph is made, not after all
-        # smaller ones. An unknown id is still a usage error first, as in
-        # sweep.
-        if "TH2A" in _known_ids(tids) or "ZHANG" in tids:
+        # TH2A and ZHANG sweep the subsets of every graph and TH11
+        # enumerates its maximum independent sets: refuse an order above
+        # subset_n, then one above enum_n, before the first graph is made,
+        # not after all smaller ones. An unknown id is still a usage error
+        # first, as in sweep.
+        known = _known_ids(tids)
+        limits = []
+        if "TH2A" in known or "ZHANG" in known:
+            limits.append(_check_subset_n)
+        if "TH11" in known:
+            limits.append(_check_mis_n)
+        if limits:
             orders = ()
             if args.random is not None:
                 orders = (args.size,) if args.random else ()
             elif args.family in ("trees", "unicyclic", "connected"):
                 orders = _family_orders(args.family, args.max_n, budgets)
-            for n in orders:
-                _check_subset_n(n, budgets)
+            for limit in limits:
+                for n in orders:
+                    limit(n, budgets)
         summary = sweep(
             items,
             tids,
@@ -264,7 +273,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         gid, g = single
         reports = _check_graph(g, gid, _known_ids(tids), budgets)
-        summary = _summarize([(serialize(g), _compact(reports))], tids, args.fail_fast, family, start)
+        summary = _summarize([(g, _compact(reports))], tids, args.fail_fast, family, start)
         for rep in reports:
             print(_render_report_line(rep))
     print(f"family: {summary.family}")

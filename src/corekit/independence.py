@@ -363,6 +363,12 @@ def alpha(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     return _alpha_active(g.adj, (1 << g.n) - 1, budgets)
 
 
+def _check_mis_n(n: int, budgets: Budgets) -> None:
+    """Refuse an MIS enumeration of a graph on n > enum_n vertices."""
+    if n > budgets.enum_n:
+        raise BudgetExceededError(f"MIS enumeration limited to {budgets.enum_n} vertices, got {n}")
+
+
 def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexSet, ...]:
     """The family Omega(G) of all maximum independent sets, sorted by their
     label tuples. The 0-vertex graph has Omega = (empty set,).
@@ -372,10 +378,7 @@ def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexS
     target and every such bound come from _alpha_memo, one exhaustive
     search whose memo lives for this call only, so the family rests on
     exhaustive search alone."""
-    if g.n > budgets.enum_n:
-        raise BudgetExceededError(
-            f"MIS enumeration limited to {budgets.enum_n} vertices, got {g.n}"
-        )
+    _check_mis_n(g.n, budgets)
     adj = g.adj
     full = (1 << g.n) - 1
     memo: dict[int, int] = {}

@@ -7,8 +7,15 @@ independent sets, alpha queries, augmenting-path matchings, and the subset
 sweep. No checker ever shortcuts through another catalog statement; in
 particular ker is always recomputed by the subset sweep here, never through
 the matching-based ker() (which rests on results of the same kind as the
-statements under test), and core/corona of pendant trees come from alpha
-queries on the tree, not from the structural_* functions.
+statements under test), and the pendant-tree sets come from the checker's
+own primitive (core, corona or the subset sweep's ker) on each tree, united
+in the host graph by unicyclic._pendant_union, never from the structural_*
+functions.
+
+A checker takes the record and returns a verdict, (applicable, holds,
+witness, counterexample) with the last two optional. check alone turns a
+verdict into a TheoremReport: it stamps the theorem and graph ids and keeps
+the counterexample only when holds is False.
 
 The checkers read a graph's primitives from a per-graph record (_Facts):
 shape, alpha, mu, core, corona, the sum defect, the family of maximum
@@ -53,10 +60,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
 from .errors import DomainError
-from .graph import Graph, VertexSet, classify_shape, parse_edge_list, serialize
+from .graph import Graph, VertexSet, classify_shape, serialize
 from .independence import _alpha_active, _branches, core, corona, enumerate_mis, is_independent
 from .matching import enumerate_maximum_matchings, mu, saturating_matching
-from .unicyclic import _non_critical_cycle_edges, _pull, decompose, find_cycle
+from .unicyclic import _non_critical_cycle_edges, _pendant_union, decompose, find_cycle
 
 __all__ = [
     "THEOREM_IDS",
@@ -69,24 +76,6 @@ __all__ = [
     "classify_sum_defect",
     "sum_defect_histogram",
 ]
-
-THEOREM_IDS = (
-    "LEM1A",
-    "LEM1B",
-    "LEM2",
-    "TH11",
-    "TH1",
-    "TH2A",
-    "TH2B",
-    "TH3",
-    "TH4A",
-    "TH4B",
-    "TH12",
-    "MAIN",
-    "KERCORE",
-    "ZHANG",
-)
-
 
 class TheoremReport(NamedTuple):
     """Outcome of one checker on one graph.
@@ -209,32 +198,21 @@ def _fmt_pairs(pairs: Iterable[tuple[str, str]]) -> str:
     return "[" + ", ".join(f"{a}-{b}" for a, b in pairs) + "]"
 
 
-def _report(tid, gid, applicable, holds=None, witness=(), counterexample=()):
-    return TheoremReport(
-        theorem_id=tid,
-        graph_id=gid,
-        applicable=applicable,
-        holds=holds,
-        witness=tuple(witness),
-        counterexample=tuple(counterexample),
-    )
-
-
-def _not_ke(tid: str, f: _Facts, gid: str) -> TheoremReport | None:
-    """The inapplicable report of a statement about KE graphs, or None when
+def _not_ke(f: _Facts) -> tuple | None:
+    """The inapplicable verdict of a statement about KE graphs, or None when
     alpha + mu = n."""
     if f.alpha + f.mu != f.g.n:
-        return _report(tid, gid, False, witness=[("alpha_plus_mu", f.alpha + f.mu)])
+        return False, None, [("alpha_plus_mu", f.alpha + f.mu)]
     return None
 
 
-def _not_unicyclic_non_ke(tid: str, f: _Facts, gid: str) -> TheoremReport | None:
-    """The inapplicable report of a statement about connected unicyclic
+def _not_unicyclic_non_ke(f: _Facts) -> tuple | None:
+    """The inapplicable verdict of a statement about connected unicyclic
     graphs with alpha + mu = n - 1, or None when the graph is one."""
     if not f.unicyclic:
-        return _report(tid, gid, False)
+        return False, None
     if f.alpha + f.mu == f.g.n:
-        return _report(tid, gid, False, witness=[("alpha_plus_mu", f.alpha + f.mu)])
+        return False, None, [("alpha_plus_mu", f.alpha + f.mu)]
     return None
 
 
@@ -245,11 +223,10 @@ def _saturates(m, sources: VertexSet) -> bool:
 # -- individual checkers ------------------------------------------------------
 
 
-def _check_lem1a(f: _Facts, gid: str) -> TheoremReport:
+def _check_lem1a(f: _Facts) -> tuple:
     """Unicyclic non-KE: core(G) and the closed neighbourhood of the cycle
     are disjoint."""
-    skip = _not_unicyclic_non_ke("LEM1A", f, gid)
-    if skip:
+    if skip := _not_unicyclic_non_ke(f):
         return skip
     g = f.g
     closed = g.neighborhood(g.set_of(f.cycle), closed=True)
@@ -257,33 +234,30 @@ def _check_lem1a(f: _Facts, gid: str) -> TheoremReport:
     overlap = c & closed
     wit = [("core", _fmt(c)), ("closed_cycle_neighborhood", _fmt(closed))]
     if overlap:
-        return _report(
-            "LEM1A", gid, True, False, wit, [("overlap", _fmt(overlap))]
-        )
-    return _report("LEM1A", gid, True, True, wit)
+        return True, False, wit, [("overlap", _fmt(overlap))]
+    return True, True, wit
 
 
-def _check_lem1b(f: _Facts, gid: str) -> TheoremReport:
+def _check_lem1b(f: _Facts) -> tuple:
     """Unicyclic non-KE: some matching carries N(core(G)) into core(G)."""
-    skip = _not_unicyclic_non_ke("LEM1B", f, gid)
-    if skip:
+    if skip := _not_unicyclic_non_ke(f):
         return skip
     c = f.core
     nc = f.g.neighborhood(c)
     match = saturating_matching(f.g, nc, c)
     wit = [("core", _fmt(c)), ("n_core", _fmt(nc))]
     if match is None:
-        return _report("LEM1B", gid, True, False, wit, [("unsaturated_from", _fmt(nc))])
+        return True, False, wit, [("unsaturated_from", _fmt(nc))]
     assert _saturates(match, nc)
     wit.append(("matching", _fmt_pairs(match.edge_labels())))
-    return _report("LEM1B", gid, True, True, wit)
+    return True, True, wit
 
 
-def _check_lem2(f: _Facts, gid: str) -> TheoremReport:
+def _check_lem2(f: _Facts) -> tuple:
     """Unicyclic: n-1 <= alpha+mu <= n, with equality at n-1 exactly when
     every cycle edge is alpha-critical (checked in both directions)."""
     if not f.unicyclic:
-        return _report("LEM2", gid, False)
+        return False, None
     g = f.g
     a, m = f.alpha, f.mu
     total = a + m
@@ -296,15 +270,10 @@ def _check_lem2(f: _Facts, gid: str) -> TheoremReport:
         ("alpha_plus_mu", total),
         ("non_critical_cycle_edges", _fmt_pairs(non_critical)),
     ]
-    if bounds_ok and iff_ok:
-        return _report("LEM2", gid, True, True, wit)
-    return _report(
-        "LEM2", gid, True, False, wit,
-        [("bounds_ok", bounds_ok), ("iff_ok", iff_ok)],
-    )
+    return True, bounds_ok and iff_ok, wit, [("bounds_ok", bounds_ok), ("iff_ok", iff_ok)]
 
 
-def _check_th11(f: _Facts, gid: str) -> TheoremReport:
+def _check_th11(f: _Facts) -> tuple:
     """Every graph: for each maximum independent set S there is a matching
     from S - core(G) into corona(G) - S."""
     family = f.mis_family
@@ -316,23 +285,18 @@ def _check_th11(f: _Facts, gid: str) -> TheoremReport:
         targets = union - s
         match = saturating_matching(f.g, sources, targets)
         if match is None:
-            return _report(
-                "TH11", gid, True, False,
-                [("mis_count", len(family))],
+            return (
+                True, False, [("mis_count", len(family))],
                 [("S", _fmt(s)), ("sources", _fmt(sources)), ("targets", _fmt(targets))],
             )
         assert _saturates(match, sources)
         checked += 1
-    return _report(
-        "TH11", gid, True, True,
-        [("mis_count", len(family)), ("matchings_found", checked)],
-    )
+    return True, True, [("mis_count", len(family)), ("matchings_found", checked)]
 
 
-def _check_th1(f: _Facts, gid: str) -> TheoremReport:
+def _check_th1(f: _Facts) -> tuple:
     """KE graphs: every maximum matching matches N(core(G)) into core(G)."""
-    skip = _not_ke("TH1", f, gid)
-    if skip:
+    if skip := _not_ke(f):
         return skip
     c = f.ke_core
     nc = f.g.neighborhood(c)
@@ -342,26 +306,21 @@ def _check_th1(f: _Facts, gid: str) -> TheoremReport:
         for v in nc_labels:
             partner = match.matched_to(v)
             if partner is None or partner not in c:
-                return _report(
-                    "TH1", gid, True, False,
-                    [("core", _fmt(c)), ("n_core", _fmt(nc))],
+                return (
+                    True, False, [("core", _fmt(c)), ("n_core", _fmt(nc))],
                     [
                         ("matching", _fmt_pairs(match.edge_labels())),
                         ("vertex", v),
                         ("matched_to", "-" if partner is None else partner),
                     ],
                 )
-    return _report(
-        "TH1", gid, True, True,
-        [
-            ("core", _fmt(c)),
-            ("n_core", _fmt(nc)),
-            ("maximum_matchings", len(matchings)),
-        ],
+    return (
+        True, True,
+        [("core", _fmt(c)), ("n_core", _fmt(nc)), ("maximum_matchings", len(matchings))],
     )
 
 
-def _check_th2a(f: _Facts, gid: str) -> TheoremReport:
+def _check_th2a(f: _Facts) -> tuple:
     """Every graph: ker(G) is a critical independent set contained in
     core(G). ker is recomputed by the subset sweep here."""
     g = f.g
@@ -377,92 +336,77 @@ def _check_th2a(f: _Facts, gid: str) -> TheoremReport:
         ("d_ker", diff(g, k)),
         ("id_c", rep.id_c),
     ]
-    if independent and critical and contained:
-        return _report("TH2A", gid, True, True, wit)
-    return _report(
-        "TH2A", gid, True, False, wit,
+    return (
+        True, independent and critical and contained, wit,
         [("independent", independent), ("critical", critical), ("contained", contained)],
     )
 
 
-def _check_th2b(f: _Facts, gid: str) -> TheoremReport:
+def _check_th2b(f: _Facts) -> tuple:
     """Bipartite graphs: ker(G) = core(G), both recomputed independently."""
     if not f.shape.bipartite:
-        return _report("TH2B", gid, False)
+        return False, None
     k = f.subset_sweep.ker
     c = f.ke_core
     wit = [("ker", _fmt(k)), ("core", _fmt(c))]
     if k == c:
-        return _report("TH2B", gid, True, True, wit)
-    return _report("TH2B", gid, True, False, wit, [("difference", _fmt((k | c) - (k & c)))])
+        return True, True, wit
+    return True, False, wit, [("difference", _fmt((k | c) - (k & c)))]
 
 
-def _check_th3(f: _Facts, gid: str) -> TheoremReport:
+def _check_th3(f: _Facts) -> tuple:
     """Unicyclic non-KE: corona(G) and N(core(G)) cover V(G), and corona is
     the cycle plus the pendant-tree coronas."""
-    skip = _not_unicyclic_non_ke("TH3", f, gid)
-    if skip:
+    if skip := _not_unicyclic_non_ke(f):
         return skip
     g = f.g
-    c = f.core
     cor = f.corona
-    covered = cor | g.neighborhood(c)
+    nc = g.neighborhood(f.core)
     dec = f.decomposition
-    assembled = dec.cycle_set.mask
-    for pt in dec.pendant_trees:
-        assembled |= _pull(g, corona(pt.tree, f.budgets))
-    assembled_set = VertexSet(g, assembled)
-    eq_cover = covered == g.full_set()
-    eq_parts = assembled_set == cor
+    assembled = dec.cycle_set | _pendant_union(dec, lambda t: corona(t, f.budgets))
+    eq_cover = (cor | nc) == g.full_set()
+    eq_parts = assembled == cor
     wit = [
         ("corona", _fmt(cor)),
-        ("n_core", _fmt(g.neighborhood(c))),
-        ("cycle_plus_pendant_coronas", _fmt(assembled_set)),
+        ("n_core", _fmt(nc)),
+        ("cycle_plus_pendant_coronas", _fmt(assembled)),
     ]
-    if eq_cover and eq_parts:
-        return _report("TH3", gid, True, True, wit)
-    return _report(
-        "TH3", gid, True, False, wit,
+    return (
+        True, eq_cover and eq_parts, wit,
         [("cover_equals_v", eq_cover), ("corona_decomposes", eq_parts)],
     )
 
 
-def _check_th4a(f: _Facts, gid: str) -> TheoremReport:
+def _check_th4a(f: _Facts) -> tuple:
     """KE graphs: N(core(G)) = V(G) - corona(G)."""
-    skip = _not_ke("TH4A", f, gid)
-    if skip:
+    if skip := _not_ke(f):
         return skip
     nc = f.g.neighborhood(f.ke_core)
     rest = f.ke_corona.complement()
     wit = [("n_core", _fmt(nc)), ("v_minus_corona", _fmt(rest))]
     if nc == rest:
-        return _report("TH4A", gid, True, True, wit)
-    return _report("TH4A", gid, True, False, wit, [("difference", _fmt((nc | rest) - (nc & rest)))])
+        return True, True, wit
+    return True, False, wit, [("difference", _fmt((nc | rest) - (nc & rest)))]
 
 
-def _check_th4b(f: _Facts, gid: str) -> TheoremReport:
+def _check_th4b(f: _Facts) -> tuple:
     """KE graphs: |corona(G)| + |core(G)| = 2 alpha(G)."""
-    skip = _not_ke("TH4B", f, gid)
-    if skip:
+    if skip := _not_ke(f):
         return skip
     a = f.alpha
     c = f.ke_core
     cor = f.ke_corona
     total = len(cor) + len(c)
     wit = [("core_size", len(c)), ("corona_size", len(cor)), ("sum", total), ("two_alpha", 2 * a)]
-    if total == 2 * a:
-        return _report("TH4B", gid, True, True, wit)
-    return _report("TH4B", gid, True, False, wit, [("sum", total), ("two_alpha", 2 * a)])
+    return True, total == 2 * a, wit, [("sum", total), ("two_alpha", 2 * a)]
 
 
-def _check_th12(f: _Facts, gid: str) -> TheoremReport:
+def _check_th12(f: _Facts) -> tuple:
     """Unicyclic non-KE: pendant maximum independent sets extend to maximum
     independent sets of G, restrict back onto the pendant trees, and core(G)
     is the union of the pendant cores."""
-    skip = _not_unicyclic_non_ke("TH12", f, gid)
-    if skip:
+    if skip := _not_unicyclic_non_ke(f):
         return skip
-    g = f.g
     family = f.mis_family
     fam_labels = [set(s.labels()) for s in family]
     dec = f.decomposition
@@ -481,24 +425,20 @@ def _check_th12(f: _Facts, gid: str) -> TheoremReport:
                 restricts = False
                 bad.append(("bad_restriction", f"{pt.root}:{sorted(s & tv)}"))
     inter = f.mis_core
-    union_core = 0
-    for pt in dec.pendant_trees:
-        union_core |= _pull(g, core(pt.tree, f.budgets))
-    cores_match = VertexSet(g, union_core) == inter
+    union_core = _pendant_union(dec, lambda t: core(t, f.budgets))
+    cores_match = union_core == inter
     if not cores_match:
-        bad.append(("core_union", _fmt(VertexSet(g, union_core))))
+        bad.append(("core_union", _fmt(union_core)))
     wit = [
         ("core", _fmt(inter)),
-        ("pendant_core_union", _fmt(VertexSet(g, union_core))),
+        ("pendant_core_union", _fmt(union_core)),
         ("pendant_trees", len(dec.pendant_trees)),
         ("mis_count", len(family)),
     ]
-    if extends and restricts and cores_match:
-        return _report("TH12", gid, True, True, wit)
-    return _report("TH12", gid, True, False, wit, bad)
+    return True, extends and restricts and cores_match, wit, bad
 
 
-def _check_main(f: _Facts, gid: str) -> TheoremReport:
+def _check_main(f: _Facts) -> tuple:
     """Unicyclic: 2 alpha <= |corona| + |core| <= 2 alpha + 1, and the sum
     hits 2 alpha + 1 exactly for the non-KE case. The sum is reported even
     when the graph is not unicyclic, since the inapplicable value is itself
@@ -512,49 +452,36 @@ def _check_main(f: _Facts, gid: str) -> TheoremReport:
         ("alpha_plus_mu", a + m),
     ]
     if not f.unicyclic:
-        return _report("MAIN", gid, False, witness=wit)
+        return False, None, wit
     bounds_ok = 0 <= defect <= 1
     iff_ok = (a + m == f.g.n - 1) == (defect == 1)
-    if bounds_ok and iff_ok:
-        return _report("MAIN", gid, True, True, wit)
-    return _report(
-        "MAIN", gid, True, False, wit,
-        [("bounds_ok", bounds_ok), ("iff_ok", iff_ok)],
-    )
+    return True, bounds_ok and iff_ok, wit, [("bounds_ok", bounds_ok), ("iff_ok", iff_ok)]
 
 
-def _check_kercore(f: _Facts, gid: str) -> TheoremReport:
+def _check_kercore(f: _Facts) -> tuple:
     """Unicyclic non-KE: ker(G) = union of pendant kers = core(G), with every
     ker recomputed by the subset sweep."""
-    skip = _not_unicyclic_non_ke("KERCORE", f, gid)
-    if skip:
+    if skip := _not_unicyclic_non_ke(f):
         return skip
-    g = f.g
     k = f.subset_sweep.ker
     c = f.core
-    union = 0
-    for pt in f.decomposition.pendant_trees:
-        union |= _pull(g, critical_difference_bruteforce(pt.tree, f.budgets).ker)
-    union_set = VertexSet(g, union)
-    wit = [("ker", _fmt(k)), ("pendant_ker_union", _fmt(union_set)), ("core", _fmt(c))]
-    if k == union_set and k == c:
-        return _report("KERCORE", gid, True, True, wit)
-    return _report(
-        "KERCORE", gid, True, False, wit,
-        [("ker_eq_union", k == union_set), ("ker_eq_core", k == c)],
+    union = _pendant_union(
+        f.decomposition, lambda t: critical_difference_bruteforce(t, f.budgets).ker
     )
+    eq_union = k == union
+    eq_core = k == c
+    wit = [("ker", _fmt(k)), ("pendant_ker_union", _fmt(union)), ("core", _fmt(c))]
+    return True, eq_union and eq_core, wit, [("ker_eq_union", eq_union), ("ker_eq_core", eq_core)]
 
 
-def _check_zhang(f: _Facts, gid: str) -> TheoremReport:
+def _check_zhang(f: _Facts) -> tuple:
     """Every graph: d_c = id_c."""
     rep = f.subset_sweep
     wit = [("d_c", rep.d_c), ("id_c", rep.id_c), ("witness_set", _fmt(rep.witness_set))]
-    if rep.d_c == rep.id_c:
-        return _report("ZHANG", gid, True, True, wit)
-    return _report("ZHANG", gid, True, False, wit, [("d_c", rep.d_c), ("id_c", rep.id_c)])
+    return True, rep.d_c == rep.id_c, wit, [("d_c", rep.d_c), ("id_c", rep.id_c)]
 
 
-_CHECKERS: dict[str, Callable[[_Facts, str], TheoremReport]] = {
+_CHECKERS: dict[str, Callable[[_Facts], tuple]] = {
     "LEM1A": _check_lem1a,
     "LEM1B": _check_lem1b,
     "LEM2": _check_lem2,
@@ -571,6 +498,8 @@ _CHECKERS: dict[str, Callable[[_Facts, str], TheoremReport]] = {
     "ZHANG": _check_zhang,
 }
 
+THEOREM_IDS = tuple(_CHECKERS)
+
 
 def check(
     theorem_id: str,
@@ -578,8 +507,9 @@ def check(
     graph_id: str = "?",
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> TheoremReport:
-    """Run one catalog checker. Raises DomainError for an unknown id and
-    BudgetExceededError when the graph exceeds the invoked sub-operations.
+    """Run one catalog checker and build its report. Raises DomainError for
+    an unknown id and BudgetExceededError when the graph exceeds the invoked
+    sub-operations.
 
     Within this module g may also be the record of a graph, whose computed
     values (and budgets) the call then shares with the other checkers."""
@@ -588,7 +518,15 @@ def check(
         raise DomainError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
-    return checker(g if isinstance(g, _Facts) else _Facts(g, budgets), graph_id)
+    applicable, holds, *payload = checker(g if isinstance(g, _Facts) else _Facts(g, budgets))
+    return TheoremReport(
+        theorem_id=theorem_id,
+        graph_id=graph_id,
+        applicable=applicable,
+        holds=holds,
+        witness=tuple(payload[0]) if payload else (),
+        counterexample=tuple(payload[1]) if holds is False and len(payload) > 1 else (),
+    )
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -634,29 +572,28 @@ def _compact(reports: list[TheoremReport]) -> tuple[TheoremReport | bool, ...]:
 
 
 def _check_chunk(
-    chunk: list[tuple[str, str]], tids: tuple[str, ...], budgets: Budgets
+    chunk: list[tuple[str, Graph]], tids: tuple[str, ...], budgets: Budgets
 ) -> list[tuple[TheoremReport | bool, ...]]:
-    """The compact reports of each (graph_id, serialization) of a chunk."""
-    return [
-        _compact(_check_graph(parse_edge_list(text), gid, tids, budgets)) for gid, text in chunk
-    ]
+    """The compact reports of each (graph_id, graph) of a chunk."""
+    return [_compact(_check_graph(g, gid, tids, budgets)) for gid, g in chunk]
 
 
 def _summarize(
-    results: Iterable[tuple[str, tuple[TheoremReport | bool, ...]]],
+    results: Iterable[tuple[Graph, tuple[TheoremReport | bool, ...]]],
     tids: tuple[str, ...],
     fail_fast: bool,
     family: str,
     start: float,
 ) -> SweepSummary:
-    """Count a stream of (serialization, compact reports) pairs, read in
-    order and no further than the first failure under fail_fast."""
+    """Count a stream of (graph, compact reports) pairs, read in order and
+    no further than the first failure under fail_fast. Only a graph with a
+    failing report is serialized, to go with that report."""
     graphs_tested = 0
     checks_run = 0
     checks_applicable = 0
     failures: list[tuple[str, TheoremReport]] = []
     truncated = False
-    for text, outcome in results:
+    for g, outcome in results:
         graphs_tested += 1
         for rep in outcome:
             checks_run += 1
@@ -664,7 +601,7 @@ def _summarize(
                 continue
             checks_applicable += 1
             if rep is not True:
-                failures.append((text, rep))
+                failures.append((serialize(g), rep))
                 if fail_fast:
                     truncated = True
                     break
@@ -701,18 +638,18 @@ def _pooled(
     tids: tuple[str, ...],
     budgets: Budgets,
     in_flight: int,
-) -> Iterator[tuple[str, tuple[TheoremReport | bool, ...]]]:
-    """(serialization, compact reports) of each graph, in stream order, from
-    chunks checked in the pool. At most in_flight chunks are submitted and
-    not yet read, so the stream is read only that far ahead of the results."""
+) -> Iterator[tuple[Graph, tuple[TheoremReport | bool, ...]]]:
+    """(graph, compact reports) of each graph, in stream order, from chunks
+    checked in the pool. At most in_flight chunks are submitted and not yet
+    read, so the stream is read only that far ahead of the results."""
     pending: deque = deque()
 
     def oldest():
         chunk, future = pending.popleft()
-        for (_, text), outcome in zip(chunk, future.result()):
-            yield text, outcome
+        for (_, g), outcome in zip(chunk, future.result()):
+            yield g, outcome
 
-    while chunk := [(gid, serialize(g)) for gid, g in islice(items, _CHUNK)]:
+    while chunk := list(islice(items, _CHUNK)):
         pending.append((chunk, pool.submit(_check_chunk, chunk, tids, budgets)))
         if len(pending) == in_flight:
             yield from oldest()
@@ -737,9 +674,9 @@ def sweep(
     With workers > 1 the pool has at most one process per available CPU and
     per graph: the first that many graphs are read before it starts, and
     with fewer than two of them the sweep runs in this process. The stream
-    is then read as the workers go: it is serialized in chunks of _CHUNK
-    graphs, and at most _CHUNKS_PER_WORKER chunks per worker are submitted
-    and not yet read. Each graph's reports are summarized in compact form,
+    is then read as the workers go: it is sent in chunks of _CHUNK graphs,
+    and at most _CHUNKS_PER_WORKER chunks per worker are submitted and not
+    yet read. Each graph's reports are summarized in compact form,
     in a worker as in this process: the failing reports in full and an
     applicable flag for each other one. Under fail_fast the sweep stops
     reading the stream at the first failure and cancels the chunks not yet
@@ -752,7 +689,7 @@ def sweep(
     head = list(islice(items, workers)) if workers > 1 else []
     items = chain(head, items)
     if len(head) <= 1:
-        results = ((serialize(g), _compact(_check_graph(g, gid, tids, budgets))) for gid, g in items)
+        results = ((g, _compact(_check_graph(g, gid, tids, budgets))) for gid, g in items)
         return _summarize(results, tids, fail_fast, family, start)
     # imported here: the pool pulls in multiprocessing, which every other
     # command would pay for at start-up
@@ -780,21 +717,17 @@ class Problem1Report(NamedTuple):
 
 
 def search_problem1(max_n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Problem1Report:
-    from .corpus import _check_enum_n, enumerate_unicyclic
+    from .corpus import family_items
 
-    _check_enum_n("unicyclic", max_n, budgets.enum_n)
     equal = []
     different = []
     examined = 0
-    for n in range(3, max_n + 1):
-        for i, g in enumerate(enumerate_unicyclic(n, budgets=budgets)):
-            f = _Facts(g, budgets)
-            if f.shape.bipartite or f.alpha + f.mu != g.n:
-                continue
-            examined += 1
-            gid = f"uni:n{n}:{i}"
-            k = f.subset_sweep.ker
-            (equal if k == f.core else different).append((gid, serialize(g)))
+    for gid, g in family_items("unicyclic", max_n=max_n, budgets=budgets):
+        f = _Facts(g, budgets)
+        if f.shape.bipartite or f.alpha + f.mu != g.n:
+            continue
+        examined += 1
+        (equal if f.subset_sweep.ker == f.core else different).append((gid, serialize(g)))
     return Problem1Report(
         max_n=max_n,
         examined=examined,

@@ -13,7 +13,7 @@ whole graph.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
@@ -170,37 +170,29 @@ def _require_non_ke(g: Graph, budgets: Budgets) -> Decomposition:
     return decompose(g)
 
 
-def _pull(g: Graph, sub: VertexSet) -> int:
-    """Mask, in g, of a vertex set living in an induced subgraph of g."""
+def _pendant_union(dec: Decomposition, part: Callable[[Graph], VertexSet]) -> VertexSet:
+    """The union over the pendant trees of part(tree), a vertex set of the
+    tree, as a vertex set of the host graph."""
+    g = dec.graph
     mask = 0
-    for lab in sub.labels():
-        mask |= 1 << g.index_of(lab)
-    return mask
+    for pt in dec.pendant_trees:
+        for lab in part(pt.tree).labels():
+            mask |= 1 << g.index_of(lab)
+    return VertexSet(g, mask)
 
 
 def structural_core(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """core(G) assembled as the union of the pendant-tree cores."""
-    dec = _require_non_ke(g, budgets)
-    mask = 0
-    for pt in dec.pendant_trees:
-        mask |= _pull(g, core(pt.tree, budgets))
-    return VertexSet(g, mask)
+    return _pendant_union(_require_non_ke(g, budgets), lambda t: core(t, budgets))
 
 
 def structural_corona(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """corona(G) assembled as the cycle plus the pendant-tree coronas."""
     dec = _require_non_ke(g, budgets)
-    mask = dec.cycle_set.mask
-    for pt in dec.pendant_trees:
-        mask |= _pull(g, corona(pt.tree, budgets))
-    return VertexSet(g, mask)
+    return dec.cycle_set | _pendant_union(dec, lambda t: corona(t, budgets))
 
 
 def structural_ker(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """ker(G) assembled as the union of the pendant-tree kernels (each
     pendant tree is bipartite, so its kernel is its core)."""
-    dec = _require_non_ke(g, budgets)
-    mask = 0
-    for pt in dec.pendant_trees:
-        mask |= _pull(g, ker(pt.tree))
-    return VertexSet(g, mask)
+    return _pendant_union(_require_non_ke(g, budgets), ker)

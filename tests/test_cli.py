@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from corekit import cli as cli_module
 from corekit import corpus as corpus_module
 from corekit import theorems as theorems_module
 from corekit import (
+    FIXTURE_NAMES,
     Graph,
     alpha,
     family_items,
@@ -203,11 +205,8 @@ def test_verify_usage_errors():
 
 
 def test_verify_counterexample_exits_1(monkeypatch, capsys):
-    def always_fails(f, gid):
-        return theorems_module._report(
-            "ZHANG", gid, applicable=True, holds=False,
-            counterexample=(("why", "forced"),),
-        )
+    def always_fails(f):
+        return True, False, (), (("why", "forced"),)
 
     monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", always_fails)
     code = cli_module.main(
@@ -222,12 +221,8 @@ def test_verify_counterexample_exits_1(monkeypatch, capsys):
 
 
 def test_verify_fail_fast_pool_stops_reading_the_stream(monkeypatch, capsys):
-    def fails_on_even_n(f, gid):
-        holds = f.g.n % 2 == 1
-        return theorems_module._report(
-            "ZHANG", gid, applicable=True, holds=holds,
-            counterexample=() if holds else (("why", "forced"),),
-        )
+    def fails_on_even_n(f):
+        return True, f.g.n % 2 == 1, (), (("why", "forced"),)
 
     pulled = []
 
@@ -396,6 +391,15 @@ def test_verify_family_refuses_the_subset_budget_before_the_first_graph(monkeypa
     assert captured.err == "error: subset sweep limited to 20 vertices, got 4000\n"
     assert generated == []
     assert sweep_calls == []
+    # TH11 enumerates the maximum independent sets of every graph
+    code = cli_module.main(
+        ["verify", "--theorem", "TH11", "--random", "1", "--size", "21", "--workers", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: MIS enumeration limited to 20 vertices, got 21\n"
+    assert generated == []
 
 
 def test_search_problem_1_golden():
@@ -556,3 +560,130 @@ def test_stdout_is_byte_identical_across_runs_and_workers():
     rerun = run_cli(*args, "--workers", "2")
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout == rerun.stdout
+
+
+# -- fuzzed input files ----------------------------------------------------------
+#
+# Each perturbation maps (rng, lines) to new lines, the lines of a file's bytes
+# split at b"\n". The neutral ones leave the parsed graph as it was.
+
+
+def _pick(rng, lines):
+    """The index of a random line with two tokens, or None."""
+    edges = [i for i, line in enumerate(lines) if len(line.split()) == 2]
+    return rng.choice(edges) if edges else None
+
+
+def _crlf(rng, lines):
+    return [line + b"\r" if line else line for line in lines]
+
+
+def _blank_lines(rng, lines):
+    out = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        out.insert(rng.randint(0, len(out)), rng.choice([b"", b"  ", b"\t"]))
+    return out
+
+
+def _trailing_comments(rng, lines):
+    return [line + b"  # note" if line and rng.random() < 0.5 else line for line in lines]
+
+
+def _tabs(rng, lines):
+    return [b"\t" + line.replace(b" ", b"\t\t") + b"\t" for line in lines]
+
+
+def _nul(rng, lines):
+    i = rng.randrange(len(lines))
+    k = rng.randint(0, len(lines[i]))
+    return lines[:i] + [lines[i][:k] + b"\x00" + lines[i][k:]] + lines[i + 1:]
+
+
+def _non_utf8(rng, lines):
+    i = rng.randrange(len(lines))
+    return lines[:i] + [lines[i] + bytes([rng.randint(0x80, 0xFF)])] + lines[i + 1:]
+
+
+def _relabel(rng, lines, label):
+    i = _pick(rng, lines)
+    if i is None:
+        return lines
+    old = lines[i].split()[rng.randint(0, 1)]
+    return [b" ".join(label if tok == old else tok for tok in line.split()) for line in lines]
+
+
+def _long_label(rng, lines):
+    return _relabel(rng, lines, b"x" * rng.randint(1000, 5000))
+
+
+def _non_ascii_label(rng, lines):
+    chars = ["\u00e9", "\u03bb", "\u4e2d", "\U0001f600", "\u2028", "\u00a0", "\u0085"]
+    return _relabel(rng, lines, "".join(rng.choices(chars, k=rng.randint(1, 4))).encode())
+
+
+def _duplicate_edge(rng, lines):
+    i = _pick(rng, lines)
+    if i is None:
+        return lines
+    a, b = lines[i].split()
+    return lines + [rng.choice([a + b" " + b, b + b" " + a])]
+
+
+def _self_loop(rng, lines):
+    i = _pick(rng, lines)
+    if i is None:
+        return lines
+    a = lines[i].split()[0]
+    return lines + [a + b" " + a]
+
+
+_NEUTRAL = (_crlf, _blank_lines, _trailing_comments, _tabs)
+_HOSTILE = (_nul, _non_utf8, _long_label, _non_ascii_label, _duplicate_edge, _self_loop)
+
+
+def _main(argv, capsys):
+    """Exit code and stdout of one in-process run of the CLI."""
+    try:
+        code = cli_module.main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{argv}: {exc!r} escaped main")
+    return code, capsys.readouterr().out
+
+
+def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
+    rng = random.Random(18)
+    (tmp_path / "orig").mkdir()
+    (tmp_path / "case").mkdir()
+    expected = {}
+    for name in FIXTURE_NAMES:
+        orig = tmp_path / "orig" / f"{name}.txt"
+        orig.write_text(fixture_text(name))
+        expected[name] = _main(["analyze", str(orig)], capsys)
+        assert expected[name][0] == 0
+    codes = {}
+    for case in range(600):
+        name = rng.choice(FIXTURE_NAMES)
+        lines = fixture_text(name).encode().split(b"\n")
+        neutral = rng.random() < 0.5
+        steps = rng.sample(_NEUTRAL, rng.randint(1, 2))
+        if not neutral:
+            steps += rng.sample(_HOSTILE, rng.randint(1, 2))
+        for step in steps:
+            lines = step(rng, lines)
+        data = b"\n".join(lines)
+        bom = rng.random() < 0.3
+        if bom:
+            data = b"\xef\xbb\xbf" + data
+        path = tmp_path / "case" / f"{name}.txt"
+        path.write_bytes(data)
+        label = f"case {case}: {[s.__name__ for s in steps]} bom={bom} on {name}"
+        analyzed = _main(["analyze", str(path)], capsys)
+        verified = _main(["verify", "--theorem", "all", "--graph", str(path)], capsys)
+        assert analyzed[0] in (0, 2, 3) and verified[0] in (0, 2, 3), label
+        if neutral:
+            assert analyzed == expected[name], label
+            assert verified[0] == 0, label
+        for code in (analyzed[0], verified[0]):
+            codes[code] = codes.get(code, 0) + 1
+    # both accepted and refused inputs were generated
+    assert codes.get(0) and codes.get(2)

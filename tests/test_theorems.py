@@ -19,6 +19,7 @@ from corekit import (
     parse_edge_list,
     random_connected,
     search_problem1,
+    serialize,
     sum_defect_histogram,
     sweep,
 )
@@ -106,21 +107,17 @@ def test_sweep_worker_counts_agree(monkeypatch, all_fixtures):
         assert _timeless(par) == _timeless(seq), family
 
 
-def _fails_on_even_n(f, gid):
+def _fails_on_even_n(f):
     """A ZHANG checker that fails on every graph with an even vertex count."""
-    n = f.g.n
-    if n % 2:
-        return theorems_module._report("ZHANG", gid, True, True, witness=(("n", n),))
-    return theorems_module._report(
-        "ZHANG", gid, True, False, witness=(("n", n),),
-        counterexample=(("why", "forced for the test"), ("gid", gid)),
-    )
+    return True, f.g.n % 2 == 1, (("n", f.g.n),), (("why", "forced for the test"),)
 
 
 def test_sweep_failures_agree_across_worker_counts(monkeypatch, all_fixtures):
     monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
     monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
     items = list(all_fixtures.items())
+    ids_by_text = {serialize(g): gid for gid, g in items}
+    assert len(ids_by_text) == len(items)
     tids = ("TH2A", "ZHANG", "MAIN")
     for fail_fast in (False, True):
         seq = sweep(items, tids, fail_fast=fail_fast, workers=1, family="forced")
@@ -131,7 +128,8 @@ def test_sweep_failures_agree_across_worker_counts(monkeypatch, all_fixtures):
         assert len(par.failures) == (1 if fail_fast else 6)
         for text, rep in par.failures:
             assert rep.witness_dict() == {"n": parse_edge_list(text).n}
-            assert rep.counterexample_dict() == {"why": "forced for the test", "gid": rep.graph_id}
+            assert rep.counterexample_dict() == {"why": "forced for the test"}
+            assert rep.graph_id == ids_by_text[text]
     # the first failure is ZHANG on the second fixture, so the count stops there
     assert (par.graphs_tested, par.checks_run) == (2, 5)
 
@@ -203,14 +201,8 @@ def test_fail_fast_sweep_cancels_the_chunks_not_started(monkeypatch, lazy_pools)
 
 
 def test_sweep_failure_reports_are_replayable(monkeypatch, all_fixtures):
-    def always_fails(f, gid):
-        return theorems_module._report(
-            "ZHANG",
-            gid,
-            applicable=True,
-            holds=False,
-            counterexample=(("why", "forced for the test"),),
-        )
+    def always_fails(f):
+        return True, False, (), (("why", "forced for the test"),)
 
     monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", always_fails)
     items = [(name, all_fixtures[name]) for name in ["p2", "p3", "c4"]]
