@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from .budgets import Budgets
 from .corpus import (
@@ -80,8 +79,18 @@ def _budgets_from(args: argparse.Namespace) -> Budgets:
 
 def _read_graph(path: str) -> Graph:
     # utf-8-sig drops a byte-order mark, which would start the first label
-    text = Path(path).read_text(encoding="utf-8-sig")
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
     return parse_edge_list(text)
+
+
+def _graph_id(path: str) -> str:
+    """The file name without its last suffix, as pathlib's stem gives it (a
+    trailing dot or a leading one is no suffix), without importing pathlib
+    at every start-up."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 # -- analyze -------------------------------------------------------------------
@@ -163,7 +172,7 @@ def _print_analysis_text(rec: dict) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     budgets = _budgets_from(args)
     g = _read_graph(args.file)
-    rec = _analysis_record(Path(args.file).stem, g, budgets)
+    rec = _analysis_record(_graph_id(args.file), g, budgets)
     if args.format == "json":
         print(json.dumps(rec, indent=2))
     else:
@@ -214,7 +223,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _EXIT_USAGE
     single = None
     if args.graph:
-        gid = Path(args.graph).stem
+        gid = _graph_id(args.graph)
         single = (gid, _read_graph(args.graph))
         family = f"file:{args.graph}"
     elif args.random is not None:

@@ -33,6 +33,12 @@ decided per component, with the same dispatch:
   only the vertices outside S and outside every earlier such W are asked.
   That is at most |S| queries for core and |C| - |S| for corona.
 
+One pass over the components gives both masks (core_and_corona): a forest
+or unicyclic component gets them from the same tree DPs and rerooting
+passes, a bipartite one from the same D(C), and a general one shares S
+between the two sides. core() and corona() alone run the same pass; on a
+general component each asks only its own side's queries.
+
 enumerate_mis reads the family Omega(G) by exhaustive search alone, none of
 the dispatch above: the lowest live vertex is taken (dropping its closed
 neighbourhood) or skipped, and a branch ends once the alpha of its live
@@ -69,15 +75,18 @@ __all__ = [
     "enumerate_mis",
     "core",
     "corona",
+    "core_and_corona",
     "is_alpha_critical_edge",
 ]
 
 
 def _forest_dp(
-    adj: tuple[int, ...], active: int
+    adj: tuple[int, ...], active: int, roots: int = -1
 ) -> tuple[int, list[int], dict[int, int], dict[int, int], dict[int, int]]:
     """The classic tree DP on the acyclic subgraph induced on the active
-    mask, from one walk of each tree rooted at its lowest vertex.
+    mask, from one walk of each tree rooted at its lowest vertex in the
+    roots mask: by default its lowest vertex. A roots mask must meet every
+    tree.
 
     Returns alpha of the forest, the walk order (every vertex after its
     parent, one tree after another), each vertex's parent (-1 at a root),
@@ -86,7 +95,7 @@ def _forest_dp(
     order: list[int] = []
     parent: dict[int, int] = {}
     seen = 0
-    roots = active
+    roots &= active
     while roots:
         rb = roots & -roots
         root = rb.bit_length() - 1
@@ -118,10 +127,10 @@ def _forest_dp(
     return total, order, parent, take, skip
 
 
-def _forest_removals(adj: tuple[int, ...], active: int, closed: bool) -> tuple[int, int]:
-    """alpha of the forest F induced on the active mask, and the mask of the
-    vertices v of F with alpha(F - X_v) = alpha(F) - 1, where X_v = N_F[v]
-    if closed and X_v = {v} otherwise.
+def _forest_removals(adj: tuple[int, ...], active: int) -> tuple[int, int, int]:
+    """alpha of the forest F induced on the active mask, and the masks of
+    the vertices v of F with alpha(F - v) = alpha(F) - 1 (the core side)
+    and with alpha(F - N_F[v]) = alpha(F) - 1 (the corona side).
 
     Rerooting: a second pass in walk order gives each vertex v with parent p
     the sizes of the largest independent sets of its up-tree (the tree minus
@@ -129,12 +138,13 @@ def _forest_removals(adj: tuple[int, ...], active: int, closed: bool) -> tuple[i
         ut[v] = take[p] - skip[v] + us[p]
         us[v] = skip[p] - max(take[v], skip[v]) + ub[p]
     all three 0 at a root. Then alpha(T - v) = skip[v] + ub[v] and
-    alpha(T - N[v]) = take[v] - 1 + us[v] on v's tree T. X_v lies in T, so v
-    drops alpha(F) by one exactly when it drops alpha(T) by one."""
+    alpha(T - N[v]) = take[v] - 1 + us[v] on v's tree T, both from the one
+    pass. Either removal lies in T, so it drops alpha(F) by one exactly when
+    it drops alpha(T) by one."""
     total, order, parent, take, skip = _forest_dp(adj, active)
     up_skip: dict[int, int] = {}
     up_best: dict[int, int] = {}
-    drops = 0
+    in_core = in_corona = 0
     for v in order:
         p = parent[v]
         if p < 0:
@@ -146,9 +156,11 @@ def _forest_removals(adj: tuple[int, ...], active: int, closed: bool) -> tuple[i
             ub = max(take[p] - skip[v] + up_skip[p], us)
         up_skip[v] = us
         up_best[v] = ub
-        if (take[v] - 1 + us if closed else skip[v] + ub) == tree - 1:
-            drops |= 1 << v
-    return total, drops
+        if skip[v] + ub == tree - 1:
+            in_core |= 1 << v
+        if take[v] - 1 + us == tree - 1:
+            in_corona |= 1 << v
+    return total, in_core, in_corona
 
 
 def _bb_set(adj: tuple[int, ...], active: int) -> int:
@@ -295,26 +307,43 @@ def _alpha_memo(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
     return size
 
 
-def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bool) -> int:
-    """Mask of the vertices v of the subgraph induced on the active mask with
-    alpha(G[active] - X_v) = alpha(G[active]) - 1, where X_v = N[v] if closed
-    and X_v = {v} otherwise.
+def _alpha_drops(
+    adj: tuple[int, ...],
+    active: int,
+    budgets: Budgets,
+    want_core: bool = True,
+    want_corona: bool = True,
+) -> tuple[int, int]:
+    """The masks of the vertices v of the subgraph induced on the active mask
+    with alpha(G[active] - v) = alpha(G[active]) - 1 (core) and with
+    alpha(G[active] - N[v]) = alpha(G[active]) - 1 (corona).
 
-    X_v lies inside v's component C, so the test reads alpha(C - X_v) =
+    v and N[v] lie inside v's component C, so both tests read alpha(C - X) =
     alpha(C) - 1 on each component from _branches, by the branch the module
-    docstring describes for its kind."""
-    out = 0
+    docstring describes for its kind. One pass gives both masks: a forest,
+    unicyclic or bipartite component pays for one side only. A general
+    component shares its first branch-and-bound set between the sides and
+    asks the per-vertex queries of a wanted side only; a side not wanted is
+    returned as 0."""
+    in_core = in_corona = 0
     for kind, comp, left in _branches(adj, active):
         if kind == "forest":
-            out |= _forest_removals(adj, comp, closed)[1]
+            _, c, o = _forest_removals(adj, comp)
+            in_core |= c
+            in_corona |= o
         elif kind == "unicyclic":
             u, f1, f2 = _cycle_split(adj, comp)
-            a1, d1 = _forest_removals(adj, f1, closed)
-            a2, d2 = _forest_removals(adj, f2, closed)
-            if a1 != a2 + 1:
-                out |= d1 if a1 > a2 + 1 else d2 | u
+            a1, c1, o1 = _forest_removals(adj, f1)
+            a2, c2, o2 = _forest_removals(adj, f2)
+            if a1 > a2 + 1:  # no maximum independent set takes u
+                in_core |= c1
+                in_corona |= o1
+            elif a1 < a2 + 1:  # every one takes u
+                in_core |= c2 | u
+                in_corona |= o2 | u
             else:
-                out |= d1 | d2 | u if closed else d1 & d2
+                in_core |= c1 & c2
+                in_corona |= o1 | o2 | u
         elif kind == "bipartite":
             mate = _match(adj, left, comp)
             free = comp
@@ -322,32 +351,33 @@ def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets, closed: bo
                 mate[s] = t
                 free &= ~(1 << t | 1 << s)
             d = _even_reach(adj, mate, free, comp)
-            if not closed:
-                out |= d
-            else:
-                out |= comp & ~_union(adj, d)
+            in_core |= d
+            in_corona |= comp & ~_union(adj, d)
         else:
             _check_bb(comp.bit_count(), budgets)
-            known = _bb_set(adj, comp)
-            a = known.bit_count()
-            if closed:
-                # every witness W + v is a maximum independent set, so all of
-                # it lies in corona and needs no query of its own
-                for v in _bits(comp & ~known):
-                    if not known >> v & 1:
-                        w = _bb_set(adj, comp & ~(adj[v] | 1 << v))
-                        if w.bit_count() == a - 1:
-                            known |= w | 1 << v
-            else:
+            first = _bb_set(adj, comp)
+            a = first.bit_count()
+            if want_core:
                 # core lies inside every maximum independent set, so each
                 # witness that avoids v cuts the candidates down to itself
-                for v in _bits(known):
+                known = first
+                for v in _bits(first):
                     if known >> v & 1:
                         w = _bb_set(adj, comp & ~(1 << v))
                         if w.bit_count() == a:
                             known &= w
-            out |= known
-    return out
+                in_core |= known
+            if want_corona:
+                # every witness W + v is a maximum independent set, so all of
+                # it lies in corona and needs no query of its own
+                known = first
+                for v in _bits(comp & ~first):
+                    if not known >> v & 1:
+                        w = _bb_set(adj, comp & ~(adj[v] | 1 << v))
+                        if w.bit_count() == a - 1:
+                            known |= w | 1 << v
+                in_corona |= known
+    return in_core, in_corona
 
 
 # -- public operations --------------------------------------------------------
@@ -404,28 +434,33 @@ def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexS
 def core(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to every maximum independent set:
     v is in core(G) iff alpha(G - v) = alpha(G) - 1."""
-    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, closed=False))
+    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, want_corona=False)[0])
 
 
 def corona(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to at least one maximum independent set:
     v is in corona(G) iff alpha(G - N[v]) = alpha(G) - 1."""
-    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, closed=True))
+    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, want_core=False)[1])
+
+
+def core_and_corona(
+    g: Graph, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[VertexSet, VertexSet]:
+    """(core(G), corona(G)) from one pass over the components."""
+    c, o = _alpha_drops(g.adj, (1 << g.n) - 1, budgets)
+    return VertexSet(g, c), VertexSet(g, o)
 
 
 def is_alpha_critical_edge(
     g: Graph, u: str, v: str, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
     """True iff deleting the edge raises alpha (necessarily by exactly 1)."""
-    if not g.adj[g.index_of(u)] >> g.index_of(v) & 1:
-        raise DomainError(f"no edge {u!r} {v!r}")
-    return _edge_raises_alpha(g, u, v, _alpha_active(g.adj, (1 << g.n) - 1, budgets), budgets)
-
-
-def _edge_raises_alpha(g: Graph, u: str, v: str, a: int, budgets: Budgets) -> bool:
-    """alpha(G - uv) = a + 1, for an edge uv of G and a = alpha(G)."""
     iu, iv = g.index_of(u), g.index_of(v)
+    if not g.adj[iu] >> iv & 1:
+        raise DomainError(f"no edge {u!r} {v!r}")
+    full = (1 << g.n) - 1
+    a = _alpha_active(g.adj, full, budgets)
     adj = list(g.adj)
     adj[iu] &= ~(1 << iv)
     adj[iv] &= ~(1 << iu)
-    return _alpha_active(tuple(adj), (1 << g.n) - 1, budgets) == a + 1
+    return _alpha_active(tuple(adj), full, budgets) == a + 1

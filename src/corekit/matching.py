@@ -12,7 +12,10 @@ one. saturating_matching runs it on a source set and a disjoint target set
 on the bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and
 ker is the set of vertices whose left copy some maximum matching misses
 (Levit and Mandrescu 2012). The exhaustive memo _mu_active serves only
-enumerate_maximum_matchings, which is budgeted by enum_n.
+_maximum_matching_pairs, budgeted by enum_n: it lists every maximum matching
+as index pairs, which enumerate_maximum_matchings turns into sorted Matching
+objects and the checkers test directly. Both go through _matched_vertices,
+the one statement of the matching predicate that the constructor enforces.
 """
 
 from __future__ import annotations
@@ -33,6 +36,23 @@ __all__ = [
 ]
 
 
+def _matched_vertices(graph: Graph, pairs) -> int:
+    """The mask of the vertices that the index pairs cover, once they pass
+    the defining predicate of a matching of the graph: every pair is an
+    edge and no vertex repeats. Raises DomainError otherwise."""
+    used = 0
+    for i, j in pairs:
+        if not graph.adj[i] >> j & 1:
+            raise DomainError(
+                f"pair ({graph.labels[i]!r}, {graph.labels[j]!r}) is not an edge"
+            )
+        bits = 1 << i | 1 << j
+        if used & bits:
+            raise DomainError("matching reuses a vertex")
+        used |= bits
+    return used
+
+
 class Matching:
     """An immutable set of pairwise disjoint edges of one graph.
 
@@ -43,21 +63,10 @@ class Matching:
     __slots__ = ("graph", "pairs")
 
     def __init__(self, graph: Graph, pairs):
-        norm = []
-        used = 0
-        for i, j in pairs:
-            if not graph.adj[i] >> j & 1:
-                raise DomainError(
-                    f"pair ({graph.labels[i]!r}, {graph.labels[j]!r}) is not an edge"
-                )
-            bits = 1 << i | 1 << j
-            if used & bits:
-                raise DomainError("matching reuses a vertex")
-            used |= bits
-            norm.append((i, j) if i < j else (j, i))
-        norm.sort()
+        pairs = list(pairs)
+        _matched_vertices(graph, pairs)
         self.graph = graph
-        self.pairs = tuple(norm)
+        self.pairs = tuple(sorted((i, j) if i < j else (j, i) for i, j in pairs))
 
     @classmethod
     def from_labels(cls, graph: Graph, pairs) -> "Matching":
@@ -254,11 +263,12 @@ def is_mu_critical_edge(g: Graph, u: str, v: str) -> bool:
     return mu(g.delete_edge(u, v)) < mu(g)
 
 
-def enumerate_maximum_matchings(
+def _maximum_matching_pairs(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
-) -> tuple[Matching, ...]:
-    """Every maximum matching, sorted by edge-label lists. Raises when the
-    family would exceed the configured matching_limit."""
+) -> list[tuple[tuple[int, int], ...]]:
+    """Every maximum matching as a tuple of index pairs, unvalidated and in
+    search order. Raises when g has more than enum_n vertices or the family
+    more than matching_limit members."""
     if g.n > budgets.enum_n:
         raise BudgetExceededError(
             f"matching enumeration limited to {budgets.enum_n} vertices, got {g.n}"
@@ -290,6 +300,14 @@ def enumerate_maximum_matchings(
                 rec(active ^ b ^ ub, need - 1, chosen + ((v, u),))
 
     rec(full, target, ())
-    matchings = [Matching(g, pairs) for pairs in out]
+    return out
+
+
+def enumerate_maximum_matchings(
+    g: Graph, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[Matching, ...]:
+    """Every maximum matching, sorted by edge-label lists. Raises when the
+    family would exceed the configured matching_limit."""
+    matchings = [Matching(g, pairs) for pairs in _maximum_matching_pairs(g, budgets)]
     matchings.sort(key=lambda m: m.edge_labels())
     return tuple(matchings)

@@ -31,7 +31,12 @@ exhaustive search only (independence._alpha_memo), never on the forest,
 unicyclic, Koenig or branch-and-bound paths of alpha, core and corona. sweep
 builds one record per graph and runs the chosen checkers against it in the
 given order, so each graph pays for one subset sweep, one alpha and one mu
-however many checkers read them.
+however many checkers read them. core and corona come from one binding,
+independence.core_and_corona, whose single pass over the components gives
+both sets; alpha stays its own _alpha_active call, so a run that reads alpha
+alone pays for no core or corona. LEM2's cycle-edge test reads alpha(G - e)
+off one path DP per cycle edge (unicyclic._non_critical_cycle_edges), an
+exact alpha computation that rests on no catalog statement.
 
 On a bipartite component with more edges than vertices, core() and corona()
 read their answer off one maximum matching (core = D(G) and corona =
@@ -44,8 +49,13 @@ corona() like the rest. _Facts.matching_read asks independence._branches,
 the dispatch core() and corona() follow, whether the graph has one.
 
 A report's witness payload is re-verified under its defining predicate before
-it is returned (matchings are rebuilt through the validating constructor and
-checked for saturation), so a report never carries an unchecked certificate.
+it is returned, so a report never carries an unchecked certificate. TH1 and
+TH11 check theirs on index pairs: every pair list goes through
+matching._matched_vertices, the predicate the Matching constructor enforces
+(each pair an edge, no vertex repeated), and TH11 checks that it covers the
+sources. Matching objects are built only when a TH1 pair list fails, to name
+the counterexample as the sorted family lists it. LEM1B's matching still
+comes from saturating_matching and is checked for saturation.
 """
 
 from __future__ import annotations
@@ -60,10 +70,30 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import critical_difference_bruteforce, diff
 from .errors import DomainError
-from .graph import Graph, VertexSet, classify_shape, serialize
-from .independence import _alpha_active, _branches, core, corona, enumerate_mis, is_independent
-from .matching import enumerate_maximum_matchings, mu, saturating_matching
-from .unicyclic import _non_critical_cycle_edges, _pendant_union, decompose, find_cycle
+from .graph import Graph, VertexSet, _match, classify_shape, serialize
+from .independence import (
+    _alpha_active,
+    _branches,
+    core,
+    core_and_corona,
+    corona,
+    enumerate_mis,
+    is_independent,
+)
+from .matching import (
+    _matched_vertices,
+    _maximum_matching_pairs,
+    enumerate_maximum_matchings,
+    mu,
+    saturating_matching,
+)
+from .unicyclic import (
+    _non_critical_cycle_edges,
+    _pendant_union,
+    _walk_cycle,
+    decompose,
+    find_cycle,
+)
 
 __all__ = [
     "THEOREM_IDS",
@@ -127,12 +157,16 @@ class _Facts:
         return mu(self.g)
 
     @cached_property
-    def core(self) -> VertexSet:
-        return core(self.g, self.budgets)
+    def core_corona(self) -> tuple[VertexSet, VertexSet]:
+        return core_and_corona(self.g, self.budgets)
 
-    @cached_property
+    @property
+    def core(self) -> VertexSet:
+        return self.core_corona[0]
+
+    @property
     def corona(self) -> VertexSet:
-        return corona(self.g, self.budgets)
+        return self.core_corona[1]
 
     @cached_property
     def mis_family(self) -> tuple[VertexSet, ...]:
@@ -183,7 +217,8 @@ class _Facts:
 
     @cached_property
     def cycle(self) -> tuple[str, ...]:
-        return find_cycle(self.g)
+        # the shape has walked the components that find_cycle would walk again
+        return _walk_cycle(self.g) if self.unicyclic else find_cycle(self.g)
 
     @cached_property
     def decomposition(self):
@@ -261,7 +296,7 @@ def _check_lem2(f: _Facts) -> tuple:
     g = f.g
     a, m = f.alpha, f.mu
     total = a + m
-    non_critical = _non_critical_cycle_edges(g, f.cycle, a, f.budgets)
+    non_critical = _non_critical_cycle_edges(g, f.cycle, a)
     bounds_ok = g.n - 1 <= total <= g.n
     iff_ok = (total == g.n - 1) == (not non_critical)
     wit = [
@@ -276,47 +311,68 @@ def _check_lem2(f: _Facts) -> tuple:
 def _check_th11(f: _Facts) -> tuple:
     """Every graph: for each maximum independent set S there is a matching
     from S - core(G) into corona(G) - S."""
+    g = f.g
     family = f.mis_family
-    inter = f.mis_core
-    union = f.mis_corona
-    checked = 0
+    inter = f.mis_core.mask
+    union = f.mis_corona.mask
     for s in family:
-        sources = s - inter
-        targets = union - s
-        match = saturating_matching(f.g, sources, targets)
-        if match is None:
+        sources = s.mask & ~inter
+        targets = union & ~s.mask
+        mate = _match(g.adj, sources, targets)
+        if len(mate) < sources.bit_count():
             return (
                 True, False, [("mis_count", len(family))],
-                [("S", _fmt(s)), ("sources", _fmt(sources)), ("targets", _fmt(targets))],
+                [
+                    ("S", _fmt(s)),
+                    ("sources", _fmt(VertexSet(g, sources))),
+                    ("targets", _fmt(VertexSet(g, targets))),
+                ],
             )
-        assert _saturates(match, sources)
-        checked += 1
-    return True, True, [("mis_count", len(family)), ("matchings_found", checked)]
+        covered = _matched_vertices(g, [(v, t) for t, v in mate.items()])
+        assert sources & ~covered == 0
+    return True, True, [("mis_count", len(family)), ("matchings_found", len(family))]
+
+
+def _unmatched_into(pairs, into: int, sources: int) -> int:
+    """The vertices of the sources mask that the index pairs do not match to
+    a vertex of the into mask."""
+    hit = 0
+    for i, j in pairs:
+        if into >> j & 1:
+            hit |= 1 << i
+        if into >> i & 1:
+            hit |= 1 << j
+    return sources & ~hit
 
 
 def _check_th1(f: _Facts) -> tuple:
     """KE graphs: every maximum matching matches N(core(G)) into core(G)."""
     if skip := _not_ke(f):
         return skip
+    g = f.g
     c = f.ke_core
-    nc = f.g.neighborhood(c)
-    matchings = enumerate_maximum_matchings(f.g, f.budgets)
-    nc_labels = nc.labels()
-    for match in matchings:
-        for v in nc_labels:
-            partner = match.matched_to(v)
-            if partner is None or partner not in c:
-                return (
-                    True, False, [("core", _fmt(c)), ("n_core", _fmt(nc))],
-                    [
-                        ("matching", _fmt_pairs(match.edge_labels())),
-                        ("vertex", v),
-                        ("matched_to", "-" if partner is None else partner),
-                    ],
-                )
+    nc = g.neighborhood(c)
+    wit = [("core", _fmt(c)), ("n_core", _fmt(nc))]
+    family = _maximum_matching_pairs(g, f.budgets)
+    missed = 0
+    for pairs in family:
+        _matched_vertices(g, pairs)
+        missed |= _unmatched_into(pairs, c.mask, nc.mask)
+    if not missed:
+        return True, True, wit + [("maximum_matchings", len(family))]
+    # the counterexample is the first failing matching in the sorted family,
+    # and its first failing vertex by label
+    match = next(m for m in enumerate_maximum_matchings(g, f.budgets)
+                 if _unmatched_into(m.pairs, c.mask, nc.mask))
+    v = VertexSet(g, _unmatched_into(match.pairs, c.mask, nc.mask)).labels()[0]
+    partner = match.matched_to(v)
     return (
-        True, True,
-        [("core", _fmt(c)), ("n_core", _fmt(nc)), ("maximum_matchings", len(matchings))],
+        True, False, wit,
+        [
+            ("matching", _fmt_pairs(match.edge_labels())),
+            ("vertex", v),
+            ("matched_to", "-" if partner is None else partner),
+        ],
     )
 
 

@@ -9,6 +9,11 @@ In that case core, corona and ker are unions of the corresponding sets of the
 pendant trees (plus the cycle itself for corona), which the structural_*
 functions compute without ever enumerating maximum independent sets of the
 whole graph.
+
+Which cycle edges are alpha-critical (_non_critical_cycle_edges, behind
+classify_ke_unicyclic and the LEM2 checker) is decided from one tree DP of
+the pendant forest and one path DP per cycle edge, not from an alpha query
+of each G - e.
 """
 
 from __future__ import annotations
@@ -18,8 +23,16 @@ from typing import Callable, NamedTuple
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import ker
 from .errors import NotUnicyclicError, PreconditionError
-from .graph import Graph, VertexSet, _components_in, _cycle_order, _strip_to_cycles
-from .independence import _alpha_active, _edge_raises_alpha, core, corona
+from .graph import (
+    Graph,
+    VertexSet,
+    _bits,
+    _components_in,
+    _cycle_order,
+    _strip_to_cycles,
+    _union,
+)
+from .independence import _alpha_active, _forest_dp, core, corona
 from .matching import is_koenig_egervary, mu
 
 __all__ = [
@@ -137,7 +150,7 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
     _require_unicyclic(g)
     a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
     total = a + mu(g)
-    bad = _non_critical_cycle_edges(g, _walk_cycle(g), a, budgets)
+    bad = _non_critical_cycle_edges(g, _walk_cycle(g), a)
     return KeClassification(
         koenig_egervary=total == g.n,
         alpha_plus_mu=total,
@@ -147,14 +160,41 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
 
 
 def _non_critical_cycle_edges(
-    g: Graph, cycle: tuple[str, ...], a: int, budgets: Budgets
+    g: Graph, cycle: tuple[str, ...], a: int
 ) -> list[tuple[str, str]]:
     """The edges of the cycle whose deletion leaves alpha(G) = a unchanged,
-    each as a label-sorted pair, in sorted order."""
+    each as a label-sorted pair, in sorted order.
+
+    Deleting the cycle's edges leaves one tree T_c per cycle vertex c: c with
+    the pendant trees hung on it. One tree DP of the pendant forest G - C,
+    each tree rooted at its vertex next to the cycle, gives for every c
+        take_c = 1 + alpha(T_c - N[c]) = 1 + sum of skip[r]
+        skip_c = alpha(T_c - c) = sum of max(take[r], skip[r])
+    over the roots r hung on c. G minus the cycle edge c_k c_{k+1} is a tree
+    whose cycle vertices form the path c_{k+1}, ..., c_k, so its alpha is a
+    DP along that path over the pairs (take_c, skip_c). That is alpha(G - e)
+    exactly, with no alpha query of G - e."""
+    adj = g.adj
+    idx = [g.index_of(c) for c in cycle]
+    cyc = g.set_of(cycle).mask
+    rest = (1 << g.n) - 1 & ~cyc
+    _, _, _, take, skip = _forest_dp(adj, rest, _union(adj, cyc) & rest)
+    weights = []
+    for c in idx:
+        took, skipped = 1, 0
+        for r in _bits(adj[c] & rest):
+            took += skip[r]
+            skipped += max(take[r], skip[r])
+        weights.append((took, skipped))
+    size = len(idx)
     bad = []
-    for k in range(len(cycle)):
-        u, v = cycle[k], cycle[(k + 1) % len(cycle)]
-        if not _edge_raises_alpha(g, u, v, a, budgets):
+    for k in range(size):
+        took, skipped = weights[(k + 1) % size]
+        for j in range(k + 2, k + 1 + size):
+            t, s = weights[j % size]
+            took, skipped = skipped + t, max(took, skipped) + s
+        if max(took, skipped) != a + 1:
+            u, v = cycle[k], cycle[(k + 1) % size]
             bad.append((u, v) if u <= v else (v, u))
     bad.sort()
     return bad

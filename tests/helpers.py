@@ -296,7 +296,7 @@ def unicyclic_drops_reference(g, closed: bool):
                 else:
                     after[v] = max(f1[v], 1 + a2)
         else:
-            out |= _alpha_drops(adj, comp, DEFAULT_BUDGETS, closed)
+            out |= _alpha_drops(adj, comp, DEFAULT_BUDGETS)[closed]
             continue
         for v, b in after.items():
             if b == a - 1:

@@ -128,7 +128,7 @@ def test_verify_graph_reads_a_byte_order_mark_as_no_part_of_a_label(tmp_path, ca
     assert out.startswith("MAIN bom applicable=true holds=true sum=3 two_alpha=2 sum_defect=1 ")
 
 
-_ONE_EACH = ("classify_shape", "alpha", "mu", "core", "corona")
+_ONE_EACH = ("classify_shape", "alpha", "mu", "core_and_corona")
 
 
 @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ _ONE_EACH = ("classify_shape", "alpha", "mu", "core", "corona")
          _ONE_EACH + ("decompose",)),
         (lambda: cli_module.main(["analyze", str(FIXDIR / "bicyclic10-ke.txt")]), _ONE_EACH),
         (lambda: theorems_module.classify_sum_defect(fixture("uni10-nonke")),
-         ("alpha", "core", "corona")),
+         ("alpha", "core_and_corona")),
     ],
     ids=["analyze-uni10-nonke", "analyze-bicyclic10-ke", "classify_sum_defect"],
 )
@@ -152,7 +152,7 @@ def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected
             return fn(*args)
         return wrapper
 
-    for name in ("classify_shape", "mu", "core", "corona", "decompose"):
+    for name in ("classify_shape", "mu", "core_and_corona", "decompose"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
     alpha_active = theorems_module._alpha_active
 
@@ -687,3 +687,40 @@ def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
             codes[code] = codes.get(code, 0) + 1
     # both accepted and refused inputs were generated
     assert codes.get(0) and codes.get(2)
+
+
+# Each forced failure with the failure block the command printed before TH1
+# and TH11 checked their certificates on index pairs; the second TH1 case
+# fails on a matching after the first in sorted order.
+_FORCED_FAILURES = [
+    ("TH1", "uni7-ke", "ke_core", lambda f: f.g.set_of(["u"]),
+     "TH1 uni7-ke applicable=true holds=false core={u} n_core={a, b, c}\n",
+     "failure: TH1 on uni7-ke\n"
+     "  matching: [a-u, c-v, x-y]\n  vertex: b\n  matched_to: -\n"),
+    ("TH1", "uni7-ke-kereq", "ke_core", lambda f: f.g.set_of(["x", "y"]),
+     "TH1 uni7-ke-kereq applicable=true holds=false core={x, y} n_core={p1, p2}\n",
+     "failure: TH1 on uni7-ke-kereq\n"
+     "  matching: [p1-x, p2-z, q1-q2]\n  vertex: p2\n  matched_to: z\n"),
+    ("TH11", "uni7-ke", "mis_corona",
+     lambda f: (f.mis_family[0] | f.mis_family[1]) - f.g.set_of(["x"]),
+     "TH11 uni7-ke applicable=true holds=false mis_count=2\n",
+     "failure: TH11 on uni7-ke\n"
+     "  S: {a, b, c, y}\n  sources: {y}\n  targets: {}\n"),
+]
+
+
+@pytest.mark.parametrize("tid, name, attr, value, report, failure", _FORCED_FAILURES,
+                         ids=["th1-first", "th1-later", "th11"])
+def test_forced_certificate_failures_print_as_before(
+    monkeypatch, capsys, tid, name, attr, value, report, failure
+):
+    monkeypatch.setattr(theorems_module._Facts, attr, property(value))
+    path = FIXDIR / f"{name}.txt"
+    code = cli_module.main(["verify", "--theorem", tid, "--graph", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    edges = "".join(f"  | {line}\n" for line in serialize(fixture(name)).splitlines())
+    assert out == (
+        f"{report}family: file:{path}\ntheorems: {tid}\ngraphs tested: 1\nchecks run: 1\n"
+        f"checks applicable: 1\nfailures: 1\n{failure}{edges}result: counterexample found\n"
+    )

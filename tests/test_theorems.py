@@ -247,7 +247,7 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
             return fn(g, *args)
         return wrapper
 
-    for name in ("critical_difference_bruteforce", "mu", "core", "corona", "enumerate_mis"):
+    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "enumerate_mis"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
     alpha_active = theorems_module._alpha_active
 
@@ -260,7 +260,7 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
     summary = sweep([(str(i), g) for i, g in enumerate(graphs)], THEOREM_IDS, workers=1)
     assert summary.graphs_tested == len(graphs) == 143
     assert summary.all_hold()
-    for name in ("critical_difference_bruteforce", "mu", "core", "corona", "enumerate_mis",
+    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "enumerate_mis",
                  "alpha"):
         assert [calls.get((name, g.adj)) for g in graphs] == [1] * len(graphs), name
 
@@ -275,13 +275,12 @@ def test_ke_checkers_read_core_and_corona_from_the_mis_family(monkeypatch):
     assert all(rep.applicable and rep.holds for rep in before[:5])
 
     def wrong(g, budgets):
-        return g.full_set()
+        return g.full_set(), g.full_set()
 
-    monkeypatch.setattr(theorems_module, "core", wrong)
-    monkeypatch.setattr(theorems_module, "corona", wrong)
+    monkeypatch.setattr(theorems_module, "core_and_corona", wrong)
     after = [check(tid, g, "k23p") for tid in tids]
     assert after[:4] == before[:4]
-    # the other checkers still read core() and corona()
+    # the other checkers still read the record's core and corona
     assert after[4] != before[4] and after[5] != before[5]
     # and so do these four on a graph without such a component
     uni = fixture("uni7-ke")
@@ -356,3 +355,35 @@ def test_sum_defect_histogram_on_small_unicyclic():
         assert 1 <= len(bucket) <= 3
         for gid, text in bucket:
             assert classify_sum_defect(parse_edge_list(text)) == d
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [(((0, 1), (1, 2)), "matching reuses a vertex"), (((0, 3),), "is not an edge")],
+    ids=["repeated-vertex", "non-edge"],
+)
+def test_th1_validates_every_index_pair_list(monkeypatch, pairs, message):
+    # on P4 (a-b-c-d), index 0 is a: a-b is an edge and a-d is not
+    g = parse_edge_list("a b\nb c\nc d\n")
+    assert g.labels == ("a", "b", "c", "d")
+    assert check("TH1", g, "p4").holds
+    monkeypatch.setattr(theorems_module, "_maximum_matching_pairs",
+                        lambda g, budgets: [((0, 1), (2, 3)), pairs])
+    with pytest.raises(DomainError, match=message):
+        check("TH1", g, "p4")
+
+
+def test_th11_validates_the_matching_it_reads(monkeypatch):
+    g = fixture("uni7-ke")
+    assert check("TH11", g, "uni7-ke").holds
+    real = theorems_module._match
+
+    def non_edge(adj, sources, targets):
+        # the right size, but each source paired with a vertex it misses
+        mate = real(adj, sources, targets)
+        return {next(u for u in range(len(adj)) if u != s and not adj[s] >> u & 1): s
+                for s in mate.values()}
+
+    monkeypatch.setattr(theorems_module, "_match", non_edge)
+    with pytest.raises(DomainError, match="is not an edge"):
+        check("TH11", g, "uni7-ke")

@@ -10,6 +10,7 @@ from corekit import (
     Graph,
     NotUnicyclicError,
     PreconditionError,
+    alpha,
     classify_ke_unicyclic,
     core,
     corona,
@@ -18,13 +19,19 @@ from corekit import (
     fixture,
     is_alpha_critical_edge,
     is_koenig_egervary,
+    kernel_gap_family,
     ker,
     random_unicyclic,
     serialize,
     structural_core,
     structural_corona,
     structural_ker,
+    sweep,
 )
+from corekit import independence as independence_module
+from corekit import theorems as theorems_module
+from corekit import unicyclic as unicyclic_module
+from corekit.unicyclic import _non_critical_cycle_edges
 from helpers import oracle_core, oracle_corona, oracle_ker, walk_cycle_reference
 
 from test_independence import cycle, path
@@ -192,3 +199,51 @@ def test_structural_shortcuts_on_named_fixtures():
     assert frozenset(structural_ker(g).labels()) == frozenset(ker(g).labels())
     g = fixture("uni8-nonke")
     assert sorted(structural_core(g).labels()) == ["x", "y"]
+
+
+def _per_edge_non_critical(g):
+    cyc = find_cycle(g)
+    bad = []
+    for k in range(len(cyc)):
+        u, v = cyc[k], cyc[(k + 1) % len(cyc)]
+        if not is_alpha_critical_edge(g, u, v):
+            bad.append((u, v) if u <= v else (v, u))
+    return sorted(bad)
+
+
+def test_one_pass_cycle_edges_match_per_edge_alpha(unicyclic_by_n):
+    graphs = [g for n in range(3, 12) for g in unicyclic_by_n[n]]
+    assert len(graphs) == 2846
+    graphs += [kernel_gap_family(k) for k in range(1, 7)]
+    graphs += [random_unicyclic(n, s) for n in (30, 200, 1000) for s in range(10)]
+    for g in graphs:
+        got = _non_critical_cycle_edges(g, find_cycle(g), alpha(g))
+        assert got == _per_edge_non_critical(g), serialize(g)
+
+
+def test_lem2_asks_no_alpha_query_per_cycle_edge(monkeypatch, unicyclic_by_n):
+    graphs = [g for n in range(3, 9) for g in unicyclic_by_n[n]]
+    inside = []
+    calls = []
+    real_edges = theorems_module._non_critical_cycle_edges
+
+    def edges(*args):
+        inside.append(True)
+        try:
+            return real_edges(*args)
+        finally:
+            inside.pop()
+
+    def counted(fn):
+        def wrapper(adj, active, budgets):
+            if inside:
+                calls.append(adj)
+            return fn(adj, active, budgets)
+        return wrapper
+
+    monkeypatch.setattr(theorems_module, "_non_critical_cycle_edges", edges)
+    for module in (independence_module, unicyclic_module, theorems_module):
+        monkeypatch.setattr(module, "_alpha_active", counted(module._alpha_active))
+    summary = sweep([(str(i), g) for i, g in enumerate(graphs)], ("LEM2",))
+    assert summary.graphs_tested == len(graphs) and summary.all_hold()
+    assert calls == []
