@@ -545,8 +545,9 @@ def family_items(
             for i, g in enumerate(enumerate_unicyclic(n, budgets=budgets)):
                 yield f"uni:n{n}:{i}", g
     elif family == "connected":
-        _family_orders(family, max_n, budgets)
-        for n, (pairs, masks) in enumerate(_connected_levels(max_n), 1):
+        orders = _family_orders(family, max_n, budgets)
+        # zip stops with the orders, so max_n = 0 builds no level at all
+        for n, (pairs, masks) in zip(orders, _connected_levels(max_n)):
             for i, g in enumerate(_level_graphs(pairs, masks)):
                 yield f"conn:n{n}:{i}", g
     elif family == "random-unicyclic":

@@ -42,16 +42,17 @@ def _check_label(label: str) -> str:
 #
 # _bits and _union walk the set bits of any mask. Every other helper takes the
 # adjacency bitmask tuple and an `active` vertex mask and works on the
-# subgraph induced on it. None of them recurses.
+# subgraph induced on it. None of them recurses. The component walk also gives
+# each component's colour classes, so no caller walks a component to colour it.
 #
-# A loop over every set bit of a mask is _bits or _union, except five hot
+# A loop over every set bit of a mask is _bits or _union, except four hot
 # loops that stay inline: _edge_count and _strip_to_cycles here, and
-# _forest_dp's neighbour loop, _bb_set's scan and _greedy_set's scan in
-# independence.py. There a generator step costs more than the loop body: a
-# _bits walk took 1.4x the inline loop per mask (1388 against 972 ns on masks
-# of 5.4 bits, Python 3.11 on a 2-vCPU host), where _union matches it. A loop
-# that takes only the lowest bit (x & -x) is a pick, not a walk.
-# tests/test_graph.py pins this list.
+# _forest_dp's neighbour loop and _bb_set's scan in independence.py. There a
+# generator step costs more than the loop body: a _bits walk took 1.4x the
+# inline loop per mask (1388 against 972 ns on masks of 5.4 bits, Python 3.11
+# on a 2-vCPU host), where _union matches it. A loop that takes only the
+# lowest bit (x & -x) is a pick, not a walk. tests/test_graph.py pins this
+# list.
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -73,17 +74,27 @@ def _union(rows: Sequence[int], mask: int) -> int:
     return out
 
 
-def _components_in(adj: tuple[int, ...], active: int) -> list[int]:
-    """Connected components of the subgraph induced on the active mask,
-    ordered by smallest vertex index."""
+def _components_in(adj: tuple[int, ...], active: int) -> list[tuple[int, int | None]]:
+    """(comp, left) for each component of the subgraph induced on the active
+    mask, by smallest vertex index. Breadth-first layers from the lowest
+    vertex alternate colours, and left is the colour-0 class; None if an
+    edge joins two vertices of one layer (an odd cycle)."""
     out = []
     rest = active
     while rest:
         comp = frontier = rest & -rest
+        left = 0
+        even = True
         while frontier:
-            frontier = _union(adj, frontier) & active & ~comp
+            nxt = _union(adj, frontier)
+            if nxt & frontier:
+                left = None
+            elif even and left is not None:
+                left |= frontier
+            even = not even
+            frontier = nxt & active & ~comp
             comp |= frontier
-        out.append(comp)
+        out.append((comp, left))
         rest &= ~comp
     return out
 
@@ -129,29 +140,6 @@ def _cycle_order(adj: tuple[int, ...], cyc: int) -> list[int]:
         if nxt == start:
             return order
         order.append(nxt)
-
-
-def _two_coloring(adj: tuple[int, ...], active: int) -> int | None:
-    """The colour-0 class of a proper 2-colouring of the subgraph induced on
-    the active mask, the lowest vertex of each component coloured 0; None if
-    the subgraph has an odd cycle. Breadth-first layers alternate colours, so
-    the colouring is proper iff no edge joins two vertices of one layer."""
-    left = 0
-    rest = active
-    while rest:
-        comp = frontier = rest & -rest
-        even = True
-        while frontier:
-            nxt = _union(adj, frontier)
-            if nxt & frontier:
-                return None
-            if even:
-                left |= frontier
-            even = not even
-            frontier = nxt & active & ~comp
-            comp |= frontier
-        rest &= ~comp
-    return left
 
 
 def _match(adj: tuple[int, ...], sources: int, targets: int) -> dict[int, int]:
@@ -370,7 +358,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Vertex masks of connected components, ordered by smallest index."""
-        return _components_in(self.adj, (1 << self.n) - 1)
+        return [comp for comp, _ in _components_in(self.adj, (1 << self.n) - 1)]
 
     def _own(self, vs: "VertexSet") -> None:
         if vs.graph is not self:
@@ -457,7 +445,7 @@ class ShapeClass(NamedTuple):
 
 
 def classify_shape(g: Graph) -> ShapeClass:
-    comps = g.components()
+    comps = _components_in(g.adj, (1 << g.n) - 1)
     connected = len(comps) <= 1
     acyclic = g.m == g.n - len(comps)
     if g.n == 0:
@@ -468,7 +456,7 @@ def classify_shape(g: Graph) -> ShapeClass:
         kind = "unicyclic"
     else:
         kind = "other"
-    bipartite = _two_coloring(g.adj, (1 << g.n) - 1) is not None
+    bipartite = all(left is not None for _, left in comps)
     return ShapeClass(connected=connected, kind=kind, bipartite=bipartite)
 
 

@@ -2,11 +2,12 @@
 core (vertices in every MIS) and corona (vertices in some MIS).
 
 alpha dispatches per connected component, on the kind that _branches gives
-it, the one dispatch decision of this module: trees get a linear DP,
-unicyclic components reduce to two forest DPs by branching on one cycle
-vertex, bipartite components get alpha = n - mu from the package's one
-augmenting-path matcher (graph._match; Koenig's theorem), and everything else
-goes through exact branch-and-bound under a size budget.
+it, the one dispatch decision of this module; the component walk gives the
+2-colouring too. Trees get a linear DP, unicyclic components reduce to two
+forest DPs by branching on one cycle vertex, bipartite components get
+alpha = n - mu from the package's one augmenting-path matcher (graph._match;
+Koenig's theorem), and everything else goes through exact branch-and-bound
+from the empty set under a size budget.
 
 core and corona never enumerate the MIS family: v is in core iff
 alpha(G - v) = alpha(G) - 1, and v is in corona iff alpha(G - N[v]) =
@@ -65,7 +66,6 @@ from .graph import (
     _even_reach,
     _match,
     _strip_to_cycles,
-    _two_coloring,
     _union,
 )
 
@@ -165,10 +165,10 @@ def _forest_removals(adj: tuple[int, ...], active: int) -> tuple[int, int, int]:
 
 def _bb_set(adj: tuple[int, ...], active: int) -> int:
     """Mask of a maximum independent set of the subgraph induced on the
-    active mask, by branch-and-bound: greedy start, isolated/leaf
-    reductions, branch on a maximum-degree vertex (include first)."""
-    best = _greedy_set(adj, active)
-    best_size = best.bit_count()
+    active mask, by branch-and-bound from the empty set: isolated/leaf
+    reductions, then a branch on a maximum-degree vertex, include first, so
+    the first descent already reaches a maximal set."""
+    best = best_size = 0
 
     def rec(active: int, chosen: int, size: int) -> None:
         nonlocal best, best_size
@@ -205,26 +205,6 @@ def _bb_set(adj: tuple[int, ...], active: int) -> int:
     return best
 
 
-def _greedy_set(adj: tuple[int, ...], active: int) -> int:
-    """Mask of a maximal independent set: take a minimum-degree vertex and
-    drop its closed neighbourhood until nothing is left."""
-    chosen = 0
-    while active:
-        v = -1
-        vdeg = -1
-        rest = active
-        while rest:  # inline, not _bits (1.4x per bit): one scan per vertex taken
-            b = rest & -rest
-            u = b.bit_length() - 1
-            rest ^= b
-            d = (adj[u] & active).bit_count()
-            if vdeg < 0 or d < vdeg:
-                v, vdeg = u, d
-        chosen |= 1 << v
-        active &= ~(adj[v] | 1 << v)
-    return chosen
-
-
 def _check_bb(nv: int, budgets: Budgets) -> None:
     """The bb_n budget of a general component of nv vertices, checked
     before any branching."""
@@ -246,17 +226,18 @@ def _cycle_split(adj: tuple[int, ...], comp: int) -> tuple[int, int, int]:
 def _branches(adj: tuple[int, ...], active: int):
     """(kind, comp, left) for each component of the subgraph induced on the
     active mask: kind is "forest", "unicyclic", "bipartite" (2-colourable
-    with more edges than vertices; left is a colour class) or "general",
-    and left is None but for "bipartite". No cycle is stripped here: the
-    unicyclic consumers call _cycle_split, and a caller that asks only for
-    the kinds (theorems._Facts.matching_read) pays for no strip."""
-    for comp in _components_in(adj, active):
+    with more edges than vertices; left is the colour class that the
+    component walk gives) or "general", and left is None but for
+    "bipartite". No cycle is stripped here: the unicyclic consumers call
+    _cycle_split, and a caller that asks only for the kinds
+    (theorems._Facts.matching_read) pays for no strip."""
+    for comp, left in _components_in(adj, active):
         extra = _edge_count(adj, comp) - comp.bit_count()
         if extra < 0:
             yield "forest", comp, None
         elif extra == 0:
             yield "unicyclic", comp, None
-        elif (left := _two_coloring(adj, comp)) is not None:
+        elif left is not None:
             yield "bipartite", comp, left
         else:
             yield "general", comp, None

@@ -34,9 +34,10 @@ given order, so each graph pays for one subset sweep, one alpha and one mu
 however many checkers read them. core and corona come from one binding,
 independence.core_and_corona, whose single pass over the components gives
 both sets; alpha stays its own _alpha_active call, so a run that reads alpha
-alone pays for no core or corona. LEM2's cycle-edge test reads alpha(G - e)
-off one path DP per cycle edge (unicyclic._non_critical_cycle_edges), an
-exact alpha computation that rests on no catalog statement.
+alone pays for no core or corona. LEM2's cycle-edge test reads every
+alpha(G - e) off one prefix and one suffix DP along the cycle
+(unicyclic._non_critical_cycle_edges), an exact alpha computation that rests
+on no catalog statement. The decomposition reuses the record's cycle.
 
 On a bipartite component with more edges than vertices, core() and corona()
 read their answer off one maximum matching (core = D(G) and corona =
@@ -53,9 +54,10 @@ it is returned, so a report never carries an unchecked certificate. TH1 and
 TH11 check theirs on index pairs: every pair list goes through
 matching._matched_vertices, the predicate the Matching constructor enforces
 (each pair an edge, no vertex repeated), and TH11 checks that it covers the
-sources. Matching objects are built only when a TH1 pair list fails, to name
-the counterexample as the sorted family lists it. LEM1B's matching still
-comes from saturating_matching and is checked for saturation.
+sources. Matching objects are built only when a TH1 pair list fails, from
+the family already listed, to name the counterexample as the sorted family
+lists it. LEM1B's matching still comes from saturating_matching and is
+checked for saturation.
 """
 
 from __future__ import annotations
@@ -81,17 +83,17 @@ from .independence import (
     is_independent,
 )
 from .matching import (
+    Matching,
     _matched_vertices,
     _maximum_matching_pairs,
-    enumerate_maximum_matchings,
     mu,
     saturating_matching,
 )
 from .unicyclic import (
+    _decompose,
     _non_critical_cycle_edges,
     _pendant_union,
     _walk_cycle,
-    decompose,
     find_cycle,
 )
 
@@ -222,7 +224,7 @@ class _Facts:
 
     @cached_property
     def decomposition(self):
-        return decompose(self.g)
+        return _decompose(self.g, self.cycle)
 
 
 def _fmt(vs: VertexSet) -> str:
@@ -362,8 +364,8 @@ def _check_th1(f: _Facts) -> tuple:
         return True, True, wit + [("maximum_matchings", len(family))]
     # the counterexample is the first failing matching in the sorted family,
     # and its first failing vertex by label
-    match = next(m for m in enumerate_maximum_matchings(g, f.budgets)
-                 if _unmatched_into(m.pairs, c.mask, nc.mask))
+    match = min((Matching(g, pairs) for pairs in family
+                 if _unmatched_into(pairs, c.mask, nc.mask)), key=Matching.edge_labels)
     v = VertexSet(g, _unmatched_into(match.pairs, c.mask, nc.mask)).labels()[0]
     partner = match.matched_to(v)
     return (

@@ -11,9 +11,9 @@ functions compute without ever enumerating maximum independent sets of the
 whole graph.
 
 Which cycle edges are alpha-critical (_non_critical_cycle_edges, behind
-classify_ke_unicyclic and the LEM2 checker) is decided from one tree DP of
-the pendant forest and one path DP per cycle edge, not from an alpha query
-of each G - e.
+classify_ke_unicyclic and the LEM2 checker) is decided in one linear pass:
+one tree DP of the pendant forest, then one prefix and one suffix DP along
+the cycle, not an alpha query or a path DP of each G - e.
 """
 
 from __future__ import annotations
@@ -101,10 +101,7 @@ class Decomposition(NamedTuple):
 
     def outer_roots(self) -> VertexSet:
         """The off-cycle vertices adjacent to the cycle."""
-        mask = 0
-        for pt in self.pendant_trees:
-            mask |= 1 << self.graph.index_of(pt.root)
-        return VertexSet(self.graph, mask)
+        return self.graph.neighborhood(self.cycle_set) - self.cycle_set
 
 
 def decompose(g: Graph) -> Decomposition:
@@ -113,12 +110,16 @@ def decompose(g: Graph) -> Decomposition:
     one edge, from its root to its anchor, since a second would close a
     second cycle."""
     _require_unicyclic(g)
-    cycle = _walk_cycle(g)
+    return _decompose(g, _walk_cycle(g))
+
+
+def _decompose(g: Graph, cycle: tuple[str, ...]) -> Decomposition:
+    """decompose of a connected unicyclic graph and its _walk_cycle."""
     cycle_set = g.set_of(cycle)
     cyc = cycle_set.mask
     roots = (g.neighborhood(cycle_set) - cycle_set).mask
     trees = []
-    for comp in _components_in(g.adj, (1 << g.n) - 1 & ~cyc):
+    for comp, _ in _components_in(g.adj, (1 << g.n) - 1 & ~cyc):
         root = (comp & roots).bit_length() - 1
         anchor = (g.adj[root] & cyc).bit_length() - 1
         vertices = VertexSet(g, comp)
@@ -171,8 +172,11 @@ def _non_critical_cycle_edges(
         take_c = 1 + alpha(T_c - N[c]) = 1 + sum of skip[r]
         skip_c = alpha(T_c - c) = sum of max(take[r], skip[r])
     over the roots r hung on c. G minus the cycle edge c_k c_{k+1} is a tree
-    whose cycle vertices form the path c_{k+1}, ..., c_k, so its alpha is a
-    DP along that path over the pairs (take_c, skip_c). That is alpha(G - e)
+    whose cycle vertices form the path c_{k+1}, ..., c_{L-1}, c_0, ..., c_k,
+    so its alpha is a DP along that path over the pairs (take_c, skip_c):
+    the best prefix c_0..c_k plus the best suffix c_{k+1}..c_{L-1}, over the
+    states of c_0 and c_{L-1} that do not take both. One prefix and one
+    suffix DP per end state give all of them in O(L). That is alpha(G - e)
     exactly, with no alpha query of G - e."""
     adj = g.adj
     idx = [g.index_of(c) for c in cycle]
@@ -187,27 +191,46 @@ def _non_critical_cycle_edges(
             skipped += max(take[r], skip[r])
         weights.append((took, skipped))
     size = len(idx)
+    # pre[x][k]: the best of c_0..c_k with c_0 taken (x = 0) or skipped;
+    # suf[y][k]: the best of c_k..c_{L-1} with c_{L-1} taken (y = 0) or skipped
+    pre = _path_prefixes(weights)
+    suf = [row[::-1] for row in _path_prefixes(weights[::-1])]
     bad = []
     for k in range(size):
-        took, skipped = weights[(k + 1) % size]
-        for j in range(k + 2, k + 1 + size):
-            t, s = weights[j % size]
-            took, skipped = skipped + t, max(took, skipped) + s
-        if max(took, skipped) != a + 1:
+        if k == size - 1:  # G - c_{L-1} c_0 leaves the path c_0, ..., c_{L-1}
+            after = max(pre[0][k], pre[1][k])
+        else:
+            after = max(pre[0][k] + suf[1][k + 1], pre[1][k] + max(suf[0][k + 1], suf[1][k + 1]))
+        if after != a + 1:
             u, v = cycle[k], cycle[(k + 1) % size]
             bad.append((u, v) if u <= v else (v, u))
     bad.sort()
     return bad
 
 
+def _path_prefixes(weights: list[tuple[int, int]]) -> list[list[int]]:
+    """For a path of vertices with (take, skip) weights, in order: for each
+    state of the first vertex, taken then skipped, the largest total of
+    every prefix of the path with its last vertex free."""
+    rows = []
+    first_take, first_skip = weights[0]
+    for took, skipped in ((first_take, float("-inf")), (float("-inf"), first_skip)):
+        row = [max(took, skipped)]
+        for t, s in weights[1:]:
+            took, skipped = skipped + t, max(took, skipped) + s
+            row.append(max(took, skipped))
+        rows.append(row)
+    return rows
+
+
 def _require_non_ke(g: Graph, budgets: Budgets) -> Decomposition:
-    _require_unicyclic(g)
+    dec = decompose(g)
     if is_koenig_egervary(g, budgets):
         raise PreconditionError(
             "structural core/corona/ker need alpha + mu = n - 1; "
             "this graph is Koenig-Egervary"
         )
-    return decompose(g)
+    return dec
 
 
 def _pendant_union(dec: Decomposition, part: Callable[[Graph], VertexSet]) -> VertexSet:

@@ -63,11 +63,18 @@ def _labelset(labels: list[str], mask: int) -> frozenset[str]:
 
 
 def oracle_alpha(g) -> int:
+    """The largest independent vertex subset, every subset visited: x is
+    independent iff x minus its lowest vertex v is, and v has no neighbour
+    in x."""
     labels, adj = indexed_adjacency(g)
+    ok = bytearray(1 << len(labels))
+    ok[0] = 1
     best = 0
-    for mask in range(1 << len(labels)):
-        if _is_independent(adj, mask):
-            best = max(best, mask.bit_count())
+    for x in range(1, len(ok)):
+        low = x & -x
+        if ok[x ^ low] and not adj[low.bit_length() - 1] & x:
+            ok[x] = 1
+            best = max(best, x.bit_count())
     return best
 
 
@@ -105,22 +112,20 @@ def oracle_mu(g) -> int:
     m = len(edges)
     if m > 16:
         raise ValueError(f"oracle_mu is for m <= 16, got {m}")
+    # used[x]: the vertices the edge subset x covers, -1 unless x is a
+    # matching (x minus its lowest edge is one, and that edge is disjoint)
+    used = [0] * (1 << m)
     best = 0
-    for mask in range(1 << m):
-        used = 0
-        ok = True
-        mm = mask
-        while mm:
-            b = mm & -mm
-            a_, b_ = edges[b.bit_length() - 1]
-            pair = 1 << a_ | 1 << b_
-            if used & pair:
-                ok = False
-                break
-            used |= pair
-            mm ^= b
-        if ok:
-            best = max(best, mask.bit_count())
+    for x in range(1, 1 << m):
+        low = x & -x
+        a_, b_ = edges[low.bit_length() - 1]
+        pair = 1 << a_ | 1 << b_
+        rest = used[x ^ low]
+        if rest < 0 or rest & pair:
+            used[x] = -1
+        else:
+            used[x] = rest | pair
+            best = max(best, x.bit_count())
     return best
 
 
@@ -275,7 +280,7 @@ def unicyclic_drops_reference(g, closed: bool):
 
     adj = g.adj
     out = 0
-    for comp in _components_in(adj, (1 << g.n) - 1):
+    for comp, _ in _components_in(adj, (1 << g.n) - 1):
         nv = comp.bit_count()
         ne = _edge_count(adj, comp)
         if ne == nv - 1:
@@ -331,8 +336,9 @@ def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> in
 
 def bb_alpha_reference(adj: tuple[int, ...], active: int) -> int:
     """alpha of the subgraph induced on the active mask by the counting
-    branch-and-bound that independence._bb_set replaced: the same greedy
-    start, degree <= 1 reductions and branching order, keeping only sizes."""
+    branch-and-bound that independence._bb_set replaced: the same degree
+    <= 1 reductions and branching order, keeping only sizes, and the greedy
+    start (a minimum-degree vertex at a time) that _bb_set later dropped."""
     best = 0
     rest_active = active
     while rest_active:
@@ -381,6 +387,64 @@ def bb_alpha_reference(adj: tuple[int, ...], active: int) -> int:
     return best
 
 
+def two_coloring_reference(adj: tuple[int, ...], active: int) -> int | None:
+    """The colour-0 class of a proper 2-colouring of the subgraph induced on
+    the active mask, the lowest vertex of each component coloured 0; None if
+    the subgraph has an odd cycle: graph._two_coloring as it was before the
+    component walk gave the colour classes. Breadth-first layers alternate
+    colours, so the colouring is proper iff no edge joins two vertices of
+    one layer."""
+    left = 0
+    rest = active
+    while rest:
+        comp = frontier = rest & -rest
+        even = True
+        while frontier:
+            nxt = _neighborhood(adj, frontier)
+            if nxt & frontier:
+                return None
+            if even:
+                left |= frontier
+            even = not even
+            frontier = nxt & active & ~comp
+            comp |= frontier
+        rest &= ~comp
+    return left
+
+
+def non_critical_cycle_edges_reference(g, cycle: tuple[str, ...], a: int) -> list[tuple[str, str]]:
+    """unicyclic._non_critical_cycle_edges as it was before its prefix and
+    suffix DPs: the same pendant-forest DP and per-vertex weights, then a
+    fresh path DP for each cycle edge, O(L^2) in the cycle length L."""
+    from corekit.graph import _bits, _union
+    from corekit.independence import _forest_dp
+
+    adj = g.adj
+    idx = [g.index_of(c) for c in cycle]
+    cyc = g.set_of(cycle).mask
+    rest = (1 << g.n) - 1 & ~cyc
+    _, _, _, take, skip = _forest_dp(adj, rest, _union(adj, cyc) & rest)
+    weights = []
+    for c in idx:
+        took, skipped = 1, 0
+        for r in _bits(adj[c] & rest):
+            took += skip[r]
+            skipped += max(take[r], skip[r])
+        weights.append((took, skipped))
+    size = len(idx)
+    bad = []
+    for k in range(size):
+        took, skipped = weights[(k + 1) % size]
+        for j in range(k + 2, k + 1 + size):
+            t, s = weights[j % size]
+            took, skipped = skipped + t, max(took, skipped) + s
+        if max(took, skipped) != a + 1:
+            u, v = cycle[k], cycle[(k + 1) % size]
+            bad.append((u, v) if u <= v else (v, u))
+    bad.sort()
+    return bad
+
+
 def strip_matching_reference(adj: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
     """A maximum matching of a forest or unicyclic vertex mask by
     leaf-stripping, an oracle for mu independent of the blossom algorithm:
@@ -415,7 +479,7 @@ def strip_matching_reference(adj: tuple[int, ...], comp: int) -> list[tuple[int,
         sup = (nb & -nb).bit_length() - 1
         pairs.append((leaf, sup))
         active &= ~(1 << leaf | 1 << sup)
-    for cyc in _components_in(adj, active):
+    for cyc, _ in _components_in(adj, active):
         order = _cycle_order(adj, cyc)
         for k in range(0, len(order) - 1, 2):
             pairs.append((order[k], order[k + 1]))

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from corekit import cli as cli_module
 from corekit import corpus as corpus_module
+from corekit import matching as matching_module
 from corekit import theorems as theorems_module
+from corekit import unicyclic as unicyclic_module
 from corekit import (
     FIXTURE_NAMES,
     Graph,
@@ -135,7 +138,7 @@ _ONE_EACH = ("classify_shape", "alpha", "mu", "core_and_corona")
     "run, expected",
     [
         (lambda: cli_module.main(["analyze", str(FIXDIR / "uni10-nonke.txt")]),
-         _ONE_EACH + ("decompose",)),
+         _ONE_EACH + ("_decompose",)),
         (lambda: cli_module.main(["analyze", str(FIXDIR / "bicyclic10-ke.txt")]), _ONE_EACH),
         (lambda: theorems_module.classify_sum_defect(fixture("uni10-nonke")),
          ("alpha", "core_and_corona")),
@@ -152,7 +155,7 @@ def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected
             return fn(*args)
         return wrapper
 
-    for name in ("classify_shape", "mu", "core_and_corona", "decompose"):
+    for name in ("classify_shape", "mu", "core_and_corona", "_decompose"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
     alpha_active = theorems_module._alpha_active
 
@@ -165,6 +168,18 @@ def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected
     run()
     capsys.readouterr()
     assert sorted(calls) == sorted(expected)
+
+
+def test_analyze_walks_the_cycle_once(monkeypatch, capsys):
+    walked = []
+    for module in (theorems_module, unicyclic_module):
+        def counted(g, real=module._walk_cycle):
+            walked.append(g)
+            return real(g)
+        monkeypatch.setattr(module, "_walk_cycle", counted)
+    assert cli_module.main(["analyze", str(FIXDIR / "uni10-nonke.txt")]) == 0
+    assert "cycle: (" in capsys.readouterr().out
+    assert len(walked) == 1
 
 
 def test_verify_single_graph_reports_and_exits_0():
@@ -724,3 +739,69 @@ def test_forced_certificate_failures_print_as_before(
         f"{report}family: file:{path}\ntheorems: {tid}\ngraphs tested: 1\nchecks run: 1\n"
         f"checks applicable: 1\nfailures: 1\n{failure}{edges}result: counterexample found\n"
     )
+
+
+def test_forced_th1_failure_lists_the_maximum_matchings_once(monkeypatch, capsys):
+    # the counterexample comes from the family the check already listed
+    tid, name, attr, value, _, failure = _FORCED_FAILURES[0]
+    monkeypatch.setattr(theorems_module._Facts, attr, property(value))
+    listed = []
+    for module in (theorems_module, matching_module):
+        def counted(g, budgets, real=module._maximum_matching_pairs):
+            listed.append(g)
+            return real(g, budgets)
+        monkeypatch.setattr(module, "_maximum_matching_pairs", counted)
+    code = cli_module.main(["verify", "--theorem", tid, "--graph", str(FIXDIR / f"{name}.txt")])
+    assert code == 1
+    assert failure in capsys.readouterr().out
+    assert len(listed) == 1
+
+
+_ELAPSED = r"elapsed: \d+\.\d{3}s"
+_SWEEP = ["verify", "--theorem", "all"]
+
+# (argv, exit code, last stderr line as a regex or None for no stderr, a
+# stdout line that must appear or None)
+_AT_BOUNDS = [
+    (_SWEEP + ["--family", "unicyclic", "--max-n", "3", "--max-enum-n", "0"], 3,
+     r"error: unicyclic enumeration limited to n <= 0", None),
+    (_SWEEP + ["--family", "unicyclic", "--max-n", "4", "--matching-limit", "0"], 3,
+     r"error: more than 0 maximum matchings", None),
+    (_SWEEP + ["--family", "trees", "--max-n", "0"], 0, _ELAPSED, "graphs tested: 0"),
+    (_SWEEP + ["--family", "connected", "--max-n", "0"], 0, _ELAPSED, "graphs tested: 0"),
+    (_SWEEP + ["--family", "kernel-gap", "--max-n", "0"], 0, _ELAPSED, "graphs tested: 0"),
+    (_SWEEP + ["--random", "1", "--size", "0"], 2, r"error: need n >= 1, got 0", None),
+    (_SWEEP + ["--random", "1", "--size", "-1"], 2, r"error: need n >= 1, got -1", None),
+    (_SWEEP + ["--random", "2", "--size", "0", "--workers", "2"], 2,
+     r"error: need n >= 1, got 0", None),
+    (_SWEEP + ["--random", "1", "--size", "1"], 0, _ELAPSED, "graphs tested: 1"),
+    (["search", "--problem", "1", "--max-n", "0"], 0, None, "examined: 0"),
+    (["search", "--problem", "2", "--max-n", "0"], 0, None, "max_n: 0"),
+    (["generate", "--random-unicyclic", "--n", "2"], 2,
+     r"error: unicyclic graphs need n >= 3, got 2", None),
+    (["generate", "--family", "kernel-gap", "--k", "0"], 2,
+     r"error: family index must be >= 1, got 0", None),
+    (["analyze", str(FIXDIR / "k1.txt"), "--max-enum-n", "0", "--max-subset-n", "0",
+      "--matching-limit", "0"], 0, None, "ker: {w}"),
+]
+
+
+def _bound_id(argv):
+    return " ".join(Path(a).stem if a.endswith(".txt") else a for a in argv
+                    if a not in ("--theorem", "all"))
+
+
+@pytest.mark.parametrize("argv, code, last_err, out_line", _AT_BOUNDS,
+                         ids=[_bound_id(case[0]) for case in _AT_BOUNDS])
+def test_option_values_at_their_bounds(capsys, argv, code, last_err, out_line):
+    assert cli_module.main(argv) == code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    if last_err is None:
+        assert err == []
+    else:
+        assert re.fullmatch(last_err, err[-1]), err
+    if out_line is not None:
+        assert out_line in captured.out.splitlines()
+    if code == 0 and argv[0] == "verify":
+        assert "result: all hold" in captured.out

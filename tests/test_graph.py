@@ -1,6 +1,7 @@
 """Graph construction, parsing, vertex sets, and shape classification."""
 
 import ast
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -15,8 +16,13 @@ from corekit import (
     classify_shape,
     fixture,
     parse_edge_list,
+    random_connected,
     serialize,
 )
+from corekit.graph import _components_in
+from helpers import two_coloring_reference
+
+from test_independence import _disjoint_union
 
 
 def test_from_edges_basic():
@@ -205,12 +211,37 @@ def test_shape_forest():
     assert shape.bipartite
 
 
+def test_component_walk_gives_the_two_colouring(connected_by_n, unicyclic_by_n, trees_by_n):
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
+    graphs += [g for n in range(3, 11) for g in unicyclic_by_n[n]]
+    graphs += [g for n in range(1, 11) for g in trees_by_n[n]]
+    graphs += [random_connected(2 + s % 19, s) for s in range(200)]
+    # disjoint unions in shuffled order, some with isolated vertices (which
+    # _disjoint_union puts first), and the 0-vertex graph
+    rng = random.Random(20)
+    k1 = Graph.from_edges(isolated=("z",))
+    for _ in range(100):
+        parts = rng.sample(graphs, rng.randint(1, 4)) + [k1] * rng.randint(0, 2)
+        rng.shuffle(parts)
+        graphs.append(_disjoint_union(parts))
+    graphs.append(Graph.from_edges())
+    kinds = Counter()
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for comp, left in _components_in(g.adj, full):
+            assert left == two_coloring_reference(g.adj, comp), serialize(g)
+            kinds[left is None] += 1
+        bipartite = two_coloring_reference(g.adj, full) is not None
+        assert classify_shape(g).bipartite == bipartite, serialize(g)
+    assert kinds[True] > 500 and kinds[False] > 500
+
+
 # -- one bit iterator ------------------------------------------------------------
 
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "corekit"
 
 # the only functions that may walk every set bit of a mask by hand: the two
-# helpers, and five hot loops kept inline for speed (the comment over the
+# helpers, and four hot loops kept inline for speed (the comment over the
 # mask helpers in graph.py gives the measurement)
 HAND_WALKS = {
     "graph._bits",
@@ -219,7 +250,6 @@ HAND_WALKS = {
     "graph._strip_to_cycles",
     "independence._forest_dp",
     "independence._bb_set.rec",
-    "independence._greedy_set",
 }
 
 

@@ -27,7 +27,7 @@ from corekit import (
     random_unicyclic,
 )
 from corekit.budgets import DEFAULT_BUDGETS
-from corekit.graph import _components_in, _edge_count, _two_coloring
+from corekit.graph import _components_in, _edge_count
 from corekit.theorems import _Facts
 from helpers import (
     bb_alpha_reference,
@@ -247,7 +247,7 @@ def test_unicyclic_split_equals_the_per_vertex_reference():
             ]
         )
         mixed += any(
-            _edge_count(g.adj, c) > c.bit_count() for c in _components_in(g.adj, (1 << g.n) - 1)
+            _edge_count(g.adj, c) > c.bit_count() for c, _ in _components_in(g.adj, (1 << g.n) - 1)
         )
         graphs.append(g)
     assert mixed >= 20
@@ -290,7 +290,7 @@ def _general_graphs():
 
 
 def _is_general(adj, comp):
-    return _edge_count(adj, comp) > comp.bit_count() and _two_coloring(adj, comp) is None
+    return _edge_count(adj, comp) > comp.bit_count() and _components_in(adj, comp)[0][1] is None
 
 
 def test_witness_driven_core_and_corona_match_definition():
@@ -298,7 +298,7 @@ def test_witness_driven_core_and_corona_match_definition():
     assert len(graphs) == 853 + 200 + 30
     general = 0
     for g in graphs:
-        general += any(_is_general(g.adj, c) for c in _components_in(g.adj, (1 << g.n) - 1))
+        general += any(_is_general(g.adj, c) for c, _ in _components_in(g.adj, (1 << g.n) - 1))
         in_core, in_corona = _definition(g)
         assert set(core(g).labels()) == in_core, g.edge_labels()
         assert set(corona(g).labels()) == in_corona, g.edge_labels()

@@ -3,6 +3,7 @@ reporting/replay, and the counterexample searches."""
 
 import concurrent.futures
 import os
+from collections import Counter
 
 import pytest
 
@@ -10,12 +11,16 @@ from corekit import (
     BudgetExceededError,
     Budgets,
     DomainError,
+    Graph,
     THEOREM_IDS,
+    alpha,
     check,
     classify_sum_defect,
+    decompose,
     family_items,
     fixture,
     kernel_gap_family,
+    mu,
     parse_edge_list,
     random_connected,
     search_problem1,
@@ -24,6 +29,7 @@ from corekit import (
     sweep,
 )
 from corekit import theorems as theorems_module
+from corekit import unicyclic as unicyclic_module
 from corekit.budgets import DEFAULT_BUDGETS
 
 
@@ -263,6 +269,40 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
     for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "enumerate_mis",
                  "alpha"):
         assert [calls.get((name, g.adj)) for g in graphs] == [1] * len(graphs), name
+
+
+def test_one_record_walks_its_cycle_once(monkeypatch, unicyclic_by_n):
+    # the record's cycle and its decomposition share one walk of the cycle
+    graphs = [g for n in range(3, 9) for g in unicyclic_by_n[n] if alpha(g) + mu(g) == g.n - 1]
+    assert len(graphs) == 19
+    calls = Counter()
+    for module in (theorems_module, unicyclic_module):
+        def counted(g, real=module._walk_cycle):
+            calls[g.adj] += 1
+            return real(g)
+        monkeypatch.setattr(module, "_walk_cycle", counted)
+    tids = ("LEM1A", "LEM2", "TH3", "TH12", "KERCORE")
+    summary = sweep([(str(i), g) for i, g in enumerate(graphs)], tids, workers=1)
+    assert summary.all_hold() and summary.checks_applicable == len(tids) * len(graphs)
+    assert [calls[g.adj] for g in graphs] == [1] * len(graphs)
+
+
+def test_record_decomposition_walks_no_components(monkeypatch):
+    g = fixture("uni10-nonke")
+    expected = decompose(g)
+    f = theorems_module._Facts(g, DEFAULT_BUDGETS)
+    assert f.cycle == expected.cycle
+
+    def no_walk(self):
+        raise AssertionError("components walked again")
+
+    monkeypatch.setattr(Graph, "components", no_walk)
+    dec = f.decomposition
+    assert dec.cycle == expected.cycle and dec.cycle_set == expected.cycle_set
+    assert dec.outer_roots() == expected.outer_roots()
+    assert [(pt.root, pt.anchor, pt.vertices, pt.tree.adj) for pt in dec.pendant_trees] == [
+        (pt.root, pt.anchor, pt.vertices, pt.tree.adj) for pt in expected.pendant_trees
+    ]
 
 
 def test_ke_checkers_read_core_and_corona_from_the_mis_family(monkeypatch):

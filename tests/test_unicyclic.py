@@ -2,6 +2,7 @@
 structural core/corona/ker shortcuts for unicyclic graphs."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,13 @@ from corekit import independence as independence_module
 from corekit import theorems as theorems_module
 from corekit import unicyclic as unicyclic_module
 from corekit.unicyclic import _non_critical_cycle_edges
-from helpers import oracle_core, oracle_corona, oracle_ker, walk_cycle_reference
+from helpers import (
+    non_critical_cycle_edges_reference,
+    oracle_core,
+    oracle_corona,
+    oracle_ker,
+    walk_cycle_reference,
+)
 
 from test_independence import cycle, path
 
@@ -247,3 +254,45 @@ def test_lem2_asks_no_alpha_query_per_cycle_edge(monkeypatch, unicyclic_by_n):
     summary = sweep([(str(i), g) for i, g in enumerate(graphs)], ("LEM2",))
     assert summary.graphs_tested == len(graphs) and summary.all_hold()
     assert calls == []
+
+
+def _cycle_with_pendant_trees(length, extra, rng):
+    """A cycle c0..c{length-1} and extra more vertices, each joined to a
+    random earlier vertex, so the pendant trees hang anywhere on the cycle."""
+    names = [f"c{i}" for i in range(length)]
+    edges = [(names[i], names[(i + 1) % length]) for i in range(length)]
+    for i in range(extra):
+        edges.append((rng.choice(names), f"t{i}"))
+        names.append(f"t{i}")
+    return Graph.from_edges(edges)
+
+
+def test_cycle_edge_passes_equal_the_per_edge_path_dp():
+    rng = random.Random(19)
+    lengths = list(range(3, 41)) + [63, 64, 101, 255, 256, 600]
+    outcomes = set()
+    for length in lengths:
+        for _ in range(3):
+            extra = rng.choice((0, 1, rng.randint(0, length), rng.randint(0, 3 * length)))
+            g = _cycle_with_pendant_trees(length, extra, rng)
+            cyc = find_cycle(g)
+            a = alpha(g)
+            got = _non_critical_cycle_edges(g, cyc, a)
+            assert got == non_critical_cycle_edges_reference(g, cyc, a), serialize(g)
+            outcomes.add((length % 2, not got, len(got) == length))
+    # KE graphs on odd and even cycles and non-KE ones, which need an odd
+    # cycle (a bipartite graph is KE); some with every cycle edge non-critical
+    assert {(p, e) for p, e, _ in outcomes} == {(0, False), (1, False), (1, True)}
+    assert any(every for _, _, every in outcomes)
+
+
+def test_cycle_edge_passes_are_linear_in_the_cycle_length():
+    g = _cycle_with_pendant_trees(4000, 1, random.Random(0))
+    cyc = find_cycle(g)
+    a = alpha(g)
+    start = time.perf_counter()
+    got = _non_critical_cycle_edges(g, cyc, a)
+    assert time.perf_counter() - start < 0.5
+    # alpha = 2001 and mu = 2000; each G - e is a tree with mu = 2000, so
+    # alpha(G - e) = 4001 - 2000 = alpha and no cycle edge is critical
+    assert a == 2001 and len(got) == 4000
