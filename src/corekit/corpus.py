@@ -14,13 +14,19 @@ edge), and the first candidate of each class is kept and only then built as a
 Graph, from the tree's edges plus (i, j). Connected graphs on at most 7
 vertices are grown one vertex at a time from the graphs one vertex smaller and
 deduped by their least edge mask over the labellings with a non-increasing
-degree vector. That mask is computed for all such labellings at once: for each
-structure of equal-degree runs, a table built on first use in each level
-packs the image of every position pair under every labelling into one int, 32
-bits per labelling, so a candidate's masks are the OR of its edges' entries
-and its canonical mask the least field. Every enumerator is gated in the tests
-by published counts and, at small n, by cross-checks against labeled streams
-or a reference sweep.
+degree vector. Before that mask is computed, a candidate is dropped when some
+other vertex of smaller degree than the new one leaves it connected on
+removal: every graph is still reached through a deletion of least degree
+among those that keep it connected (the cheap half of McKay's canonical
+deletion, J. Algorithms 1998), so the classes found do not change, and a
+leaf settles most candidates without a walk. The mask is computed for all
+degree-respecting labellings at once: for each structure of equal-degree
+runs, a table built on first use in each level packs the image of every
+position pair under every labelling into one int, 32 bits per labelling, so
+a candidate's masks are the OR of its edges' entries and its canonical mask
+the least field. Every enumerator is gated in the tests by published counts
+and, at small n, by cross-checks against labeled streams or a reference
+sweep.
 
 All randomness is drawn from string-seeded random.Random instances, so every
 stream is reproducible from (n, seed) alone, independent of process history.
@@ -38,7 +44,14 @@ from typing import Iterator
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
-from .graph import Graph, _bits, _cycle_order, _strip_to_cycles, parse_edge_list
+from .graph import (
+    Graph,
+    _bits,
+    _components_in,
+    _cycle_order,
+    _strip_to_cycles,
+    parse_edge_list,
+)
 
 __all__ = [
     "FIXTURE_NAMES",
@@ -385,6 +398,16 @@ def _canonical_mask(adj: list[int], n: int, bit: list[list[int]], tables: dict) 
     return min(memoryview(masks.to_bytes(4 * count, sys.byteorder)).cast("I"))
 
 
+def _lighter_deletion(adj: list[int], k: int, d: int) -> bool:
+    """Whether some vertex x < k - 1 of the connected graph adj on k vertices
+    has degree below d and leaves the graph connected when removed."""
+    full = (1 << k) - 1
+    return any(
+        adj[x].bit_count() < d and len(_components_in(adj, full & ~(1 << x))) == 1
+        for x in range(k - 1)
+    )
+
+
 def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]]]:
     """For k = 1..n, the row-major position pairs i < j of k vertices and the
     ascending canonical edge masks of the connected graphs on k vertices,
@@ -392,9 +415,18 @@ def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
 
     Built by vertex augmentation: every connected graph on k vertices has a
     vertex whose removal leaves it connected (a leaf of a spanning tree), so
-    joining a new vertex to each non-empty subset of each graph on k - 1
+    joining a new vertex v to each non-empty subset S of each graph on k - 1
     vertices, and keeping the distinct canonical masks, gives every graph on
-    k vertices."""
+    k vertices.
+
+    A candidate is dropped unlabelled when some other vertex x has a smaller
+    degree than v (|S|) and leaves it connected when removed. This loses no
+    class: in a connected graph H on k vertices, take x of least degree
+    among the vertices whose removal leaves H connected. H - x is a graph of
+    the level below, so H is one of its candidates with v in the place of x
+    and |S| = deg x, and in that candidate no vertex that keeps it connected
+    is lighter than v, so it is kept. When |S| > 1, a leaf outside S is such
+    an x, so only candidates without one are walked."""
     level = [0]
     pairs: list[tuple[int, int]] = []
     yield pairs, level
@@ -413,10 +445,17 @@ def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
                 i, j = below[b]
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+            leaves = sum(1 << x for x in range(k - 1) if adj[x].bit_count() == 1)
             for s in range(1, 1 << (k - 1)):
+                d = s.bit_count()
+                # a leaf outside S stays a leaf, lighter than v when d > 1
+                if d > 1 and leaves & ~s:
+                    continue
                 grown = [a | (s >> i & 1) << (k - 1) for i, a in enumerate(adj)]
                 grown[k - 1] = s
-                found.add(_canonical_mask(grown, k, bit, tables))
+                # no other vertex is a leaf now, so only d > 2 needs a walk
+                if d < 3 or not _lighter_deletion(grown, k, d):
+                    found.add(_canonical_mask(grown, k, bit, tables))
         level = sorted(found)
         yield pairs, level
 
@@ -507,11 +546,14 @@ def random_connected(n: int, seed) -> Graph:
 
 def _family_orders(family: str, max_n: int | None, budgets: Budgets) -> range:
     """The vertex counts of the graphs of an exhaustive family (trees,
-    unicyclic or connected) up to max_n, in increasing order. Raises when
-    max_n is missing or beyond the family's enumeration limit: the checks
-    family_items makes before its first graph."""
+    unicyclic or connected) up to max_n, or of kernel_gap_family(k) for
+    k = 1..max_n, in increasing order. Raises when max_n is missing or
+    beyond the family's enumeration limit: the checks family_items makes
+    before its first graph."""
     if max_n is None:
         raise DomainError(f"{family} family needs max_n")
+    if family == "kernel-gap":
+        return range(7, 2 * max_n + 6, 2)  # kernel_gap_family(k) has 2k + 5 vertices
     if family == "connected":
         _check_enum_n("connected-graph", max_n, _CONNECTED_MAX_N)
         return range(1, max_n + 1)

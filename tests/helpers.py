@@ -334,6 +334,59 @@ def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> in
     return best
 
 
+def connected_levels_reference(n: int):
+    """For k = 1..n, (bit, candidates, masks): the vertex augmentation of
+    corpus._connected_levels without its deletion filter. candidates are the
+    adjacency lists of every P + v_S, P a graph of the level below and S a
+    non-empty subset of its vertices, in loop order; masks are the sorted
+    distinct canonical masks of all of them."""
+    from corekit.corpus import _canonical_mask
+
+    level = [0]
+    pairs: list[tuple[int, int]] = []
+    yield [[0]], [], level
+    for k in range(2, n + 1):
+        below = pairs
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        bit = [[0] * k for _ in range(k)]
+        for b, (i, j) in enumerate(pairs):
+            bit[i][j] = bit[j][i] = 1 << b
+        candidates = []
+        for mask in level:
+            adj = [0] * k
+            for b, (i, j) in enumerate(below):
+                if mask >> b & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            for s in range(1, 1 << (k - 1)):
+                grown = [a | (s >> i & 1) << (k - 1) for i, a in enumerate(adj)]
+                grown[k - 1] = s
+                candidates.append(grown)
+        tables: dict = {}
+        level = sorted({_canonical_mask(adj, k, bit, tables) for adj in candidates})
+        yield bit, candidates, level
+
+
+def lighter_deletion_reference(adj: list[int], k: int) -> bool:
+    """Whether some vertex x < k - 1 has a smaller degree than vertex k - 1
+    and leaves the graph connected when removed, by a depth-first search
+    from a remaining vertex for each x."""
+    for x in range(k - 1):
+        if bin(adj[x]).count("1") >= bin(adj[k - 1]).count("1"):
+            continue
+        seen = {k - 1}
+        stack = [k - 1]
+        while stack:
+            u = stack.pop()
+            for w in range(k):
+                if w != x and w not in seen and adj[u] >> w & 1:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == k - 1:
+            return True
+    return False
+
+
 def bb_alpha_reference(adj: tuple[int, ...], active: int) -> int:
     """alpha of the subgraph induced on the active mask by the counting
     branch-and-bound that independence._bb_set replaced: the same degree

@@ -302,6 +302,8 @@ def test_verify_budget_errors_exit_3(limit, message):
         (["--family", "trees", "--max-n", "-3"], "argument --max-n: must be at least 0, got -3"),
         (["--family", "unicyclic", "--max-n", "-1"],
          "argument --max-n: must be at least 0, got -1"),
+        (["--family", "fixtures", "--max-bb-n", "-1"],
+         "argument --max-bb-n: must be at least 0, got -1"),
     ],
 )
 def test_verify_out_of_range_integers_exit_2(args, message):
@@ -415,6 +417,35 @@ def test_verify_family_refuses_the_subset_budget_before_the_first_graph(monkeypa
     assert captured.out == ""
     assert captured.err == "error: MIS enumeration limited to 20 vertices, got 21\n"
     assert generated == []
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (["--max-n", "8"], "subset sweep limited to 20 vertices, got 21"),
+        (["--max-n", "3", "--max-subset-n", "9"], "subset sweep limited to 9 vertices, got 11"),
+    ],
+)
+def test_verify_kernel_gap_refuses_the_subset_budget_before_the_first_graph(
+    monkeypatch, capsys, budget, message
+):
+    # kernel_gap_family(k) has 2k + 5 vertices
+    checked = []
+    check_graph = theorems_module._check_graph
+
+    def counted(g, gid, tids, budgets):
+        checked.append(gid)
+        return check_graph(g, gid, tids, budgets)
+
+    monkeypatch.setattr(theorems_module, "_check_graph", counted)
+    code = cli_module.main(
+        ["verify", "--theorem", "TH2A", "--family", "kernel-gap", *budget, "--workers", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert checked == []
 
 
 def test_search_problem_1_golden():
@@ -704,6 +735,40 @@ def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
     assert codes.get(0) and codes.get(2)
 
 
+def _random_bytes(rng):
+    """Bytes of any value, or lines of two tokens of random bytes drawn
+    mostly from letters, so that some of them parse."""
+    if rng.random() < 0.5:
+        return rng.randbytes(rng.randint(0, 120))
+    pool = b"abcdefghijklmnopqrstuvwxyz" + b"#\t\r\x00\x85\xa9\xc3\xff"
+    return b"\n".join(
+        bytes(rng.choices(pool, k=rng.randint(1, 2))) + b" "
+        + bytes(rng.choices(pool, k=rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 12))
+    )
+
+
+def test_random_bytes_exit_0_2_or_3(tmp_path, capsys):
+    rng = random.Random(21)
+    path = tmp_path / "case.txt"
+    codes = {}
+    for case in range(400):
+        data = _random_bytes(rng)
+        header = rng.random() < 0.5
+        if header:
+            # a header that parses on its own: a fixture's first lines
+            lines = fixture_text(rng.choice(FIXTURE_NAMES)).encode().split(b"\n")
+            data = b"\n".join(lines[: rng.randint(1, len(lines))]) + b"\n" + data
+        path.write_bytes(data)
+        label = f"case {case}: header={header} {data[:60]!r}"
+        analyzed = _main(["analyze", str(path)], capsys)
+        verified = _main(["verify", "--theorem", "all", "--graph", str(path)], capsys)
+        assert analyzed[0] in (0, 2, 3) and verified[0] in (0, 2, 3), label
+        for code in (analyzed[0], verified[0]):
+            codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0) and codes.get(2)
+
+
 # Each forced failure with the failure block the command printed before TH1
 # and TH11 checked their certificates on index pairs; the second TH1 case
 # fails on a matching after the first in sorted order.
@@ -783,6 +848,14 @@ _AT_BOUNDS = [
      r"error: family index must be >= 1, got 0", None),
     (["analyze", str(FIXDIR / "k1.txt"), "--max-enum-n", "0", "--max-subset-n", "0",
       "--matching-limit", "0"], 0, None, "ker: {w}"),
+    (["analyze", str(FIXDIR / "k1.txt"), "--max-bb-n", "0"], 0, None, "ker: {w}"),
+    # bicyclic10-nonke is one general component of 10 vertices
+    (["analyze", str(FIXDIR / "bicyclic10-nonke.txt"), "--max-bb-n", "9"], 3,
+     r"error: alpha branch-and-bound limited to components of 9 vertices, got 10", None),
+    (["analyze", str(FIXDIR / "bicyclic10-nonke.txt"), "--max-bb-n", "10"], 0, None,
+     "alpha: 5"),
+    (_SWEEP + ["--family", "fixtures", "--max-bb-n", "0"], 3,
+     r"error: alpha branch-and-bound limited to components of 0 vertices, got 10", None),
 ]
 
 

@@ -37,8 +37,10 @@ from corekit import corpus
 from corekit.corpus import _canonical_mask
 from helpers import (
     canonical_mask_reference,
+    connected_levels_reference,
     labeled_trees,
     labeled_unicyclic,
+    lighter_deletion_reference,
     oracle_alpha,
     oracle_core,
     oracle_ker,
@@ -313,10 +315,77 @@ def test_canonical_mask_equals_the_labelling_loop_on_every_candidate(monkeypatch
 
     monkeypatch.setattr(corpus, "_canonical_mask", recording)
     assert len(list(corpus.enumerate_connected_graphs(6))) == CONNECTED_COUNTS[6]
-    assert len(calls) == 1 + 3 + 14 + 90 + 651
+    assert len(calls) == 1 + 3 + 11 + 53 + 296
     assert {n for _, n, _ in calls} == {2, 3, 4, 5, 6}
     for adj, n, bit in calls:
         assert _canonical_mask(adj, n, bit, {}) == canonical_mask_reference(adj, n, bit), adj
+
+
+@pytest.fixture(scope="module")
+def unfiltered_levels():
+    """k -> (bit, candidates, masks) of the augmentation without the
+    deletion filter, k = 1..7."""
+    return dict(enumerate(connected_levels_reference(7), start=1))
+
+
+def test_connected_levels_equal_the_unfiltered_augmentation(unfiltered_levels):
+    for k, (pairs, masks) in enumerate(corpus._connected_levels(7), start=1):
+        assert len(pairs) == k * (k - 1) // 2
+        assert masks == unfiltered_levels[k][2], k
+
+
+def test_dropped_candidates_are_in_their_level_and_meet_the_rule(monkeypatch, unfiltered_levels):
+    kept = []
+
+    def recording(adj, n, bit, tables):
+        kept.append(tuple(adj))
+        return _canonical_mask(adj, n, bit, tables)
+
+    monkeypatch.setattr(corpus, "_canonical_mask", recording)
+    levels = [masks for _, masks in corpus._connected_levels(7)]
+    kept_at = {}
+    for adj in kept:
+        kept_at.setdefault(len(adj), set()).add(adj)
+    assert [len(kept_at.get(k, ())) for k in range(2, 8)] == [1, 3, 11, 53, 296, 2432]
+    assert len(kept) == 2796
+    for k in range(2, 8):
+        bit, candidates, _ = unfiltered_levels[k]
+        tables = {}
+        level = set(levels[k - 1])
+        for adj in candidates:
+            dropped = tuple(adj) not in kept_at[k]
+            assert dropped == lighter_deletion_reference(adj, k), adj
+            if dropped:
+                assert _canonical_mask(adj, k, bit, tables) in level, adj
+
+
+def test_lighter_deletion_passes_over_a_lighter_cut_vertex():
+    # two K4s, {0, 1, 2, 8} and {4, 5, 6, 7}, joined by the path 2 - 3 - 4:
+    # vertex 3 is lighter than 8 but cuts the graph, and every vertex that
+    # does not cut it has degree 3 or more, so the candidate with v = 8 is
+    # the one kept; below 9 vertices no such graph exists
+    edges = [(a, b) for q in ((0, 1, 2, 8), (4, 5, 6, 7)) for a in q for b in q if a < b]
+    adj = _adjacency(9, edges + [(2, 3), (3, 4)])
+    assert not corpus._lighter_deletion(adj, 9, 3)
+    assert not lighter_deletion_reference(adj, 9)
+    # with 2 and 8 swapped, v has degree 4, and 0 and 1 are lighter and do not cut
+    swap = list(range(9))
+    swap[2], swap[8] = 8, 2
+    moved = _adjacency(9, [(swap[a], swap[b]) for a, b in edges + [(2, 3), (3, 4)]])
+    assert corpus._lighter_deletion(moved, 9, 4)
+    assert lighter_deletion_reference(moved, 9)
+
+
+def test_canonical_mask_equals_the_labelling_loop_on_every_unfiltered_candidate(
+    unfiltered_levels,
+):
+    count = 0
+    for k in range(2, 7):
+        bit, candidates, _ = unfiltered_levels[k]
+        for adj in candidates:
+            assert _canonical_mask(adj, k, bit, {}) == canonical_mask_reference(adj, k, bit), adj
+        count += len(candidates)
+    assert count == 1 + 3 + 14 + 90 + 651
 
 
 def _adjacency(n, edges):
