@@ -73,7 +73,6 @@ def _budgets_from(args: argparse.Namespace) -> Budgets:
     return Budgets(
         enum_n=args.max_enum_n,
         subset_n=args.max_subset_n,
-        bb_n=args.max_bb_n,
         matching_limit=args.matching_limit,
     )
 
@@ -265,8 +264,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             orders = ()
             if args.random is not None:
                 orders = (args.size,) if args.random else ()
-            elif args.family in ("trees", "unicyclic", "connected", "kernel-gap"):
+            elif args.family in ("trees", "unicyclic", "connected"):
                 orders = _family_orders(args.family, args.max_n, budgets)
+            elif args.family == "kernel-gap":
+                # kernel_gap_family(k) has 2k + 5 vertices, k = 1..max_n
+                orders = range(7, 2 * args.max_n + 6, 2)
             for limit in limits:
                 for n in orders:
                     limit(n, budgets)
@@ -388,12 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(0),
         default=20,
         help="largest n for subset-sweep operations (default 20)",
-    )
-    common.add_argument(
-        "--max-bb-n",
-        type=_int_at_least(0),
-        default=40,
-        help="largest general component for branch-and-bound alpha (default 40)",
     )
     common.add_argument(
         "--matching-limit",

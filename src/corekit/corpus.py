@@ -546,14 +546,11 @@ def random_connected(n: int, seed) -> Graph:
 
 def _family_orders(family: str, max_n: int | None, budgets: Budgets) -> range:
     """The vertex counts of the graphs of an exhaustive family (trees,
-    unicyclic or connected) up to max_n, or of kernel_gap_family(k) for
-    k = 1..max_n, in increasing order. Raises when max_n is missing or
-    beyond the family's enumeration limit: the checks family_items makes
-    before its first graph."""
+    unicyclic or connected) up to max_n, in increasing order. Raises when
+    max_n is missing or beyond the family's enumeration limit: the checks
+    family_items makes before its first graph."""
     if max_n is None:
         raise DomainError(f"{family} family needs max_n")
-    if family == "kernel-gap":
-        return range(7, 2 * max_n + 6, 2)  # kernel_gap_family(k) has 2k + 5 vertices
     if family == "connected":
         _check_enum_n("connected-graph", max_n, _CONNECTED_MAX_N)
         return range(1, max_n + 1)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shape, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import random
@@ -302,8 +303,6 @@ def test_verify_budget_errors_exit_3(limit, message):
         (["--family", "trees", "--max-n", "-3"], "argument --max-n: must be at least 0, got -3"),
         (["--family", "unicyclic", "--max-n", "-1"],
          "argument --max-n: must be at least 0, got -1"),
-        (["--family", "fixtures", "--max-bb-n", "-1"],
-         "argument --max-bb-n: must be at least 0, got -1"),
     ],
 )
 def test_verify_out_of_range_integers_exit_2(args, message):
@@ -696,17 +695,9 @@ def _main(argv, capsys):
     return code, capsys.readouterr().out
 
 
-def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
-    rng = random.Random(18)
-    (tmp_path / "orig").mkdir()
-    (tmp_path / "case").mkdir()
-    expected = {}
-    for name in FIXTURE_NAMES:
-        orig = tmp_path / "orig" / f"{name}.txt"
-        orig.write_text(fixture_text(name))
-        expected[name] = _main(["analyze", str(orig)], capsys)
-        assert expected[name][0] == 0
-    codes = {}
+def _perturbed_fixtures(rng):
+    """600 (label, fixture name, data, neutral) cases: a fixture under one or
+    two neutral edits, and in half of the cases one or two hostile ones."""
     for case in range(600):
         name = rng.choice(FIXTURE_NAMES)
         lines = fixture_text(name).encode().split(b"\n")
@@ -720,9 +711,48 @@ def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
         bom = rng.random() < 0.3
         if bom:
             data = b"\xef\xbb\xbf" + data
+        label = f"case {case}: {[s.__name__ for s in steps]} bom={bom} on {name}"
+        yield label, name, data, neutral
+
+
+def _random_bytes(rng):
+    """400 (label, name, data, neutral) cases of bytes of any value, or lines
+    of two tokens of random bytes drawn mostly from letters, so that some of
+    them parse; half of them follow a fixture's first lines, a header that
+    parses on its own."""
+    pool = b"abcdefghijklmnopqrstuvwxyz" + b"#\t\r\x00\x85\xa9\xc3\xff"
+    for case in range(400):
+        if rng.random() < 0.5:
+            data = rng.randbytes(rng.randint(0, 120))
+        else:
+            data = b"\n".join(
+                bytes(rng.choices(pool, k=rng.randint(1, 2))) + b" "
+                + bytes(rng.choices(pool, k=rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 12))
+            )
+        header = rng.random() < 0.5
+        if header:
+            lines = fixture_text(rng.choice(FIXTURE_NAMES)).encode().split(b"\n")
+            data = b"\n".join(lines[: rng.randint(1, len(lines))]) + b"\n" + data
+        yield f"bytes {case}: header={header} {data[:60]!r}", "bytes", data, False
+
+
+def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
+    (tmp_path / "orig").mkdir()
+    (tmp_path / "case").mkdir()
+    expected = {}
+    for name in FIXTURE_NAMES:
+        orig = tmp_path / "orig" / f"{name}.txt"
+        orig.write_text(fixture_text(name))
+        expected[name] = _main(["analyze", str(orig)], capsys)
+        assert expected[name][0] == 0
+    codes = {}
+    cases = itertools.chain(
+        _perturbed_fixtures(random.Random(18)), _random_bytes(random.Random(21))
+    )
+    for label, name, data, neutral in cases:
         path = tmp_path / "case" / f"{name}.txt"
         path.write_bytes(data)
-        label = f"case {case}: {[s.__name__ for s in steps]} bom={bom} on {name}"
         analyzed = _main(["analyze", str(path)], capsys)
         verified = _main(["verify", "--theorem", "all", "--graph", str(path)], capsys)
         assert analyzed[0] in (0, 2, 3) and verified[0] in (0, 2, 3), label
@@ -732,40 +762,6 @@ def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
         for code in (analyzed[0], verified[0]):
             codes[code] = codes.get(code, 0) + 1
     # both accepted and refused inputs were generated
-    assert codes.get(0) and codes.get(2)
-
-
-def _random_bytes(rng):
-    """Bytes of any value, or lines of two tokens of random bytes drawn
-    mostly from letters, so that some of them parse."""
-    if rng.random() < 0.5:
-        return rng.randbytes(rng.randint(0, 120))
-    pool = b"abcdefghijklmnopqrstuvwxyz" + b"#\t\r\x00\x85\xa9\xc3\xff"
-    return b"\n".join(
-        bytes(rng.choices(pool, k=rng.randint(1, 2))) + b" "
-        + bytes(rng.choices(pool, k=rng.randint(1, 2)))
-        for _ in range(rng.randint(1, 12))
-    )
-
-
-def test_random_bytes_exit_0_2_or_3(tmp_path, capsys):
-    rng = random.Random(21)
-    path = tmp_path / "case.txt"
-    codes = {}
-    for case in range(400):
-        data = _random_bytes(rng)
-        header = rng.random() < 0.5
-        if header:
-            # a header that parses on its own: a fixture's first lines
-            lines = fixture_text(rng.choice(FIXTURE_NAMES)).encode().split(b"\n")
-            data = b"\n".join(lines[: rng.randint(1, len(lines))]) + b"\n" + data
-        path.write_bytes(data)
-        label = f"case {case}: header={header} {data[:60]!r}"
-        analyzed = _main(["analyze", str(path)], capsys)
-        verified = _main(["verify", "--theorem", "all", "--graph", str(path)], capsys)
-        assert analyzed[0] in (0, 2, 3) and verified[0] in (0, 2, 3), label
-        for code in (analyzed[0], verified[0]):
-            codes[code] = codes.get(code, 0) + 1
     assert codes.get(0) and codes.get(2)
 
 
@@ -848,14 +844,6 @@ _AT_BOUNDS = [
      r"error: family index must be >= 1, got 0", None),
     (["analyze", str(FIXDIR / "k1.txt"), "--max-enum-n", "0", "--max-subset-n", "0",
       "--matching-limit", "0"], 0, None, "ker: {w}"),
-    (["analyze", str(FIXDIR / "k1.txt"), "--max-bb-n", "0"], 0, None, "ker: {w}"),
-    # bicyclic10-nonke is one general component of 10 vertices
-    (["analyze", str(FIXDIR / "bicyclic10-nonke.txt"), "--max-bb-n", "9"], 3,
-     r"error: alpha branch-and-bound limited to components of 9 vertices, got 10", None),
-    (["analyze", str(FIXDIR / "bicyclic10-nonke.txt"), "--max-bb-n", "10"], 0, None,
-     "alpha: 5"),
-    (_SWEEP + ["--family", "fixtures", "--max-bb-n", "0"], 3,
-     r"error: alpha branch-and-bound limited to components of 0 vertices, got 10", None),
 ]
 
 
