@@ -269,6 +269,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             elif args.family == "kernel-gap":
                 # kernel_gap_family(k) has 2k + 5 vertices, k = 1..max_n
                 orders = range(7, 2 * args.max_n + 6, 2)
+            elif args.family == "fixtures":
+                orders = tuple(fixture(name).n for name in FIXTURE_NAMES)
             for limit in limits:
                 for n in orders:
                     limit(n, budgets)

@@ -490,8 +490,6 @@ def random_tree(n: int, seed) -> Graph:
         raise DomainError(f"trees need n >= 1, got {n}")
     if n == 1:
         return Graph.from_edges(isolated=("v1",))
-    if n == 2:
-        return Graph.from_edges([("v1", "v2")])
     rng = random.Random(f"tree:{n}:{seed}")
     return prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)))
 
@@ -527,11 +525,7 @@ def random_connected(n: int, seed) -> Graph:
     if n == 1:
         return Graph.from_edges(isolated=("v1",))
     rng = random.Random(f"connected:{n}:{seed}")
-    t = (
-        prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)))
-        if n > 2
-        else Graph.from_edges([("v1", "v2")])
-    )
+    t = prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)))
     p = rng.uniform(0.0, 0.6)
     edges = list(t.edge_labels())
     for i in range(n):

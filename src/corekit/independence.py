@@ -3,21 +3,28 @@ core (vertices in every MIS) and corona (vertices in some MIS).
 
 alpha dispatches per connected component, on the kind that _branches gives
 it, the one dispatch decision of this module; the component walk gives the
-2-colouring too. Trees get a linear DP, unicyclic components reduce to two
-forest DPs by branching on one cycle vertex, bipartite components get
-alpha = n - mu from the package's one augmenting-path matcher (graph._match;
-Koenig's theorem), and everything else goes through exact branch-and-bound
-from the empty set under a size budget.
+2-colouring too. A component with no more edges than vertices is split into
+forest sides (_forest_sides), bipartite components get alpha = n - mu from
+the package's one augmenting-path matcher (graph._match; Koenig's theorem),
+and everything else goes through exact branch-and-bound from the empty set
+under a size budget.
+
+The forest sides of a component C are C itself when C is a tree, and C - u
+and C - v for a cycle edge uv when C is unicyclic. Every independent set of
+C misses u or v, so a maximum independent set S of C that misses u is an
+independent set of C - u of size alpha(C) >= alpha(C - u): it is maximum
+there exactly when alpha(C - u) = alpha(C), and likewise for v. So Omega(C)
+is the union of the families of the sides whose alpha is the largest, and
+alpha(C) is that largest alpha.
 
 core and corona never enumerate the MIS family: v is in core iff
 alpha(G - v) = alpha(G) - 1, and v is in corona iff alpha(G - N[v]) =
 alpha(G) - 1. Removing v or N[v] changes only v's component, so both are
 decided per component, with the same dispatch:
-- forest: one rerooting pass of the tree DP gives alpha(T - v) and
-  alpha(T - N[v]) for every v of a tree T at once;
-- unicyclic: the same split on a cycle vertex u as alpha, one rerooting
-  pass over each of the forests C - u and C - N[u], and the set of the side
-  with the larger alpha (on a tie, both sides intersected or united);
+- forest sides: one rerooting pass of the tree DP gives alpha(T - v) and
+  alpha(T - N[v]) for every v of each tree T of a side at once. core(C) is
+  the intersection, and corona(C) the union, of the cores and coronas of
+  the sides that reach alpha(C);
 - bipartite with more edges than vertices: one maximum matching of the two
   colour classes and one alternating search give the Gallai-Edmonds set
   D(C), the vertices that some maximum matching misses (Lovasz and
@@ -34,11 +41,11 @@ decided per component, with the same dispatch:
   only the vertices outside S and outside every earlier such W are asked.
   That is at most |S| queries for core and |C| - |S| for corona.
 
-One pass over the components gives both masks (core_and_corona): a forest
-or unicyclic component gets them from the same tree DPs and rerooting
-passes, a bipartite one from the same D(C), and a general one shares S
-between the two sides. core() and corona() alone run the same pass; on a
-general component each asks only its own side's queries.
+One pass over the components gives both masks (core_and_corona): forest
+sides give them from the same rerooting passes, a bipartite component from
+the same D(C), and a general one shares S between the two sides. core() and
+corona() alone run the same pass; on a general component each asks only its
+own side's queries.
 
 enumerate_mis reads the family Omega(G) by exhaustive search alone, none of
 the dispatch above: the lowest live vertex is taken (dropping its closed
@@ -215,48 +222,47 @@ def _check_bb(nv: int, budgets: Budgets) -> None:
         )
 
 
-def _cycle_split(adj: tuple[int, ...], comp: int) -> tuple[int, int, int]:
-    """The bit of the lowest cycle vertex u of a unicyclic component C, and
-    the masks of the forests C - u and C - N[u] that splitting on u leaves."""
-    cyc = _strip_to_cycles(adj, comp)
-    u = cyc & -cyc
-    return u, comp & ~u, comp & ~(adj[u.bit_length() - 1] | u)
-
-
 def _branches(adj: tuple[int, ...], active: int):
-    """(kind, comp, left) for each component of the subgraph induced on the
-    active mask: kind is "forest", "unicyclic", "bipartite" (2-colourable
-    with more edges than vertices; left is the colour class that the
-    component walk gives) or "general", and left is None but for
-    "bipartite". No cycle is stripped here: the unicyclic consumers call
-    _cycle_split, and a caller that asks only for the kinds
+    """(kind, comp, arg) for each component of the subgraph induced on the
+    active mask: kind is "forests" (a tree or a unicyclic component; arg is
+    its number of cycles, 0 or 1), "bipartite" (2-colourable with more edges
+    than vertices; arg is the colour class that the component walk gives)
+    or "general" (arg None). No cycle is stripped here: the consumers call
+    _forest_sides, and a caller that asks only for the kinds
     (theorems._Facts.matching_read) pays for no strip."""
     for comp, left in _components_in(adj, active):
         extra = _edge_count(adj, comp) - comp.bit_count()
-        if extra < 0:
-            yield "forest", comp, None
-        elif extra == 0:
-            yield "unicyclic", comp, None
+        if extra <= 0:
+            yield "forests", comp, extra + 1
         elif left is not None:
             yield "bipartite", comp, left
         else:
             yield "general", comp, None
 
 
+def _forest_sides(adj: tuple[int, ...], comp: int, cycles: int) -> tuple[int, ...]:
+    """The masks of the forest sides of a component C with the given number
+    of cycles (see the module docstring): C itself when it is a tree, and
+    C - u and C - v when it is unicyclic, u its lowest cycle vertex and v
+    the lowest cycle neighbour of u."""
+    if not cycles:
+        return (comp,)
+    cyc = _strip_to_cycles(adj, comp)
+    u = cyc & -cyc
+    nb = adj[u.bit_length() - 1] & cyc
+    return comp & ~u, comp & ~(nb & -nb)
+
+
 def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
     """alpha of the subgraph induced on the active mask, with per-component
     dispatch. The branch-and-bound budget applies per general component."""
     total = 0
-    for kind, comp, left in _branches(adj, active):
-        if kind == "forest":
-            total += _forest_dp(adj, comp)[0]
-        elif kind == "unicyclic":
-            # alpha = max(alpha(C - u), 1 + alpha(C - N[u]))
-            _, without_u, with_u = _cycle_split(adj, comp)
-            total += max(_forest_dp(adj, without_u)[0], 1 + _forest_dp(adj, with_u)[0])
+    for kind, comp, arg in _branches(adj, active):
+        if kind == "forests":
+            total += max(_forest_dp(adj, side)[0] for side in _forest_sides(adj, comp, arg))
         elif kind == "bipartite":
             # Koenig: alpha = n - mu on a bipartite component
-            total += comp.bit_count() - len(_match(adj, left, comp))
+            total += comp.bit_count() - len(_match(adj, arg, comp))
         else:
             _check_bb(comp.bit_count(), budgets)
             total += _bb_set(adj, comp).bit_count()
@@ -301,32 +307,25 @@ def _alpha_drops(
 
     v and N[v] lie inside v's component C, so both tests read alpha(C - X) =
     alpha(C) - 1 on each component from _branches, by the branch the module
-    docstring describes for its kind. One pass gives both masks: a forest,
-    unicyclic or bipartite component pays for one side only. A general
+    docstring describes for its kind. One pass gives both masks: a component
+    with forest sides or a bipartite one pays for one side only. A general
     component shares its first branch-and-bound set between the sides and
     asks the per-vertex queries of a wanted side only; a side not wanted is
     returned as 0."""
     in_core = in_corona = 0
-    for kind, comp, left in _branches(adj, active):
-        if kind == "forest":
-            _, c, o = _forest_removals(adj, comp)
+    for kind, comp, arg in _branches(adj, active):
+        if kind == "forests":
+            sides = [_forest_removals(adj, side) for side in _forest_sides(adj, comp, arg)]
+            top = max(a for a, _, _ in sides)
+            c, o = comp, 0
+            for a, side_core, side_corona in sides:
+                if a == top:
+                    c &= side_core
+                    o |= side_corona
             in_core |= c
             in_corona |= o
-        elif kind == "unicyclic":
-            u, f1, f2 = _cycle_split(adj, comp)
-            a1, c1, o1 = _forest_removals(adj, f1)
-            a2, c2, o2 = _forest_removals(adj, f2)
-            if a1 > a2 + 1:  # no maximum independent set takes u
-                in_core |= c1
-                in_corona |= o1
-            elif a1 < a2 + 1:  # every one takes u
-                in_core |= c2 | u
-                in_corona |= o2 | u
-            else:
-                in_core |= c1 & c2
-                in_corona |= o1 | o2 | u
         elif kind == "bipartite":
-            mate = _match(adj, left, comp)
+            mate = _match(adj, arg, comp)
             free = comp
             for t, s in list(mate.items()):
                 mate[s] = t

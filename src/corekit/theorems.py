@@ -70,7 +70,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .critical import critical_difference_bruteforce, diff
+from .critical import _check_subset_n, critical_difference_bruteforce, diff
 from .errors import DomainError
 from .graph import Graph, VertexSet, _match, classify_shape, serialize
 from .independence import (
@@ -775,7 +775,15 @@ class Problem1Report(NamedTuple):
 
 
 def search_problem1(max_n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Problem1Report:
-    from .corpus import family_items
+    from .corpus import _family_orders, family_items
+
+    # every non-bipartite KE unicyclic graph gets a subset sweep, and every
+    # order from 4 up has one: refuse the first order above subset_n before
+    # the first graph. _family_orders checks the enumeration limit first, as
+    # family_items does.
+    first = max(4, budgets.subset_n + 1)
+    if first in _family_orders("unicyclic", max_n, budgets):
+        _check_subset_n(first, budgets)
 
     equal = []
     different = []

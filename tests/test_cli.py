@@ -447,6 +447,58 @@ def test_verify_kernel_gap_refuses_the_subset_budget_before_the_first_graph(
     assert checked == []
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (["--theorem", "TH2A", "--max-subset-n", "9"], "subset sweep limited to 9 vertices, got 10"),
+        (["--theorem", "TH11", "--max-enum-n", "9"], "MIS enumeration limited to 9 vertices, got 10"),
+    ],
+)
+def test_verify_fixtures_refuse_their_budgets_before_the_first_graph(
+    monkeypatch, capsys, budget, message
+):
+    # the fixtures in order have 7 and then 10 vertices
+    checked = []
+    check_graph = theorems_module._check_graph
+
+    def counted(g, gid, tids, budgets):
+        checked.append(gid)
+        return check_graph(g, gid, tids, budgets)
+
+    monkeypatch.setattr(theorems_module, "_check_graph", counted)
+    code = cli_module.main(["verify", *budget, "--family", "fixtures", "--workers", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert checked == []
+
+
+def test_search_problem_1_refuses_the_subset_budget_before_the_first_graph(
+    monkeypatch, capsys
+):
+    swept = []
+    bruteforce = theorems_module.critical_difference_bruteforce
+
+    def counted(g, budgets):
+        swept.append(g.n)
+        return bruteforce(g, budgets)
+
+    monkeypatch.setattr(theorems_module, "critical_difference_bruteforce", counted)
+    code = cli_module.main(["search", "--problem", "1", "--max-n", "12", "--max-subset-n", "9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: subset sweep limited to 9 vertices, got 10\n"
+    assert swept == []
+    # n <= 3 holds only the triangle, which is not KE: nothing is swept
+    code = cli_module.main(["search", "--problem", "1", "--max-n", "3", "--max-subset-n", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "examined: 0\n" in captured.out
+    assert swept == []
+
+
 def test_search_problem_1_golden():
     res = run_cli("search", "--problem", "1", "--max-n", "6")
     assert res.returncode == 0

@@ -468,6 +468,10 @@ def test_random_generators_are_deterministic_and_shaped():
         b = random_connected(n, 7)
         assert serialize(a) == serialize(b)
         assert classify_shape(a).connected
+    # at n = 2 the Pruefer sequence is empty and decodes to the one edge
+    for s in (0, 1, 7, 49):
+        assert serialize(random_tree(2, s)) == "v1 v2\n"
+        assert serialize(random_connected(2, s)) == "v1 v2\n"
     # different seeds give different graphs at least somewhere
     assert any(
         serialize(random_tree(10, s)) != serialize(random_tree(10, s + 1))

@@ -256,6 +256,33 @@ def test_unicyclic_split_equals_the_per_vertex_reference():
         assert corona(g) == unicyclic_drops_reference(g, closed=True), g.edge_labels()
 
 
+def test_forest_sides_strip_only_in_the_consumers(monkeypatch, trees_by_n, unicyclic_by_n):
+    """The dispatcher strips no cycle; core_and_corona strips a unicyclic
+    component once and runs one rerooting pass per forest side."""
+    calls = {"strip": 0, "removals": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        independence, "_strip_to_cycles", counted("strip", independence._strip_to_cycles)
+    )
+    monkeypatch.setattr(
+        independence, "_forest_removals", counted("removals", independence._forest_removals)
+    )
+    for sides, graphs in ((1, trees_by_n), (2, unicyclic_by_n)):
+        for g in (g for n in range(1, 9) for g in graphs.get(n, ())):
+            calls.update(strip=0, removals=0)
+            assert not _Facts(g, DEFAULT_BUDGETS).matching_read
+            assert calls == {"strip": 0, "removals": 0}, g.edge_labels()
+            independence.core_and_corona(g)
+            assert calls == {"strip": sides - 1, "removals": sides}, g.edge_labels()
+
+
 def _definition(g):
     """core and corona by one alpha query per vertex."""
     a = alpha(g)
