@@ -326,7 +326,9 @@ def enumerate_trees(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Grap
         code = _tree_code(adj, n)
         if code not in seen:
             seen.add(code)
-            yield Graph.from_edges([(f"v{parent[v] + 1}", f"v{v + 1}") for v in range(1, n)])
+            # parent[v] < v, so the edges (v{parent[v] + 1}, v{v + 1}) name
+            # the vertices in index order
+            yield Graph(tuple(f"v{v + 1}" for v in range(n)), tuple(adj), n - 1)
 
 
 def enumerate_unicyclic(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Graph]:
@@ -336,11 +338,17 @@ def enumerate_unicyclic(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[
     _check_enum_n("unicyclic", n, budgets.enum_n)
     seen = set()
     for t in enumerate_trees(n, budgets=budgets):
-        tree_edges = t.edge_labels()
+        # each graph names its vertices in the order of first appearance in
+        # the tree's sorted edge labels, then the added edge
+        base = Graph.from_edges(t.edge_labels())
         for i, j, code in _added_edge_codes(t.adj, n):
             if code not in seen:
                 seen.add(code)
-                yield Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
+                a, b = base.index_of(t.labels[i]), base.index_of(t.labels[j])
+                adj = list(base.adj)
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                yield Graph(base.labels, tuple(adj), n)
 
 
 def _labelling_table(runs: tuple[int, ...], bit: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -466,7 +474,18 @@ def _level_graphs(pairs: list[tuple[int, int]], masks: list[int]) -> Iterator[Gr
         yield Graph.from_edges(isolated=("v1",))
         return
     for mask in masks:
-        yield Graph.from_edges([(f"v{pairs[b][0] + 1}", f"v{pairs[b][1] + 1}") for b in _bits(mask)])
+        # vertex v is labelled v{v + 1}, and the labels are indexed in order
+        # of first appearance along the pairs of the mask, as from_edges does
+        edges = [pairs[b] for b in _bits(mask)]
+        order = {}
+        for u, v in edges:
+            order.setdefault(u, len(order))
+            order.setdefault(v, len(order))
+        adj = [0] * len(order)
+        for u, v in edges:
+            adj[order[u]] |= 1 << order[v]
+            adj[order[v]] |= 1 << order[u]
+        yield Graph(tuple(f"v{v + 1}" for v in order), tuple(adj), len(edges))
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:

@@ -66,8 +66,8 @@ import os
 import time
 from collections import deque
 from functools import cached_property
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import chain, cycle, islice
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import _check_subset_n, critical_difference_bruteforce, diff
@@ -631,9 +631,11 @@ def _compact(reports: list[TheoremReport]) -> tuple[TheoremReport | bool, ...]:
 
 def _check_chunk(
     chunk: list[tuple[str, Graph]], tids: tuple[str, ...], budgets: Budgets
-) -> list[tuple[TheoremReport | bool, ...]]:
-    """The compact reports of each (graph_id, graph) of a chunk."""
-    return [_compact(_check_graph(g, gid, tids, budgets)) for gid, g in chunk]
+) -> list[tuple[bool | None, ...]]:
+    """A worker's answer for each (graph_id, graph) of a chunk: per report
+    its applicable flag, or None where it fails."""
+    return [tuple(None if rep.holds is False else rep.applicable
+                  for rep in _check_graph(g, gid, tids, budgets)) for gid, g in chunk]
 
 
 def _summarize(
@@ -679,7 +681,7 @@ def _summarize(
     )
 
 
-# graphs per pool task, and tasks per worker submitted ahead of the one read
+# graphs per chunk, and chunks per worker sent ahead of the one read
 _CHUNK = 8
 _CHUNKS_PER_WORKER = 4
 
@@ -690,29 +692,104 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _send(fd: int, obj) -> None:
+    """Write obj to a pipe as one frame: a 4-byte length, then its pickle."""
+    import pickle  # here and in _recv: only the pool path pays for it
+
+    data = pickle.dumps(obj)
+    view = memoryview(len(data).to_bytes(4, "big") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(reader: BinaryIO) -> object:
+    """The object of the next frame on a pipe, or None at its end."""
+    import pickle
+
+    head = reader.read(4)
+    size = int.from_bytes(head, "big")
+    body = reader.read(size)
+    return pickle.loads(body) if len(head) == 4 and len(body) == size else None
+
+
 def _pooled(
-    pool,
     items: Iterator[tuple[str, Graph]],
     tids: tuple[str, ...],
     budgets: Budgets,
-    in_flight: int,
+    workers: int,
 ) -> Iterator[tuple[Graph, tuple[TheoremReport | bool, ...]]]:
     """(graph, compact reports) of each graph, in stream order, from chunks
-    checked in the pool. At most in_flight chunks are submitted and not yet
-    read, so the stream is read only that far ahead of the results."""
-    pending: deque = deque()
+    checked in forked workers, each fed over its own pair of pipes: chunk k
+    goes to worker k mod workers. Closed or raising before its end, the
+    generator kills the workers; it reaps them in every case."""
+    import pickle  # for _send and _recv: loaded once, before the workers fork
+    import signal
 
-    def oldest():
-        chunk, future = pending.popleft()
-        for (_, g), outcome in zip(chunk, future.result()):
-            yield g, outcome
+    procs: list[tuple[int, int, BinaryIO]] = []  # (pid, fd to it, reader from it)
+    try:
+        for _ in range(workers):
+            down_r, down_w = os.pipe()
+            up_r, up_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # it never returns into the caller's frames, and holds no end
+                # of another worker's pipes, so each closes with its holder
+                try:
+                    for _, fd, reader in procs:
+                        os.close(fd)
+                        reader.close()
+                    os.close(down_w)
+                    os.close(up_r)
+                    inbox = open(down_r, "rb")
+                    while (chunk := _recv(inbox)) is not None:
+                        try:
+                            reply = _check_chunk(chunk, tids, budgets)
+                        except Exception as exc:
+                            reply = exc
+                        _send(up_w, reply)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            procs.append((pid, down_w, open(up_r, "rb")))
+            os.close(down_r)
+            os.close(up_w)
+        pending: deque = deque()
 
-    while chunk := list(islice(items, _CHUNK)):
-        pending.append((chunk, pool.submit(_check_chunk, chunk, tids, budgets)))
-        if len(pending) == in_flight:
+        def oldest():
+            chunk, reader = pending.popleft()
+            reply = _recv(reader)
+            if reply is None:
+                raise ChildProcessError("a sweep worker ended before sending its results")
+            if isinstance(reply, Exception):
+                raise reply
+            for (gid, g), flags in zip(chunk, reply):
+                # a failing graph's reports are built again here, so that a
+                # reply stays small and never fills its pipe while this
+                # process is blocked writing to the worker
+                yield g, _compact(_check_graph(g, gid, tids, budgets)) if None in flags else flags
+
+        chunks = iter(lambda: list(islice(items, _CHUNK)), [])
+        for (_, fd, reader), chunk in zip(cycle(procs), chunks):
+            try:
+                _send(fd, chunk)
+            except BrokenPipeError:
+                pass  # the worker has ended: raised when its reply is read
+            pending.append((chunk, reader))
+            if len(pending) == workers * _CHUNKS_PER_WORKER:
+                yield from oldest()
+        while pending:
             yield from oldest()
-    while pending:
-        yield from oldest()
+    except BaseException:
+        # fail-fast, an error or an interrupt: the chunks in flight are moot
+        for pid, _, _ in procs:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # a worker exits at the end of its pipe
+        for pid, fd, reader in procs:
+            os.close(fd)
+            reader.close()
+            os.waitpid(pid, 0)
 
 
 def sweep(
@@ -726,39 +803,34 @@ def sweep(
     """Run the chosen checkers over a (graph_id, Graph) stream.
 
     Deterministic for a fixed stream regardless of worker count: work is
-    submitted and merged in stream order, and failures are finally sorted by
+    sent and merged in stream order, and failures are finally sorted by
     (graph serialization, theorem id).
 
-    With workers > 1 the pool has at most one process per available CPU and
-    per graph: the first that many graphs are read before it starts, and
-    with fewer than two of them the sweep runs in this process. The stream
-    is then read as the workers go: it is sent in chunks of _CHUNK graphs,
-    and at most _CHUNKS_PER_WORKER chunks per worker are submitted and not
-    yet read. Each graph's reports are summarized in compact form,
-    in a worker as in this process: the failing reports in full and an
-    applicable flag for each other one. Under fail_fast the sweep stops
-    reading the stream at the first failure and cancels the chunks not yet
-    started.
+    With workers > 1 the sweep forks at most one worker per available CPU
+    and per graph: the first that many graphs are read before they start,
+    and with fewer than two of them, or without os.fork, the sweep runs in
+    this process. The stream is then read as the workers go, in chunks of
+    _CHUNK graphs, at most _CHUNKS_PER_WORKER chunks per worker ahead. A
+    worker answers each report with its applicable flag, or None where it
+    fails, and this process builds each failing report again from the
+    graph. Under fail_fast the sweep stops reading the stream at the first
+    failure and kills the workers with the chunks in flight. An exception in
+    a worker, or a worker's death, is raised in stream order.
     """
     tids = _known_ids(theorem_ids)
     start = time.perf_counter()
     items = iter(items)
-    workers = min(workers, _available_cpus())
+    workers = min(workers, _available_cpus()) if hasattr(os, "fork") else 1
     head = list(islice(items, workers)) if workers > 1 else []
     items = chain(head, items)
     if len(head) <= 1:
         results = ((g, _compact(_check_graph(g, gid, tids, budgets))) for gid, g in items)
-        return _summarize(results, tids, fail_fast, family, start)
-    # imported here: the pool pulls in multiprocessing, which every other
-    # command would pay for at start-up
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=len(head))
+    else:
+        results = _pooled(items, tids, budgets, len(head))
     try:
-        results = _pooled(pool, items, tids, budgets, len(head) * _CHUNKS_PER_WORKER)
         return _summarize(results, tids, fail_fast, family, start)
     finally:
-        pool.shutdown(cancel_futures=True)
+        results.close()
 
 
 # -- open-problem searches ------------------------------------------------------

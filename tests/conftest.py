@@ -27,6 +27,26 @@ def pytest_configure(config):
     os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
 
 
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """The pids of the processes a test forks, each of which must be reaped,
+    and so no longer running, when the test ends."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def all_fixtures():
     """name -> Graph for every packaged fixture."""

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from corekit import matching as matching_module
 from corekit import theorems as theorems_module
 from corekit import unicyclic as unicyclic_module
 from corekit import (
+    BudgetExceededError,
     FIXTURE_NAMES,
     Graph,
     alpha,
@@ -269,6 +271,47 @@ def test_verify_fail_fast_pool_stops_reading_the_stream(monkeypatch, capsys):
     assert pulled2 <= 2 + in_flight < 1040
 
 
+def _verify_with_workers(argv, capsys):
+    """(exit code, stdout, stderr) of verify at --workers 1 and at 2."""
+    runs = []
+    for workers in ("1", "2"):
+        code = cli_module.main(["verify", *argv, "--workers", workers])
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def test_verify_checker_error_in_a_worker_exits_as_in_process(monkeypatch, capsys,
+                                                               forked_pids):
+    def refuses_n8(f):
+        if f.g.n == 8:
+            raise BudgetExceededError("forced refusal at n = 8")
+        return True, True
+
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", refuses_n8)
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    one, two = _verify_with_workers(
+        ["--theorem", "MAIN,ZHANG", "--family", "unicyclic", "--max-n", "9"], capsys)
+    assert one == two == (3, "", "error: forced refusal at n = 8\n")
+    assert len(forked_pids) == 2
+
+
+def test_verify_killed_worker_is_an_error(monkeypatch, capsys, forked_pids):
+    parent = os.getpid()
+
+    def dies_in_a_worker_at_n8(f):
+        if f.g.n == 8 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return True, True
+
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", dies_in_a_worker_at_n8)
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    one, two = _verify_with_workers(
+        ["--theorem", "ZHANG", "--family", "unicyclic", "--max-n", "9"], capsys)
+    assert one[0] == 0
+    assert two == (2, "", "error: a sweep worker ended before sending its results\n")
+    assert len(forked_pids) == 2
+
+
 @pytest.mark.parametrize(
     "limit, message",
     [
@@ -502,7 +545,7 @@ def test_search_problem_1_refuses_the_subset_budget_before_the_first_graph(
 def test_search_problem_1_golden():
     res = run_cli("search", "--problem", "1", "--max-n", "6")
     assert res.returncode == 0
-    assert "examined: 8" in res.stdout or "examined:" in res.stdout
+    assert "examined: 10\ncore=ker: 5\ncore!=ker: 5\n" in res.stdout
     again = run_cli("search", "--problem", "1", "--max-n", "6")
     assert res.stdout == again.stdout
 
@@ -574,7 +617,8 @@ def test_cli_import_loads_no_process_pool():
     # -S keeps site hooks from importing modules of their own
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import corekit.cli; "
-        "print('concurrent.futures' in sys.modules)"
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
+        "if m in sys.modules])"
     )
     res = subprocess.run(
         [sys.executable, "-S", "-c", code, str(REPO / "src")],
@@ -583,7 +627,7 @@ def test_cli_import_loads_no_process_pool():
         timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    assert res.stdout == "[]\n"
 
 
 def test_cli_runs_load_no_dataclasses_inspect_or_zipfile():

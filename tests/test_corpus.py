@@ -184,16 +184,19 @@ def test_labeled_and_deduped_unicyclic_cover_the_same_codes():
     assert labeled == deduped
 
 
+def _built(graphs):
+    return [(g.labels, g.adj, g.m) for g in graphs]
+
+
 def test_tree_and_unicyclic_streams_equal_the_graph_per_candidate_loops(
     trees_by_n, unicyclic_by_n
 ):
-    def stream(graphs):
-        return [(serialize(g), g.labels) for g in graphs]
-
-    for n in range(1, 10):
-        assert stream(trees_by_n[n]) == stream(trees_reference(n)), n
-    for n in range(3, 10):
-        assert stream(unicyclic_by_n[n]) == stream(unicyclic_reference(n)), n
+    # the enumerators build each graph from its int adjacency; the loops
+    # build it with Graph.from_edges, which fixes the order of the labels
+    for n in range(1, 13):
+        assert _built(trees_by_n[n]) == _built(trees_reference(n)), n
+    for n in range(3, 11):
+        assert _built(unicyclic_by_n[n]) == _built(unicyclic_reference(n)), n
 
 
 # sha256 over serialize() and the labels of each graph of family_items(family,
@@ -277,6 +280,17 @@ def test_connected_stream_matches_the_edge_mask_sweep(connected_by_n):
     for n in range(1, 7):
         want = [serialize(g) for g in _sweep_connected(n)]
         assert [serialize(g) for g in connected_by_n[n]] == want, n
+
+
+def test_connected_levels_build_the_graphs_of_their_edge_lists():
+    for n, (pairs, masks) in zip(range(1, 8), corpus._connected_levels(7)):
+        if not pairs:
+            want = [Graph.from_edges(isolated=("v1",))]
+        else:
+            want = [Graph.from_edges([(f"v{i + 1}", f"v{j + 1}")
+                                      for b, (i, j) in enumerate(pairs) if mask >> b & 1])
+                    for mask in masks]
+        assert _built(corpus._level_graphs(pairs, masks)) == _built(want), n
 
 
 # sha256 of the concatenated serialize() texts of the n=7 stream, recorded on

@@ -1,8 +1,8 @@
 """Theorem checkers: spot values on named fixtures, corpus sweeps, failure
 reporting/replay, and the counterexample searches."""
 
-import concurrent.futures
 import os
+import signal
 from collections import Counter
 
 import pytest
@@ -23,6 +23,7 @@ from corekit import (
     mu,
     parse_edge_list,
     random_connected,
+    random_tree,
     search_problem1,
     serialize,
     sum_defect_histogram,
@@ -102,7 +103,7 @@ def _timeless(summary):
     return summary._replace(elapsed=0.0)
 
 
-def test_sweep_worker_counts_agree(monkeypatch, all_fixtures):
+def test_sweep_worker_counts_agree(monkeypatch, forked_pids, all_fixtures):
     # two CPUs whatever the host has, so that workers=2 starts a pool
     monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
     for family, items in (("fixtures", list(all_fixtures.items())),
@@ -111,6 +112,7 @@ def test_sweep_worker_counts_agree(monkeypatch, all_fixtures):
         par = sweep(items, THEOREM_IDS, family=family, workers=2)
         assert seq.graphs_tested == len(items)
         assert _timeless(par) == _timeless(seq), family
+    assert len(forked_pids) == 4
 
 
 def _fails_on_even_n(f):
@@ -118,7 +120,7 @@ def _fails_on_even_n(f):
     return True, f.g.n % 2 == 1, (("n", f.g.n),), (("why", "forced for the test"),)
 
 
-def test_sweep_failures_agree_across_worker_counts(monkeypatch, all_fixtures):
+def test_sweep_failures_agree_across_worker_counts(monkeypatch, forked_pids, all_fixtures):
     monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
     monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
     items = list(all_fixtures.items())
@@ -130,7 +132,7 @@ def test_sweep_failures_agree_across_worker_counts(monkeypatch, all_fixtures):
         par = sweep(items, tids, fail_fast=fail_fast, workers=2, family="forced")
         assert _timeless(par) == _timeless(seq), fail_fast
         assert par.truncated == fail_fast
-        # the pool sends each failing report back whole
+        # each failing report is rebuilt whole from the graph
         assert len(par.failures) == (1 if fail_fast else 6)
         for text, rep in par.failures:
             assert rep.witness_dict() == {"n": parse_edge_list(text).n}
@@ -138,72 +140,81 @@ def test_sweep_failures_agree_across_worker_counts(monkeypatch, all_fixtures):
             assert rep.graph_id == ids_by_text[text]
     # the first failure is ZHANG on the second fixture, so the count stops there
     assert (par.graphs_tested, par.checks_run) == (2, 5)
-
-
-class _LazyFuture(concurrent.futures.Future):
-    def __init__(self, fn, args):
-        super().__init__()
-        self.task = fn, args
-
-    def result(self, timeout=None):
-        if not self.done():
-            fn, args = self.task
-            self.set_result(fn(*args))
-        return super().result(timeout)
-
-
-class _LazyPool:
-    """Stands in for ProcessPoolExecutor without starting a process: a task
-    runs when its result is read, or at shutdown unless cancelled there, as
-    in a pool whose workers have not reached it yet."""
-
-    def __init__(self, max_workers, started):
-        self.max_workers = max_workers
-        self.tasks = []
-        started.append(self)
-
-    def submit(self, fn, *args):
-        self.tasks.append(_LazyFuture(fn, args))
-        return self.tasks[-1]
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        for future in self.tasks:
-            if cancel_futures:
-                future.cancel()
-            else:
-                future.result()
+    assert len(forked_pids) == 4
 
 
 @pytest.fixture
-def lazy_pools(monkeypatch):
-    """The _LazyPools that sweep starts in place of process pools."""
-    started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _LazyPool(max_workers, started))
-    return started
+def pool_sizes(monkeypatch):
+    """The worker count of each pool that sweep starts."""
+    sizes = []
+    pooled = theorems_module._pooled
+
+    def recording(items, tids, budgets, workers):
+        sizes.append(workers)
+        return pooled(items, tids, budgets, workers)
+
+    monkeypatch.setattr(theorems_module, "_pooled", recording)
+    return sizes
 
 
-def test_sweep_pool_is_capped_at_the_available_cpus(monkeypatch, lazy_pools, all_fixtures):
+def test_sweep_pool_is_capped_at_the_available_cpus(
+    monkeypatch, forked_pids, pool_sizes, all_fixtures
+):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     items = list(family_items("unicyclic", max_n=7))
     one = sweep(items, THEOREM_IDS, workers=1)
-    assert lazy_pools == []
+    assert pool_sizes == []
     assert _timeless(sweep(items, THEOREM_IDS, workers=5000)) == _timeless(one)
     sweep(list(all_fixtures.items())[:2], THEOREM_IDS, workers=5000)
-    assert [pool.max_workers for pool in lazy_pools] == [3, 2]
+    assert pool_sizes == [3, 2]
+    assert len(forked_pids) == 5
 
 
-def test_fail_fast_sweep_cancels_the_chunks_not_started(monkeypatch, lazy_pools):
+def test_fail_fast_sweep_cancels_the_chunks_not_started(monkeypatch, forked_pids):
     monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
     monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
+    sent = []
+    send = theorems_module._send
+
+    def recording(fd, obj):
+        sent.append(obj)
+        send(fd, obj)
+
+    monkeypatch.setattr(theorems_module, "_send", recording)
     seq = sweep(family_items("unicyclic", max_n=10), ("ZHANG",), fail_fast=True, workers=1)
     par = sweep(family_items("unicyclic", max_n=10), ("ZHANG",), fail_fast=True, workers=2)
     assert _timeless(par) == _timeless(seq)
     assert par.graphs_tested == 2
-    (pool,) = lazy_pools
-    # the chunks in flight when the first one was read; only that one ran
-    assert len(pool.tasks) == 2 * theorems_module._CHUNKS_PER_WORKER
-    assert [future.cancelled() for future in pool.tasks] == [False] + [True] * (len(pool.tasks) - 1)
+    # the chunks in flight when the first reply was read; the workers were
+    # killed with them
+    assert len(sent) == 2 * theorems_module._CHUNKS_PER_WORKER
+    assert len(forked_pids) == 2
+
+
+def test_sweep_replies_stay_small_whatever_fails(monkeypatch, forked_pids):
+    # a chunk of these trees is megabytes, and its failing reports, sent
+    # whole, would be far more than a pipe holds: the worker would block
+    # writing them while this process is blocked writing it the next chunk
+    def fails_with_the_graph(f):
+        return True, False, (), (("graph", serialize(f.g)),)
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", fails_with_the_graph)
+    items = [(f"t{i}", random_tree(2000, i)) for i in range(32)]
+    seq = sweep(items, ("ZHANG",), workers=1)
+    alarm = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        par = sweep(items, ("ZHANG",), workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+    assert _timeless(par) == _timeless(seq)
+    assert len(par.failures) == 32
+    assert len(forked_pids) == 2
 
 
 def test_sweep_failure_reports_are_replayable(monkeypatch, all_fixtures):
@@ -372,13 +383,21 @@ def test_search_problem1_checks_the_limit_before_enumerating(monkeypatch):
 
 
 def test_sweep_of_one_graph_starts_no_process_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool started")
+    def no_fork():
+        raise AssertionError("worker forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     summary = sweep([("p3", fixture("p3"))], THEOREM_IDS, workers=4)
     assert summary.graphs_tested == 1
     assert summary.all_hold()
+
+
+def test_sweep_runs_in_this_process_without_fork(monkeypatch, all_fixtures):
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    items = list(all_fixtures.items())
+    one = sweep(items, THEOREM_IDS, workers=1)
+    monkeypatch.delattr(os, "fork")
+    assert _timeless(sweep(items, THEOREM_IDS, workers=2)) == _timeless(one)
 
 
 def test_classify_sum_defect_anchors():
