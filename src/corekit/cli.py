@@ -230,19 +230,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.size is None:
             print("error: --random needs --size", file=sys.stderr)
             return _EXIT_USAGE
-        items = family_items(
-            "random-connected",
-            count=args.random,
-            size=args.size,
-            seed=args.seed,
-            budgets=budgets,
-        )
+        kind = "random-connected"
         family = f"random-connected(count={args.random}, size={args.size}, seed={args.seed})"
     elif args.family:
         if args.family != "fixtures" and args.max_n is None:
             print("error: --family needs --max-n", file=sys.stderr)
             return _EXIT_USAGE
-        items = family_items(args.family, max_n=args.max_n, budgets=budgets)
+        kind = args.family
         family = args.family if args.family == "fixtures" else f"{args.family}(max_n={args.max_n})"
     else:
         print("error: one of --graph/--family/--random is required", file=sys.stderr)
@@ -261,19 +255,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if "TH11" in known:
             limits.append(_check_mis_n)
         if limits:
-            orders = ()
-            if args.random is not None:
-                orders = (args.size,) if args.random else ()
-            elif args.family in ("trees", "unicyclic", "connected"):
-                orders = _family_orders(args.family, args.max_n, budgets)
-            elif args.family == "kernel-gap":
-                # kernel_gap_family(k) has 2k + 5 vertices, k = 1..max_n
-                orders = range(7, 2 * args.max_n + 6, 2)
-            elif args.family == "fixtures":
-                orders = tuple(fixture(name).n for name in FIXTURE_NAMES)
+            orders = _family_orders(kind, args.max_n, budgets, args.random, args.size)
             for limit in limits:
                 for n in orders:
                     limit(n, budgets)
+        items = family_items(kind, args.max_n, args.random, args.size, args.seed, budgets)
         summary = sweep(
             items,
             tids,

@@ -40,7 +40,7 @@ import random
 import sys
 from array import array
 from itertools import groupby, permutations, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
@@ -557,11 +557,32 @@ def random_connected(n: int, seed) -> Graph:
 # -- streams ------------------------------------------------------------------
 
 
-def _family_orders(family: str, max_n: int | None, budgets: Budgets) -> range:
-    """The vertex counts of the graphs of an exhaustive family (trees,
-    unicyclic or connected) up to max_n, in increasing order. Raises when
-    max_n is missing or beyond the family's enumeration limit: the checks
-    family_items makes before its first graph."""
+def _family_orders(
+    family: str,
+    max_n: int | None,
+    budgets: Budgets,
+    count: int | None = None,
+    size: int | None = None,
+) -> Sequence[int]:
+    """The vertex counts of the graphs that family_items yields for these
+    arguments, in its order: each fixture's, each order of an exhaustive
+    family (trees, unicyclic or connected) up to max_n once, 2k + 5 for
+    kernel_gap_family(k) with k = 1..max_n, and a random family's size once
+    unless count is 0. Raises when an argument is missing or an exhaustive
+    max_n is beyond the family's enumeration limit: the checks family_items
+    makes before its first graph."""
+    if family == "fixtures":
+        return tuple(fixture(name).n for name in FIXTURE_NAMES)
+    if family in ("random-unicyclic", "random-connected"):
+        if count is None or size is None:
+            raise DomainError(f"{family} family needs count and size")
+        return (size,) if count else ()
+    if family == "kernel-gap":
+        if max_n is None:
+            raise DomainError("kernel-gap family needs max_n (largest k)")
+        return range(7, 2 * max_n + 6, 2)
+    if family not in ("trees", "unicyclic", "connected"):
+        raise DomainError(f"unknown family {family!r}")
     if max_n is None:
         raise DomainError(f"{family} family needs max_n")
     if family == "connected":
@@ -585,37 +606,30 @@ def family_items(
     max_n beyond the enumeration limit raises before the first graph; random
     families need count and size. Ids are stable and self-describing.
     """
-    if family == "fixtures":
+    if family == "fixtures":  # its orders would parse every fixture twice
         for name in FIXTURE_NAMES:
             yield name, fixture(name)
-    elif family == "trees":
-        for n in _family_orders(family, max_n, budgets):
+        return
+    orders = _family_orders(family, max_n, budgets, count, size)
+    if family == "trees":
+        for n in orders:
             for i, g in enumerate(enumerate_trees(n, budgets=budgets)):
                 yield f"tree:n{n}:{i}", g
     elif family == "unicyclic":
-        for n in _family_orders(family, max_n, budgets):
+        for n in orders:
             for i, g in enumerate(enumerate_unicyclic(n, budgets=budgets)):
                 yield f"uni:n{n}:{i}", g
     elif family == "connected":
-        orders = _family_orders(family, max_n, budgets)
         # zip stops with the orders, so max_n = 0 builds no level at all
         for n, (pairs, masks) in zip(orders, _connected_levels(max_n)):
             for i, g in enumerate(_level_graphs(pairs, masks)):
                 yield f"conn:n{n}:{i}", g
     elif family == "random-unicyclic":
-        if count is None or size is None:
-            raise DomainError("random-unicyclic family needs count and size")
         for i in range(count):
             yield f"rand-uni:n{size}:s{seed}:{i}", random_unicyclic(size, f"{seed}:{i}")
     elif family == "random-connected":
-        if count is None or size is None:
-            raise DomainError("random-connected family needs count and size")
         for i in range(count):
             yield f"rand-conn:n{size}:s{seed}:{i}", random_connected(size, f"{seed}:{i}")
-    elif family == "kernel-gap":
-        if max_n is None:
-            raise DomainError("kernel-gap family needs max_n (largest k)")
+    else:  # kernel-gap
         for k in range(1, max_n + 1):
             yield f"kernel-gap:k{k}", kernel_gap_family(k)
-    else:
-        raise DomainError(f"unknown family {family!r}")

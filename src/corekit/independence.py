@@ -48,11 +48,12 @@ corona() alone run the same pass; on a general component each asks only its
 own side's queries.
 
 enumerate_mis reads the family Omega(G) by exhaustive search alone, none of
-the dispatch above: the lowest live vertex is taken (dropping its closed
-neighbourhood) or skipped, and a branch ends once the alpha of its live
-vertices falls short of the sets it still needs. That alpha comes from
-_alpha_memo, an exhaustive search on vertex masks memoised for one call, the
-counterpart of the _mu_active memo behind enumerate_maximum_matchings.
+the dispatch above: _mis_masks takes the lowest live vertex (dropping its
+closed neighbourhood) or skips it, and a branch ends once the alpha of its
+live vertices falls short of the sets it still needs. That alpha comes from
+_alpha_memo, an exhaustive search on vertex masks memoised for one call.
+The same search on the line graph lists the maximum matchings
+(matching.enumerate_maximum_matchings).
 
 ker is not derived from core here: critical.ker reads it off one matching of
 the bipartite double cover (v is in ker iff some maximum matching of the
@@ -62,8 +63,10 @@ cover misses v's left copy; Levit and Mandrescu, SIAM J. Discrete Math.
 
 from __future__ import annotations
 
+import math
+
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError
 from .graph import (
     Graph,
     VertexSet,
@@ -270,7 +273,7 @@ def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
 
 
 def _alpha_memo(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
-    """Exhaustive alpha on a vertex mask, for enumerate_mis: the lowest live
+    """Exhaustive alpha on a vertex mask, for _mis_masks: the lowest live
     vertex is taken when it has at most one live neighbour (some maximum
     independent set holds it), and otherwise alpha is the larger of skipping
     it and taking it with its closed neighbourhood dropped."""
@@ -379,34 +382,38 @@ def _check_mis_n(n: int, budgets: Budgets) -> None:
         raise BudgetExceededError(f"MIS enumeration limited to {budgets.enum_n} vertices, got {n}")
 
 
-def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexSet, ...]:
-    """The family Omega(G) of all maximum independent sets, sorted by their
-    label tuples. The 0-vertex graph has Omega = (empty set,).
+def _mis_masks(adj: tuple[int, ...], full: int, limit: float) -> list[int]:
+    """The masks of the maximum independent sets of the subgraph induced on
+    the full mask, in search order, stopping once more than limit are found.
 
     The lowest live vertex is taken or skipped in turn, and a branch is cut
     as soon as its live vertices cannot hold the sets still needed. The
     target and every such bound come from _alpha_memo, one exhaustive
     search whose memo lives for this call only, so the family rests on
     exhaustive search alone."""
-    _check_mis_n(g.n, budgets)
-    adj = g.adj
-    full = (1 << g.n) - 1
     memo: dict[int, int] = {}
     found: list[int] = []
 
-    def rec(active: int, need: int, chosen: int) -> None:
+    def rec(active: int, need: int, chosen: int) -> bool:
+        """False once more than limit sets are found."""
         if need == 0:
             found.append(chosen)
-            return
+            return len(found) <= limit
         if active.bit_count() < need or _alpha_memo(adj, active, memo) < need:
-            return
+            return True
         b = active & -active
         v = b.bit_length() - 1
-        rec(active & ~(adj[v] | b), need - 1, chosen | b)
-        rec(active & ~b, need, chosen)
+        return rec(active & ~(adj[v] | b), need - 1, chosen | b) and rec(active & ~b, need, chosen)
 
     rec(full, _alpha_memo(adj, full, memo), 0)
-    sets = [VertexSet(g, mask) for mask in found]
+    return found
+
+
+def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexSet, ...]:
+    """The family Omega(G) of all maximum independent sets, sorted by their
+    label tuples. The 0-vertex graph has Omega = (empty set,)."""
+    _check_mis_n(g.n, budgets)
+    sets = [VertexSet(g, mask) for mask in _mis_masks(g.adj, (1 << g.n) - 1, math.inf)]
     sets.sort(key=lambda s: s.labels())
     return tuple(sets)
 
@@ -435,12 +442,4 @@ def is_alpha_critical_edge(
     g: Graph, u: str, v: str, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
     """True iff deleting the edge raises alpha (necessarily by exactly 1)."""
-    iu, iv = g.index_of(u), g.index_of(v)
-    if not g.adj[iu] >> iv & 1:
-        raise DomainError(f"no edge {u!r} {v!r}")
-    full = (1 << g.n) - 1
-    a = _alpha_active(g.adj, full, budgets)
-    adj = list(g.adj)
-    adj[iu] &= ~(1 << iv)
-    adj[iv] &= ~(1 << iu)
-    return _alpha_active(tuple(adj), full, budgets) == a + 1
+    return alpha(g.delete_edge(u, v), budgets) == alpha(g, budgets) + 1

@@ -11,11 +11,13 @@ one. saturating_matching runs it on a source set and a disjoint target set
 (Hall's condition holds iff every source is matched). critical.py runs it
 on the bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and
 ker is the set of vertices whose left copy some maximum matching misses
-(Levit and Mandrescu 2012). The exhaustive memo _mu_active serves only
-_maximum_matching_pairs, budgeted by enum_n: it lists every maximum matching
-as index pairs, which enumerate_maximum_matchings turns into sorted Matching
-objects and the checkers test directly. Both go through _matched_vertices,
-the one statement of the matching predicate that the constructor enforces.
+(Levit and Mandrescu 2012). _maximum_matching_pairs, budgeted by enum_n
+and matching_limit, lists every maximum matching as index pairs: they are
+the maximum independent sets of the line graph, listed by the exhaustive
+search behind enumerate_mis (independence._mis_masks).
+enumerate_maximum_matchings turns them into sorted Matching objects, and
+the checkers test them directly. Both go through _matched_vertices, the
+one statement of the matching predicate that the constructor enforces.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
 from .graph import Graph, VertexSet, _bits, _match
-from .independence import _alpha_active
+from .independence import _alpha_active, _mis_masks
 
 __all__ = [
     "Matching",
@@ -106,29 +108,6 @@ class Matching:
 
 
 # -- matchers ------------------------------------------------------------------
-
-
-def _mu_active(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
-    """Exhaustive mu on a vertex mask, for enumerate_maximum_matchings: the
-    lowest vertex is either unmatched or matched to one of its live
-    neighbours."""
-    if not active:
-        return 0
-    got = memo.get(active)
-    if got is not None:
-        return got
-    b = active & -active
-    v = b.bit_length() - 1
-    best = _mu_active(adj, active ^ b, memo)
-    cap = active.bit_count() // 2
-    for u in _bits(adj[v] & active):
-        if best == cap:
-            break
-        r = 1 + _mu_active(adj, active ^ b ^ 1 << u, memo)
-        if r > best:
-            best = r
-    memo[active] = best
-    return best
 
 
 def _blossom_matching(adj: tuple[int, ...], active: int) -> list[tuple[int, int]]:
@@ -268,39 +247,25 @@ def _maximum_matching_pairs(
 ) -> list[tuple[tuple[int, int], ...]]:
     """Every maximum matching as a tuple of index pairs, unvalidated and in
     search order. Raises when g has more than enum_n vertices or the family
-    more than matching_limit members."""
+    more than matching_limit members.
+
+    They are the maximum independent sets of the line graph, whose vertex e
+    is edge e of g.edges(), as _mis_masks lists them."""
     if g.n > budgets.enum_n:
         raise BudgetExceededError(
             f"matching enumeration limited to {budgets.enum_n} vertices, got {g.n}"
         )
-    adj = g.adj
-    full = (1 << g.n) - 1
-    memo: dict[int, int] = {}
-    target = _mu_active(adj, full, memo)
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(active: int, need: int, chosen: tuple[tuple[int, int], ...]) -> None:
-        if need == 0:
-            if len(out) >= budgets.matching_limit:
-                raise BudgetExceededError(
-                    f"more than {budgets.matching_limit} maximum matchings"
-                )
-            out.append(chosen)
-            return
-        b = active & -active
-        v = b.bit_length() - 1
-        if not adj[v] & active:
-            rec(active ^ b, need, chosen)
-            return
-        if _mu_active(adj, active ^ b, memo) >= need:
-            rec(active ^ b, need, chosen)
-        for u in _bits(adj[v] & active):
-            ub = 1 << u
-            if 1 + _mu_active(adj, active ^ b ^ ub, memo) >= need:
-                rec(active ^ b ^ ub, need - 1, chosen + ((v, u),))
-
-    rec(full, target, ())
-    return out
+    edges = list(g.edges())
+    at = [0] * g.n  # at[v]: the mask of the edges at v
+    for e, (i, j) in enumerate(edges):
+        at[i] |= 1 << e
+        at[j] |= 1 << e
+    # the edges at i or j but e, the one edge at both
+    line = tuple([at[i] ^ at[j] for i, j in edges])
+    masks = _mis_masks(line, (1 << len(edges)) - 1, budgets.matching_limit)
+    if len(masks) > budgets.matching_limit:
+        raise BudgetExceededError(f"more than {budgets.matching_limit} maximum matchings")
+    return [tuple(edges[e] for e in _bits(mask)) for mask in masks]
 
 
 def enumerate_maximum_matchings(

@@ -27,8 +27,10 @@ asked for and then kept for that graph only. The record caches primitives,
 never a conclusion, so the rule above holds unchanged: ker comes from the
 sweep, core and corona from alpha queries or from the enumerated family,
 pendant-tree values from calls on each pendant tree. The family rests on
-exhaustive search only (independence._alpha_memo), never on the forest,
-unicyclic, Koenig or branch-and-bound paths of alpha, core and corona. sweep
+exhaustive search only (independence._mis_masks and its _alpha_memo), never
+on the forest, unicyclic, Koenig or branch-and-bound paths of alpha, core
+and corona. TH1's family of maximum matchings rests on the same search, run
+on the line graph, never on the blossom matcher behind mu. sweep
 builds one record per graph and runs the chosen checkers against it in the
 given order, so each graph pays for one subset sweep, one alpha and one mu
 however many checkers read them. core and corona come from one binding,

@@ -3,7 +3,7 @@ canonical codes."""
 
 import hashlib
 import random
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
@@ -34,7 +34,7 @@ from corekit import (
     unicyclic_code,
 )
 from corekit import corpus
-from corekit.corpus import _canonical_mask
+from corekit.corpus import _canonical_mask, _family_orders
 from helpers import (
     canonical_mask_reference,
     connected_levels_reference,
@@ -535,3 +535,12 @@ def test_family_items_ids_and_reproducibility():
     assert len(trees) == sum(FREE_TREE_COUNTS[n] for n in range(1, 6))
     with pytest.raises(DomainError):
         list(family_items("no-such-family", max_n=3))
+    # the orders that the CLI checks its budgets on are those of the stream
+    for family, max_n, count, size in [
+        ("fixtures", None, None, None), ("trees", 5, None, None), ("unicyclic", 6, None, None),
+        ("connected", 5, None, None), ("kernel-gap", 3, None, None),
+        ("random-unicyclic", None, 2, 9), ("random-connected", None, 0, 9),
+    ]:
+        orders = _family_orders(family, max_n, Budgets(), count, size)
+        streamed = [g.n for _, g in family_items(family, max_n, count, size)]
+        assert [n for n, _ in groupby(orders)] == [n for n, _ in groupby(streamed)], family

@@ -11,6 +11,7 @@ import corekit.independence as independence
 from corekit import (
     BudgetExceededError,
     Budgets,
+    DomainError,
     Graph,
     VertexSet,
     alpha,
@@ -475,7 +476,7 @@ def test_alpha_critical_edges_match_direct_recomputation(all_fixtures):
             direct = oracle_alpha(g.delete_edge(u, v)) == oracle_alpha(g) + 1
             assert is_alpha_critical_edge(g, u, v) == direct, (name, u, v)
     g = path(3)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="no edge 'v1' 'v3'"):
         is_alpha_critical_edge(g, "v1", "v3")
 
 

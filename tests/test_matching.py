@@ -27,7 +27,7 @@ from corekit import (
     random_unicyclic,
     saturating_matching,
 )
-from corekit.matching import _mu_active
+from corekit.independence import _alpha_memo
 from helpers import oracle_mu, strip_matching_reference
 
 from test_independence import complete, cycle, path
@@ -76,6 +76,17 @@ def _disjoint_union(parts, seed):
     return Graph.from_edges(edges, isolated=["z"])
 
 
+def _line_graph(g):
+    """The adjacency rows of the line graph: edge e of g.edges() meets every
+    other edge at either of its ends."""
+    edges = list(g.edges())
+    at = [0] * g.n
+    for e, (i, j) in enumerate(edges):
+        at[i] |= 1 << e
+        at[j] |= 1 << e
+    return tuple((at[i] | at[j]) & ~(1 << e) for e, (i, j) in enumerate(edges))
+
+
 def test_mu_matches_the_exhaustive_memo(trees_by_n, unicyclic_by_n, connected_by_n):
     graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
     graphs += [g for n in range(1, 10) for g in trees_by_n[n]]
@@ -91,7 +102,8 @@ def test_mu_matches_the_exhaustive_memo(trees_by_n, unicyclic_by_n, connected_by
         ]
         graphs.append(_disjoint_union(parts, s))
     for g in graphs:
-        assert mu(g) == _mu_active(g.adj, (1 << g.n) - 1, {}), g.edge_labels()
+        line = _line_graph(g)
+        assert mu(g) == _alpha_memo(line, (1 << len(line)) - 1, {}), g.edge_labels()
 
 
 def test_mu_equals_leaf_stripping_on_large_trees_and_unicyclic_graphs():
@@ -250,41 +262,38 @@ def test_enumerate_maximum_matchings_small_graphs():
     assert len(enumerate_maximum_matchings(path(4))) == 1
 
 
-def test_enumerate_maximum_matchings_counts_match_oracle(connected_by_n):
-    def oracle_count(g):
-        labels = list(g.labels)
-        idx = {lab: i for i, lab in enumerate(labels)}
-        edges = [(idx[a], idx[b]) for a, b in g.edge_labels()]
-        best, cnt = 0, 0
-        for mask in range(1 << len(edges)):
-            used = 0
-            ok = True
-            mm = mask
-            while mm:
-                b = mm & -mm
-                x, y = edges[b.bit_length() - 1]
-                pair = 1 << x | 1 << y
-                if used & pair:
-                    ok = False
-                    break
-                used |= pair
-                mm ^= b
-            if not ok:
-                continue
-            k = mask.bit_count()
-            if k > best:
-                best, cnt = k, 1
-            elif k == best:
-                cnt += 1
-        return cnt
+def test_enumerate_maximum_matchings_counts_match_oracle(connected_by_n, unicyclic_by_n):
+    def oracle_family(g):
+        # every matching by an edge subset sweep: used[x] is the vertex mask
+        # that edge subset x covers, or -1 unless x is a matching
+        edges = g.edge_labels()
+        idx = {lab: i for i, lab in enumerate(g.labels)}
+        used = [0] * (1 << len(edges))
+        for x in range(1, 1 << len(edges)):
+            low = x & -x
+            a, b = edges[low.bit_length() - 1]
+            pair = 1 << idx[a] | 1 << idx[b]
+            rest = used[x ^ low]
+            used[x] = -1 if rest < 0 or rest & pair else rest | pair
+        best = max(x.bit_count() for x in range(1 << len(edges)) if used[x] >= 0)
+        return sorted(
+            [edges[e] for e in range(len(edges)) if x >> e & 1]
+            for x in range(1 << len(edges))
+            if used[x] >= 0 and x.bit_count() == best
+        )
 
-    for n in range(1, 6):
-        for g in connected_by_n[n]:
-            assert len(enumerate_maximum_matchings(g)) == oracle_count(g)
+    graphs = [g for n in range(1, 7) for g in connected_by_n[n]]
+    graphs += [g for n in range(3, 9) for g in unicyclic_by_n[n]]
+    graphs.append(Graph.from_edges(isolated=["a", "b", "c"]))
+    graphs.append(_disjoint_union([path(3), cycle(5), complete(4)], 0))
+    for g in graphs:
+        fam = [m.edge_labels() for m in enumerate_maximum_matchings(g)]
+        assert fam == oracle_family(g), g.edge_labels()
 
 
 def test_enumerate_maximum_matchings_budgets():
-    with pytest.raises(BudgetExceededError):
+    assert len(enumerate_maximum_matchings(complete(3), Budgets(matching_limit=3))) == 3
+    with pytest.raises(BudgetExceededError, match="more than 2 maximum matchings"):
         enumerate_maximum_matchings(complete(3), Budgets(matching_limit=2))
     with pytest.raises(BudgetExceededError):
         enumerate_maximum_matchings(path(21), Budgets(enum_n=20))

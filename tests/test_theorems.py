@@ -29,6 +29,8 @@ from corekit import (
     sum_defect_histogram,
     sweep,
 )
+from corekit import independence as independence_module
+from corekit import matching as matching_module
 from corekit import theorems as theorems_module
 from corekit import unicyclic as unicyclic_module
 from corekit.budgets import DEFAULT_BUDGETS
@@ -430,6 +432,30 @@ def test_th1_validates_every_index_pair_list(monkeypatch, pairs, message):
                         lambda g, budgets: [((0, 1), (2, 3)), pairs])
     with pytest.raises(DomainError, match=message):
         check("TH1", g, "p4")
+
+
+def test_th1_lists_the_maximum_matchings_by_one_mis_search(
+    monkeypatch, trees_by_n, unicyclic_by_n
+):
+    # the maximum matchings are the maximum independent sets of the line
+    # graph; core reads no component of these graphs off a matching, so it
+    # does not reach the search
+    calls = []
+    for module in (independence_module, matching_module):
+        def counted(adj, full, limit, real=module._mis_masks):
+            calls.append(adj)
+            return real(adj, full, limit)
+        monkeypatch.setattr(module, "_mis_masks", counted)
+    graphs = [g for n in range(1, 9) for g in trees_by_n[n]]
+    graphs += [g for n in range(3, 9) for g in unicyclic_by_n[n]]
+    ke = 0
+    for g in graphs:
+        calls.clear()
+        rep = check("TH1", g)
+        assert rep.holds is not False
+        assert len(calls) == rep.applicable, g.edge_labels()
+        ke += rep.applicable
+    assert ke == 172
 
 
 def test_th11_validates_the_matching_it_reads(monkeypatch):
