@@ -482,6 +482,14 @@ def main(argv: list[str] | None = None) -> int:
     except (CorekitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except (RecursionError, MemoryError) as exc:
+        # the exhaustive searches recurse once per vertex they search, so a
+        # raised budget can let an input run them out of stack or memory
+        print(
+            f"error: input too deep or large for the exhaustive searches ({type(exc).__name__})",
+            file=sys.stderr,
+        )
+        return _EXIT_USAGE
 
 
 if __name__ == "__main__":

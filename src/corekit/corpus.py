@@ -155,8 +155,6 @@ def _rooted_code(adj: tuple[int, ...], root: int, parent: int) -> str:
 
 
 def _tree_centers(adj: tuple[int, ...], n: int) -> list[int]:
-    if n == 1:
-        return [0]
     degree = [adj[v].bit_count() for v in range(n)]
     alive = (1 << n) - 1
     layer = [v for v in range(n) if degree[v] <= 1]
@@ -313,9 +311,6 @@ def enumerate_trees(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Grap
     if n < 1:
         raise DomainError(f"trees need n >= 1, got {n}")
     _check_enum_n("tree", n, budgets.enum_n)
-    if n == 1:
-        yield Graph.from_edges(isolated=("v1",))
-        return
     seen = set()
     for seq in _level_sequences(n):
         parent = _level_parents(seq)

@@ -48,13 +48,13 @@ def diff(g: Graph, xs: VertexSet) -> int:
 
 
 class CriticalReport(NamedTuple):
-    """Everything the subset sweep knows about one graph."""
+    """The subset sweep's answer for one graph: d_c, id_c, the lowest set
+    of maximum d, and ker."""
 
     d_c: int
     id_c: int
     witness_set: VertexSet
     ker: VertexSet
-    critical_independent_sets: tuple[VertexSet, ...]
 
 
 def _check_subset_n(n: int, budgets: Budgets) -> None:
@@ -106,18 +106,6 @@ def _top(slices: list[int], cand: int) -> tuple[int, int]:
     return value, cand
 
 
-def _positions(mask: int) -> list[int]:
-    """Indices of the set bits of a 2^n-bit int, lowest first. Read off its
-    binary string: _bits would do O(2^n) work for each set bit."""
-    digits = bin(mask)[:1:-1]
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
-
-
 def critical_difference_bruteforce(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> CriticalReport:
@@ -127,9 +115,8 @@ def critical_difference_bruteforce(
     indicators P_u and NOT N_u, which holds n + d(X) at each position. d_c
     and id_c are read off the counter over all positions and over the
     independent ones (no u with P_u & N_u set). The witness is the lowest
-    position of maximum d, ker is the set of vertices whose plane covers
-    every critical independent position, and the critical independent sets
-    are listed by increasing position. The n planes and the six counter
+    position of maximum d, and ker is the set of vertices whose plane covers
+    every critical independent position. The n planes and the six counter
     slices take 26 x 2^n bits at n = 20, about 3.4 MB."""
     n = g.n
     _check_subset_n(n, budgets)
@@ -153,7 +140,6 @@ def critical_difference_bruteforce(
         id_c=id_top - n,
         witness_set=VertexSet(g, (tied & -tied).bit_length() - 1),
         ker=VertexSet(g, ker_mask),
-        critical_independent_sets=tuple(VertexSet(g, x) for x in _positions(crit)),
     )
 
 

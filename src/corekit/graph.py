@@ -202,6 +202,35 @@ def _even_reach(adj: tuple[int, ...], mate: dict[int, int], free: int, active: i
     return reached
 
 
+class _Builder:
+    """The one place labelled input becomes a graph: labels are interned in
+    order of first appearance, and an invalid label, a self-loop or a
+    duplicate edge raises DomainError."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}  # label -> index, in index order
+        self.adj: list[int] = []
+        self.m = 0
+
+    def vertex(self, lab: str) -> int:
+        i = self.index.get(lab)
+        if i is None:
+            _check_label(lab)
+            i = self.index[lab] = len(self.adj)
+            self.adj.append(0)
+        return i
+
+    def edge(self, u: str, v: str) -> None:
+        iu, iv = self.vertex(u), self.vertex(v)
+        if iu == iv:
+            raise DomainError(f"self-loop at vertex {u!r}")
+        if self.adj[iu] >> iv & 1:
+            raise DomainError(f"duplicate edge {u!r} {v!r}")
+        self.adj[iu] |= 1 << iv
+        self.adj[iv] |= 1 << iu
+        self.m += 1
+
+
 class Graph:
     """An immutable simple undirected graph.
 
@@ -230,36 +259,14 @@ class Graph:
         edge endpoints left to right). Self-loops and duplicate edges are
         rejected, as are repeated isolated declarations.
         """
-        labels: list[str] = []
-        index: dict[str, int] = {}
-
-        def intern(lab: str) -> int:
-            i = index.get(lab)
-            if i is None:
-                _check_label(lab)
-                i = len(labels)
-                index[lab] = i
-                labels.append(lab)
-            return i
-
+        b = _Builder()
         for lab in isolated:
-            if lab in index:
+            if lab in b.index:
                 raise DomainError(f"vertex {lab!r} declared isolated more than once")
-            intern(lab)
-        adj: list[int] = [0] * len(labels)
-        m = 0
+            b.vertex(lab)
         for u, v in edges:
-            iu, iv = intern(u), intern(v)
-            while len(adj) < len(labels):
-                adj.append(0)
-            if iu == iv:
-                raise DomainError(f"self-loop at vertex {u!r}")
-            if adj[iu] >> iv & 1:
-                raise DomainError(f"duplicate edge {u!r} {v!r}")
-            adj[iu] |= 1 << iv
-            adj[iv] |= 1 << iu
-            m += 1
-        return cls(tuple(labels), tuple(adj), m)
+            b.edge(u, v)
+        return cls(tuple(b.index), tuple(b.adj), b.m)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -470,25 +477,8 @@ def classify_shape(g: Graph) -> ShapeClass:
 
 
 def parse_edge_list(text: str) -> Graph:
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    adj: list[int] = []
-    m = 0
+    b = _Builder()
     lineno = 0
-
-    def intern(lab: str) -> int:
-        i = index.get(lab)
-        if i is None:
-            try:
-                _check_label(lab)
-            except DomainError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            i = len(labels)
-            index[lab] = i
-            labels.append(lab)
-            adj.append(0)
-        return i
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -496,24 +486,19 @@ def parse_edge_list(text: str) -> Graph:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(lineno, f"expected two tokens, got {len(tokens)}: {line!r}")
-        a, b = tokens
-        if a == "node":
-            if b in index:
-                raise ParseError(lineno, f"vertex {b!r} already declared")
-            intern(b)
-            continue
-        iu, iv = intern(a), intern(b)
-        if iu == iv:
-            raise ParseError(lineno, f"self-loop at vertex {a!r}")
-        if adj[iu] >> iv & 1:
-            raise ParseError(lineno, f"duplicate edge {a!r} {b!r}")
-        adj[iu] |= 1 << iv
-        adj[iv] |= 1 << iu
-        m += 1
-
-    if not labels:
+        u, v = tokens
+        try:
+            if u != "node":
+                b.edge(u, v)
+            elif v in b.index:
+                raise ParseError(lineno, f"vertex {v!r} already declared")
+            else:
+                b.vertex(v)
+        except DomainError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    if not b.index:
         raise ParseError(max(lineno, 1), "empty graph: no vertices declared")
-    return Graph(tuple(labels), tuple(adj), m)
+    return Graph(tuple(b.index), tuple(b.adj), b.m)
 
 
 def serialize(g: Graph) -> str:

@@ -160,16 +160,13 @@ def oracle_ker(g) -> frozenset[str]:
     return oracle_critical(g)[2]
 
 
-def subset_sweep_reference(g):
-    """The report critical.critical_difference_bruteforce gave before it was
-    bit-sliced: a list of 2^n neighbourhood masks, each built from a
-    previously visited subset by dropping its lowest bit, looped over three
+def _list_sweep(g):
+    """d_c, id_c, the witness mask and the critical independent masks in
+    increasing order, from a list of 2^n neighbourhood masks, each built from
+    a previously visited subset by dropping its lowest bit, looped over three
     times."""
-    from corekit import CriticalReport, VertexSet
-
-    n = g.n
     adj = g.adj
-    size = 1 << n
+    size = 1 << g.n
     nbh = [0] * size
     for x in range(1, size):
         low = x & -x
@@ -184,20 +181,35 @@ def subset_sweep_reference(g):
             witness = x
         if d > id_c and nbh[x] & x == 0:
             id_c = d
-    ker_mask = (1 << n) - 1 if n else 0
     crit: list[int] = []
     for x in range(size):
         if nbh[x] & x:
             continue
         if x.bit_count() - nbh[x].bit_count() == id_c:
             crit.append(x)
-            ker_mask &= x
+    return d_c, id_c, witness, crit
+
+
+def critical_independent_masks(g):
+    """Every critical independent set of g as a vertex mask, lowest first."""
+    return _list_sweep(g)[3]
+
+
+def subset_sweep_reference(g):
+    """The report critical.critical_difference_bruteforce gave before it was
+    bit-sliced, from the list sweep: ker is the AND of the critical
+    independent masks."""
+    from corekit import CriticalReport, VertexSet
+
+    d_c, id_c, witness, crit = _list_sweep(g)
+    ker_mask = (1 << g.n) - 1
+    for x in crit:
+        ker_mask &= x
     return CriticalReport(
         d_c=d_c,
         id_c=id_c,
         witness_set=VertexSet(g, witness),
         ker=VertexSet(g, ker_mask),
-        critical_independent_sets=tuple(VertexSet(g, x) for x in crit),
     )
 
 

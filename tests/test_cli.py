@@ -116,6 +116,18 @@ def test_non_utf8_input_exits_2_without_traceback(tmp_path):
         assert res.stdout == "", args
 
 
+def test_too_deep_search_exits_2_without_traceback(tmp_path):
+    # TH1 searches the line graph of K1,1199, a 1199-clique, one recursion
+    # level per vertex: deeper than the interpreter's default limit
+    star = tmp_path / "star.txt"
+    star.write_text("".join(f"c l{i}\n" for i in range(1199)))
+    res = run_cli("verify", "--theorem", "TH1", "--graph", str(star), "--max-enum-n", "5000")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_analyze_reads_a_byte_order_mark_as_no_part_of_a_label(tmp_path, capsys):
     tri = tmp_path / "bom.txt"
     tri.write_bytes(b"\xef\xbb\xbfa b\nb c\nc a\n")

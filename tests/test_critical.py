@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from corekit import (
     BudgetExceededError,
     Budgets,
+    CriticalReport,
     Graph,
+    VertexSet,
     alpha,
     classify_shape,
     core,
@@ -25,7 +27,12 @@ from corekit import (
     random_tree,
     random_unicyclic,
 )
-from helpers import oracle_critical, oracle_ker, subset_sweep_reference
+from helpers import (
+    critical_independent_masks,
+    oracle_critical,
+    oracle_ker,
+    subset_sweep_reference,
+)
 
 from test_independence import cycle, path
 
@@ -42,6 +49,7 @@ def test_diff_by_hand():
 
 
 def test_bruteforce_report_fields(all_fixtures):
+    assert CriticalReport._fields == ("d_c", "id_c", "witness_set", "ker")
     for name, g in all_fixtures.items():
         rep = critical_difference_bruteforce(g)
         d_c, id_c, kr = oracle_critical(g)
@@ -51,10 +59,14 @@ def test_bruteforce_report_fields(all_fixtures):
         assert frozenset(rep.ker.labels()) == kr, name
         assert diff(g, rep.witness_set) == rep.d_c, name
         assert rep.d_c >= 0, name
-        for s in rep.critical_independent_sets:
+        meet = g.full_set()
+        for x in critical_independent_masks(g):
+            s = VertexSet(g, x)
             assert is_independent(g, s), name
             assert diff(g, s) == rep.id_c, name
             assert rep.ker <= s, name
+            meet &= s
+        assert rep.ker == meet, name
 
 
 def test_fast_path_equals_bruteforce(all_fixtures, trees_by_n, unicyclic_by_n):
@@ -132,7 +144,7 @@ def test_sweep_edge_cases_equal_the_list_sweep():
     empty = Graph.from_edges([])
     rep = critical_difference_bruteforce(empty)
     assert rep == subset_sweep_reference(empty)
-    assert rep.critical_independent_sets == (empty.empty_set(),)
+    assert critical_independent_masks(empty) == [0]
 
     lonely = Graph.from_edges(isolated=[f"z{i}" for i in range(5)])
     rep = critical_difference_bruteforce(lonely)
