@@ -185,8 +185,12 @@ def _necklace_code(codes: list[str]) -> str:
     """The cycle length and the least rotation or reflection of the pendant
     codes along the cycle, compared as sequences of codes."""
     ell = len(codes)
+    least = min(codes)
     turns = (codes * 2, codes[::-1] * 2)
-    return f"{ell}:" + "".join(min(d[s : s + ell] for d in turns for s in range(ell)))
+    # the least sequence starts with the least code: compare only those slices
+    return f"{ell}:" + "".join(
+        min(d[s : s + ell] for d in turns for s in range(ell) if d[s] == least)
+    )
 
 
 def unicyclic_code(g: Graph) -> str:

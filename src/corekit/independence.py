@@ -128,12 +128,14 @@ def _forest_dp(
     skip = dict.fromkeys(order, 0)
     total = 0
     for v in reversed(order):
+        t, s = take[v], skip[v]
+        best = t if t > s else s  # a comparison, not max(): a call per vertex of every tree DP
         p = parent[v]
         if p >= 0:
-            take[p] += skip[v]
-            skip[p] += max(take[v], skip[v])
+            take[p] += s
+            skip[p] += best
         else:
-            total += max(take[v], skip[v])
+            total += best
     return total, order, parent, take, skip
 
 
@@ -286,10 +288,9 @@ def _alpha_memo(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
         b = rest & -rest
         nb = adj[b.bit_length() - 1] & rest
         if nb & (nb - 1):
-            size += max(
-                _alpha_memo(adj, rest ^ b, memo),
-                1 + _alpha_memo(adj, rest & ~(nb | b), memo),
-            )
+            skipped = _alpha_memo(adj, rest ^ b, memo)
+            taken = 1 + _alpha_memo(adj, rest & ~(nb | b), memo)
+            size += skipped if skipped > taken else taken  # not max(): a call per search node
             break
         size += 1
         rest &= ~(nb | b)

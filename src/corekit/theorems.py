@@ -13,9 +13,15 @@ in the host graph by unicyclic._pendant_union, never from the structural_*
 functions.
 
 A checker takes the record and returns a verdict, (applicable, holds,
-witness, counterexample) with the last two optional. check alone turns a
-verdict into a TheoremReport: it stamps the theorem and graph ids and keeps
-the counterexample only when holds is False.
+witness, counterexample) with the last two optional. Its witness and
+counterexample are unrendered payloads: (name, value) pairs whose values
+are VertexSets, Matchings, lists of label pairs, ints, bools or labels.
+check alone turns a verdict into a TheoremReport: it stamps the theorem and
+graph ids, keeps the counterexample only when holds is False, and is the one
+place that renders a payload into the strings a report carries (_render).
+A sweep builds no report for a graph whose checks all pass: it computes each
+graph's flags (_flags), one per checker, and only a graph with a failing
+check gets its reports, built again by check from the graph.
 
 The checkers read a graph's primitives from a per-graph record (_Facts):
 shape, alpha, mu, core, corona, the sum defect, the family of maximum
@@ -67,7 +73,6 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from functools import cached_property
 from itertools import chain, cycle, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
@@ -133,6 +138,25 @@ class TheoremReport(NamedTuple):
         return dict(self.counterexample)
 
 
+class _kept:
+    """functools.cached_property without its lock, which Python 3.11 takes
+    on every first read: the value goes into the instance's dict, where the
+    next read finds it first, only once the method has returned."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 class _Facts:
     """The primitives of one graph, each computed on first use and kept.
 
@@ -144,23 +168,23 @@ class _Facts:
         self.g = g
         self.budgets = budgets
 
-    @cached_property
+    @_kept
     def shape(self):
         return classify_shape(self.g)
 
-    @cached_property
+    @_kept
     def unicyclic(self) -> bool:
         return self.shape.connected and self.shape.kind == "unicyclic"
 
-    @cached_property
+    @_kept
     def alpha(self) -> int:
         return _alpha_active(self.g.adj, (1 << self.g.n) - 1, self.budgets)
 
-    @cached_property
+    @_kept
     def mu(self) -> int:
         return mu(self.g)
 
-    @cached_property
+    @_kept
     def core_corona(self) -> tuple[VertexSet, VertexSet]:
         return core_and_corona(self.g, self.budgets)
 
@@ -172,11 +196,11 @@ class _Facts:
     def corona(self) -> VertexSet:
         return self.core_corona[1]
 
-    @cached_property
+    @_kept
     def mis_family(self) -> tuple[VertexSet, ...]:
         return enumerate_mis(self.g, self.budgets)
 
-    @cached_property
+    @_kept
     def mis_core(self) -> VertexSet:
         """core as the intersection of the MIS family."""
         inter = (1 << self.g.n) - 1
@@ -184,7 +208,7 @@ class _Facts:
             inter &= s.mask
         return VertexSet(self.g, inter)
 
-    @cached_property
+    @_kept
     def mis_corona(self) -> VertexSet:
         """corona as the union of the MIS family."""
         union = 0
@@ -192,49 +216,53 @@ class _Facts:
             union |= s.mask
         return VertexSet(self.g, union)
 
-    @cached_property
+    @_kept
     def sum_defect(self) -> int:
         """|corona| + |core| - 2 alpha."""
         return len(self.corona) + len(self.core) - 2 * self.alpha
 
-    @cached_property
+    @_kept
     def matching_read(self) -> bool:
         """Whether core() and corona() read some component of the graph off
         one maximum matching: the dispatch gives it kind "bipartite"."""
         return any(k == "bipartite" for k, _, _ in _branches(self.g.adj, (1 << self.g.n) - 1))
 
-    @cached_property
+    @_kept
     def ke_core(self) -> VertexSet:
         """core for the checkers of statements about KE graphs (TH1, TH2B,
         TH4A, TH4B): from the MIS family where core() reads a component off
         a matching, since that rests on statements of the same kind."""
         return self.mis_core if self.matching_read else self.core
 
-    @cached_property
+    @_kept
     def ke_corona(self) -> VertexSet:
         """corona for the same checkers, by the same rule as ke_core."""
         return self.mis_corona if self.matching_read else self.corona
 
-    @cached_property
+    @_kept
     def subset_sweep(self):
         return critical_difference_bruteforce(self.g, self.budgets)
 
-    @cached_property
+    @_kept
     def cycle(self) -> tuple[str, ...]:
         # the shape has walked the components that find_cycle would walk again
         return _walk_cycle(self.g) if self.unicyclic else find_cycle(self.g)
 
-    @cached_property
+    @_kept
     def decomposition(self):
         return _decompose(self.g, self.cycle)
 
 
-def _fmt(vs: VertexSet) -> str:
-    return "{" + ", ".join(vs.labels()) + "}"
-
-
-def _fmt_pairs(pairs: Iterable[tuple[str, str]]) -> str:
-    return "[" + ", ".join(f"{a}-{b}" for a, b in pairs) + "]"
+def _render(value: object) -> object:
+    """A payload value as a report carries it: a vertex set as {a, b}, a
+    matching or a list of label pairs as [a-b, c-d], anything else as is."""
+    if isinstance(value, VertexSet):
+        return "{" + ", ".join(value.labels()) + "}"
+    if isinstance(value, Matching):
+        value = value.edge_labels()
+    if isinstance(value, list):
+        return "[" + ", ".join(f"{a}-{b}" for a, b in value) + "]"
+    return value
 
 
 def _not_ke(f: _Facts) -> tuple | None:
@@ -271,9 +299,9 @@ def _check_lem1a(f: _Facts) -> tuple:
     closed = g.neighborhood(g.set_of(f.cycle), closed=True)
     c = f.core
     overlap = c & closed
-    wit = [("core", _fmt(c)), ("closed_cycle_neighborhood", _fmt(closed))]
+    wit = [("core", c), ("closed_cycle_neighborhood", closed)]
     if overlap:
-        return True, False, wit, [("overlap", _fmt(overlap))]
+        return True, False, wit, [("overlap", overlap)]
     return True, True, wit
 
 
@@ -284,11 +312,11 @@ def _check_lem1b(f: _Facts) -> tuple:
     c = f.core
     nc = f.g.neighborhood(c)
     match = saturating_matching(f.g, nc, c)
-    wit = [("core", _fmt(c)), ("n_core", _fmt(nc))]
+    wit = [("core", c), ("n_core", nc)]
     if match is None:
-        return True, False, wit, [("unsaturated_from", _fmt(nc))]
+        return True, False, wit, [("unsaturated_from", nc)]
     assert _saturates(match, nc)
-    wit.append(("matching", _fmt_pairs(match.edge_labels())))
+    wit.append(("matching", match))
     return True, True, wit
 
 
@@ -307,7 +335,7 @@ def _check_lem2(f: _Facts) -> tuple:
         ("alpha", a),
         ("mu", m),
         ("alpha_plus_mu", total),
-        ("non_critical_cycle_edges", _fmt_pairs(non_critical)),
+        ("non_critical_cycle_edges", non_critical),
     ]
     return True, bounds_ok and iff_ok, wit, [("bounds_ok", bounds_ok), ("iff_ok", iff_ok)]
 
@@ -326,11 +354,7 @@ def _check_th11(f: _Facts) -> tuple:
         if len(mate) < sources.bit_count():
             return (
                 True, False, [("mis_count", len(family))],
-                [
-                    ("S", _fmt(s)),
-                    ("sources", _fmt(VertexSet(g, sources))),
-                    ("targets", _fmt(VertexSet(g, targets))),
-                ],
+                [("S", s), ("sources", VertexSet(g, sources)), ("targets", VertexSet(g, targets))],
             )
         covered = _matched_vertices(g, [(v, t) for t, v in mate.items()])
         assert sources & ~covered == 0
@@ -356,7 +380,7 @@ def _check_th1(f: _Facts) -> tuple:
     g = f.g
     c = f.ke_core
     nc = g.neighborhood(c)
-    wit = [("core", _fmt(c)), ("n_core", _fmt(nc))]
+    wit = [("core", c), ("n_core", nc)]
     family = _maximum_matching_pairs(g, f.budgets)
     missed = 0
     for pairs in family:
@@ -373,7 +397,7 @@ def _check_th1(f: _Facts) -> tuple:
     return (
         True, False, wit,
         [
-            ("matching", _fmt_pairs(match.edge_labels())),
+            ("matching", match),
             ("vertex", v),
             ("matched_to", "-" if partner is None else partner),
         ],
@@ -387,15 +411,11 @@ def _check_th2a(f: _Facts) -> tuple:
     rep = f.subset_sweep
     k = rep.ker
     c = f.core
+    d_ker = diff(g, k)
     independent = is_independent(g, k)
-    critical = diff(g, k) == rep.id_c
+    critical = d_ker == rep.id_c
     contained = k <= c
-    wit = [
-        ("ker", _fmt(k)),
-        ("core", _fmt(c)),
-        ("d_ker", diff(g, k)),
-        ("id_c", rep.id_c),
-    ]
+    wit = [("ker", k), ("core", c), ("d_ker", d_ker), ("id_c", rep.id_c)]
     return (
         True, independent and critical and contained, wit,
         [("independent", independent), ("critical", critical), ("contained", contained)],
@@ -408,10 +428,10 @@ def _check_th2b(f: _Facts) -> tuple:
         return False, None
     k = f.subset_sweep.ker
     c = f.ke_core
-    wit = [("ker", _fmt(k)), ("core", _fmt(c))]
+    wit = [("ker", k), ("core", c)]
     if k == c:
         return True, True, wit
-    return True, False, wit, [("difference", _fmt((k | c) - (k & c)))]
+    return True, False, wit, [("difference", (k | c) - (k & c))]
 
 
 def _check_th3(f: _Facts) -> tuple:
@@ -426,11 +446,7 @@ def _check_th3(f: _Facts) -> tuple:
     assembled = dec.cycle_set | _pendant_union(dec, lambda t: corona(t, f.budgets))
     eq_cover = (cor | nc) == g.full_set()
     eq_parts = assembled == cor
-    wit = [
-        ("corona", _fmt(cor)),
-        ("n_core", _fmt(nc)),
-        ("cycle_plus_pendant_coronas", _fmt(assembled)),
-    ]
+    wit = [("corona", cor), ("n_core", nc), ("cycle_plus_pendant_coronas", assembled)]
     return (
         True, eq_cover and eq_parts, wit,
         [("cover_equals_v", eq_cover), ("corona_decomposes", eq_parts)],
@@ -443,10 +459,10 @@ def _check_th4a(f: _Facts) -> tuple:
         return skip
     nc = f.g.neighborhood(f.ke_core)
     rest = f.ke_corona.complement()
-    wit = [("n_core", _fmt(nc)), ("v_minus_corona", _fmt(rest))]
+    wit = [("n_core", nc), ("v_minus_corona", rest)]
     if nc == rest:
         return True, True, wit
-    return True, False, wit, [("difference", _fmt((nc | rest) - (nc & rest)))]
+    return True, False, wit, [("difference", (nc | rest) - (nc & rest))]
 
 
 def _check_th4b(f: _Facts) -> tuple:
@@ -488,10 +504,10 @@ def _check_th12(f: _Facts) -> tuple:
     union_core = _pendant_union(dec, lambda t: core(t, f.budgets))
     cores_match = union_core == inter
     if not cores_match:
-        bad.append(("core_union", _fmt(union_core)))
+        bad.append(("core_union", union_core))
     wit = [
-        ("core", _fmt(inter)),
-        ("pendant_core_union", _fmt(union_core)),
+        ("core", inter),
+        ("pendant_core_union", union_core),
         ("pendant_trees", len(dec.pendant_trees)),
         ("mis_count", len(family)),
     ]
@@ -530,14 +546,14 @@ def _check_kercore(f: _Facts) -> tuple:
     )
     eq_union = k == union
     eq_core = k == c
-    wit = [("ker", _fmt(k)), ("pendant_ker_union", _fmt(union)), ("core", _fmt(c))]
+    wit = [("ker", k), ("pendant_ker_union", union), ("core", c)]
     return True, eq_union and eq_core, wit, [("ker_eq_union", eq_union), ("ker_eq_core", eq_core)]
 
 
 def _check_zhang(f: _Facts) -> tuple:
     """Every graph: d_c = id_c."""
     rep = f.subset_sweep
-    wit = [("d_c", rep.d_c), ("id_c", rep.id_c), ("witness_set", _fmt(rep.witness_set))]
+    wit = [("d_c", rep.d_c), ("id_c", rep.id_c), ("witness_set", rep.witness_set)]
     return True, rep.d_c == rep.id_c, wit, [("d_c", rep.d_c), ("id_c", rep.id_c)]
 
 
@@ -584,9 +600,13 @@ def check(
         graph_id=graph_id,
         applicable=applicable,
         holds=holds,
-        witness=tuple(payload[0]) if payload else (),
-        counterexample=tuple(payload[1]) if holds is False and len(payload) > 1 else (),
+        witness=_rendered(payload[0]) if payload else (),
+        counterexample=_rendered(payload[1]) if holds is False and len(payload) > 1 else (),
     )
+
+
+def _rendered(payload: Iterable[tuple[str, object]]) -> tuple[tuple[str, object], ...]:
+    return tuple((name, _render(value)) for name, value in payload)
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -623,6 +643,18 @@ def _check_graph(g: Graph, gid: str, tids: tuple[str, ...], budgets: Budgets) ->
     return [check(tid, f, gid) for tid in tids]
 
 
+def _flags(g: Graph, tids: tuple[str, ...], budgets: Budgets) -> tuple[bool | None, ...]:
+    """The verdicts of the given checkers on one graph, in the given order,
+    all reading one record: per checker its applicable flag, or None where
+    it fails. No report is built and no payload rendered."""
+    f = _Facts(g, budgets)
+    flags = []
+    for tid in tids:
+        verdict = _CHECKERS[tid](f)
+        flags.append(None if verdict[1] is False else verdict[0])
+    return tuple(flags)
+
+
 def _compact(reports: list[TheoremReport]) -> tuple[TheoremReport | bool, ...]:
     """A graph's reports in the form _summarize reads: each failing report
     in full, every other report as its applicable flag."""
@@ -631,13 +663,12 @@ def _compact(reports: list[TheoremReport]) -> tuple[TheoremReport | bool, ...]:
     )
 
 
-def _check_chunk(
-    chunk: list[tuple[str, Graph]], tids: tuple[str, ...], budgets: Budgets
-) -> list[tuple[bool | None, ...]]:
-    """A worker's answer for each (graph_id, graph) of a chunk: per report
-    its applicable flag, or None where it fails."""
-    return [tuple(None if rep.holds is False else rep.applicable
-                  for rep in _check_graph(g, gid, tids, budgets)) for gid, g in chunk]
+def _outcome(
+    g: Graph, gid: str, flags: tuple[bool | None, ...], tids: tuple[str, ...], budgets: Budgets
+) -> tuple[TheoremReport | bool, ...]:
+    """A graph's compact reports from its flags: the flags themselves when
+    no check fails, else its reports, built again by check."""
+    return _compact(_check_graph(g, gid, tids, budgets)) if None in flags else flags
 
 
 def _summarize(
@@ -745,7 +776,7 @@ def _pooled(
                     inbox = open(down_r, "rb")
                     while (chunk := _recv(inbox)) is not None:
                         try:
-                            reply = _check_chunk(chunk, tids, budgets)
+                            reply = [_flags(g, tids, budgets) for _, g in chunk]
                         except Exception as exc:
                             reply = exc
                         _send(up_w, reply)
@@ -765,10 +796,10 @@ def _pooled(
             if isinstance(reply, Exception):
                 raise reply
             for (gid, g), flags in zip(chunk, reply):
-                # a failing graph's reports are built again here, so that a
-                # reply stays small and never fills its pipe while this
-                # process is blocked writing to the worker
-                yield g, _compact(_check_graph(g, gid, tids, budgets)) if None in flags else flags
+                # a failing graph's reports are built here, so that a reply
+                # stays small and never fills its pipe while this process is
+                # blocked writing to the worker
+                yield g, _outcome(g, gid, flags, tids, budgets)
 
         chunks = iter(lambda: list(islice(items, _CHUNK)), [])
         for (_, fd, reader), chunk in zip(cycle(procs), chunks):
@@ -812,12 +843,14 @@ def sweep(
     and per graph: the first that many graphs are read before they start,
     and with fewer than two of them, or without os.fork, the sweep runs in
     this process. The stream is then read as the workers go, in chunks of
-    _CHUNK graphs, at most _CHUNKS_PER_WORKER chunks per worker ahead. A
-    worker answers each report with its applicable flag, or None where it
-    fails, and this process builds each failing report again from the
-    graph. Under fail_fast the sweep stops reading the stream at the first
-    failure and kills the workers with the chunks in flight. An exception in
-    a worker, or a worker's death, is raised in stream order.
+    _CHUNK graphs, at most _CHUNKS_PER_WORKER chunks per worker ahead.
+
+    Either way each graph's checks first give its flags (_flags), and only a
+    graph with a failing check gets its reports, built again by check from
+    the graph in this process: a passing sweep builds no report. Under
+    fail_fast the sweep stops reading the stream at the first failure and
+    kills the workers with the chunks in flight. An exception in a worker,
+    or a worker's death, is raised in stream order.
     """
     tids = _known_ids(theorem_ids)
     start = time.perf_counter()
@@ -826,7 +859,8 @@ def sweep(
     head = list(islice(items, workers)) if workers > 1 else []
     items = chain(head, items)
     if len(head) <= 1:
-        results = ((g, _compact(_check_graph(g, gid, tids, budgets))) for gid, g in items)
+        results = ((g, _outcome(g, gid, _flags(g, tids, budgets), tids, budgets))
+                   for gid, g in items)
     else:
         results = _pooled(items, tids, budgets, len(head))
     try:

@@ -473,6 +473,28 @@ def test_verify_family_refuses_the_subset_budget_before_the_first_graph(monkeypa
     assert generated == []
 
 
+@pytest.fixture
+def checked_orders(monkeypatch):
+    """The order of each graph that a sweep checks in this process: a
+    sweep computes every graph's flags and builds the reports of a graph
+    with a failing check, and verify --graph builds its graph's reports."""
+    checked = []
+    flags = theorems_module._flags
+    check_graph = theorems_module._check_graph
+
+    def counted_flags(g, tids, budgets):
+        checked.append(g.n)
+        return flags(g, tids, budgets)
+
+    def counted_reports(g, gid, tids, budgets):
+        checked.append(g.n)
+        return check_graph(g, gid, tids, budgets)
+
+    monkeypatch.setattr(theorems_module, "_flags", counted_flags)
+    monkeypatch.setattr(theorems_module, "_check_graph", counted_reports)
+    return checked
+
+
 @pytest.mark.parametrize(
     "budget, message",
     [
@@ -481,17 +503,9 @@ def test_verify_family_refuses_the_subset_budget_before_the_first_graph(monkeypa
     ],
 )
 def test_verify_kernel_gap_refuses_the_subset_budget_before_the_first_graph(
-    monkeypatch, capsys, budget, message
+    capsys, checked_orders, budget, message
 ):
     # kernel_gap_family(k) has 2k + 5 vertices
-    checked = []
-    check_graph = theorems_module._check_graph
-
-    def counted(g, gid, tids, budgets):
-        checked.append(gid)
-        return check_graph(g, gid, tids, budgets)
-
-    monkeypatch.setattr(theorems_module, "_check_graph", counted)
     code = cli_module.main(
         ["verify", "--theorem", "TH2A", "--family", "kernel-gap", *budget, "--workers", "1"]
     )
@@ -499,7 +513,14 @@ def test_verify_kernel_gap_refuses_the_subset_budget_before_the_first_graph(
     assert code == 3
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    assert checked == []
+    assert checked_orders == []
+    # the hook sees every graph of a run within the budget
+    code = cli_module.main(
+        ["verify", "--theorem", "TH2A", "--family", "kernel-gap", "--max-n", "2", "--workers", "1"]
+    )
+    assert code == 0
+    assert "graphs tested: 2\n" in capsys.readouterr().out
+    assert checked_orders == [7, 9]
 
 
 @pytest.mark.parametrize(
@@ -510,23 +531,20 @@ def test_verify_kernel_gap_refuses_the_subset_budget_before_the_first_graph(
     ],
 )
 def test_verify_fixtures_refuse_their_budgets_before_the_first_graph(
-    monkeypatch, capsys, budget, message
+    capsys, checked_orders, budget, message
 ):
     # the fixtures in order have 7 and then 10 vertices
-    checked = []
-    check_graph = theorems_module._check_graph
-
-    def counted(g, gid, tids, budgets):
-        checked.append(gid)
-        return check_graph(g, gid, tids, budgets)
-
-    monkeypatch.setattr(theorems_module, "_check_graph", counted)
     code = cli_module.main(["verify", *budget, "--family", "fixtures", "--workers", "1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    assert checked == []
+    assert checked_orders == []
+    # the hook sees every fixture of a run within the budgets
+    code = cli_module.main(["verify", *budget[:2], "--family", "fixtures", "--workers", "1"])
+    assert code == 0
+    assert "graphs tested: 15\n" in capsys.readouterr().out
+    assert checked_orders == [fixture(name).n for name in FIXTURE_NAMES]
 
 
 def test_search_problem_1_refuses_the_subset_budget_before_the_first_graph(

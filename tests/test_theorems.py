@@ -242,7 +242,9 @@ def test_sweep_failure_reports_are_replayable(monkeypatch, all_fixtures):
     assert limited.graphs_tested < len(items)
 
 
-def test_shared_record_changes_no_report(all_fixtures, trees_by_n, unicyclic_by_n, connected_by_n):
+@pytest.fixture
+def record_corpus(all_fixtures, trees_by_n, unicyclic_by_n, connected_by_n):
+    """Fixtures, small exhaustive corpora, kernel-gap and random graphs."""
     items = list(all_fixtures.items())
     for corpus, tag, top in ((trees_by_n, "tree", 8), (unicyclic_by_n, "uni", 9),
                              (connected_by_n, "conn", 6)):
@@ -250,9 +252,93 @@ def test_shared_record_changes_no_report(all_fixtures, trees_by_n, unicyclic_by_
             items += [(f"{tag}:n{n}:{i}", g) for i, g in enumerate(corpus.get(n, ()))]
     items += [(f"kgap:{k}", kernel_gap_family(k)) for k in range(1, 4)]
     items += [(f"rand:{s}", random_connected(10, s)) for s in range(30)]
-    for gid, g in items:
+    return items
+
+
+def test_shared_record_changes_no_report(record_corpus):
+    for gid, g in record_corpus:
         shared = theorems_module._check_graph(g, gid, THEOREM_IDS, DEFAULT_BUDGETS)
         assert shared == [check(tid, g, gid) for tid in THEOREM_IDS], gid
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["as-is", "zhang-fails-on-even-n"])
+def test_flags_equal_the_compact_reports(monkeypatch, forked_pids, record_corpus, forced):
+    if forced:
+        monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    outcomes = []
+    for gid, g in record_corpus:
+        compact = theorems_module._compact(
+            theorems_module._check_graph(g, gid, THEOREM_IDS, DEFAULT_BUDGETS))
+        flags = theorems_module._flags(g, THEOREM_IDS, DEFAULT_BUDGETS)
+        assert flags == tuple(rep if isinstance(rep, bool) else None for rep in compact), gid
+        outcomes.append((g, compact))
+    # a sweep, which builds reports only for a graph with a failing check,
+    # sums up to what every graph's reports give
+    expected = theorems_module._summarize(outcomes, THEOREM_IDS, False, "corpus", 0.0)
+    failing = sum(g.n % 2 == 0 for _, g in record_corpus) if forced else 0
+    assert len(expected.failures) == failing
+    for workers in (1, 2):
+        summary = sweep(record_corpus, THEOREM_IDS, workers=workers, family="corpus")
+        assert _timeless(summary) == _timeless(expected), workers
+    assert len(forked_pids) == 2
+
+
+def test_sweep_renders_only_the_reports_of_failing_graphs(
+    monkeypatch, forked_pids, unicyclic_by_n
+):
+    items = [(f"{n}:{i}", g) for n in range(3, 9) for i, g in enumerate(unicyclic_by_n[n])]
+    built = []
+    real_check = theorems_module.check
+
+    def recording_check(tid, g, gid="?", budgets=DEFAULT_BUDGETS):
+        rep = real_check(tid, g, gid, budgets)
+        built.append(rep)
+        return rep
+
+    rendered = []
+    real_render = theorems_module._render
+
+    def recording_render(value):
+        rendered.append(value)
+        return real_render(value)
+
+    monkeypatch.setattr(theorems_module, "check", recording_check)
+    monkeypatch.setattr(theorems_module, "_render", recording_render)
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    # the calls made in this process are seen: all of them at one worker,
+    # the rebuilt reports of failing graphs at two
+    for workers in (1, 2):
+        assert sweep(items, THEOREM_IDS, workers=workers).all_hold()
+    assert built == [] and rendered == []
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
+    even = [gid for gid, g in items if g.n % 2 == 0]
+    for workers in (1, 2):
+        built.clear()
+        rendered.clear()
+        summary = sweep(items, THEOREM_IDS, workers=workers)
+        assert [rep.graph_id for _, rep in summary.failures] == sorted(
+            even, key=lambda gid: serialize(dict(items)[gid]))
+        assert [(rep.graph_id, rep.theorem_id) for rep in built] == [
+            (gid, tid) for gid in even for tid in THEOREM_IDS]
+        assert len(rendered) == sum(len(rep.witness) + len(rep.counterexample) for rep in built)
+    assert len(forked_pids) == 4
+
+
+def test_a_record_value_is_kept_only_once_its_primitive_returns(monkeypatch):
+    g = fixture("uni7-ke")
+    f = theorems_module._Facts(g, DEFAULT_BUDGETS)
+    real = theorems_module._alpha_active
+
+    def refused(adj, active, budgets):
+        raise BudgetExceededError("refused for the test")
+
+    monkeypatch.setattr(theorems_module, "_alpha_active", refused)
+    with pytest.raises(BudgetExceededError):
+        f.alpha
+    assert "alpha" not in vars(f)
+    monkeypatch.setattr(theorems_module, "_alpha_active", real)
+    assert f.alpha == alpha(g) and vars(f)["alpha"] == alpha(g)
 
 
 def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
