@@ -52,7 +52,9 @@ the dispatch above: _mis_masks takes the lowest live vertex (dropping its
 closed neighbourhood) or skips it, and a branch ends once the alpha of its
 live vertices falls short of the sets it still needs. That alpha comes from
 _alpha_memo, an exhaustive search on vertex masks memoised for one call.
-The same search on the line graph lists the maximum matchings
+_mis_family gives the family as masks in search order, for readers that
+need no order, and enumerate_mis sorts it by labels (_sorted_sets). The
+same search on the line graph lists the maximum matchings
 (matching.enumerate_maximum_matchings).
 
 ker is not derived from core here: critical.ker reads it off one matching of
@@ -92,50 +94,49 @@ __all__ = [
 
 def _forest_dp(
     adj: tuple[int, ...], active: int, roots: int = -1
-) -> tuple[int, list[int], dict[int, int], dict[int, int], dict[int, int]]:
+) -> tuple[int, list[int], list[int], list[int], list[int]]:
     """The classic tree DP on the acyclic subgraph induced on the active
-    mask, from one walk of each tree rooted at its lowest vertex in the
-    roots mask: by default its lowest vertex. A roots mask must meet every
-    tree.
+    mask, from one breadth-first walk of each tree rooted at its lowest
+    vertex in the roots mask: by default its lowest vertex. A roots mask
+    must meet every tree.
 
     Returns alpha of the forest, the walk order (every vertex after its
-    parent, one tree after another), each vertex's parent (-1 at a root),
-    and for each vertex v the size of the largest independent set of v's
-    subtree that takes v (take) or skips v (skip)."""
+    parent, one tree after another) and three lists indexed by walk
+    position i: the position of order[i]'s parent (-1 at a root), and the
+    sizes of the largest independent sets of order[i]'s subtree that take
+    it (take) or skip it (skip). Every list holds one entry per walked
+    vertex, so a call costs O(|active|) however long adj is."""
     order: list[int] = []
-    parent: dict[int, int] = {}
+    parent: list[int] = []
     seen = 0
+    i = 0
     roots &= active
     while roots:
         rb = roots & -roots
-        root = rb.bit_length() - 1
-        parent[root] = -1
-        stack = [root]
         seen |= rb
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            nb = adj[v] & active & ~seen
+        order.append(rb.bit_length() - 1)
+        parent.append(-1)
+        while i < len(order):
+            nb = adj[order[i]] & active & ~seen
+            seen |= nb
             while nb:  # inline, not _bits (1.4x per bit): each vertex of every tree DP
                 b = nb & -nb
-                u = b.bit_length() - 1
                 nb ^= b
-                seen |= b
-                parent[u] = v
-                stack.append(u)
+                order.append(b.bit_length() - 1)
+                parent.append(i)
+            i += 1
         roots &= ~seen
-    take = dict.fromkeys(order, 1)
-    skip = dict.fromkeys(order, 0)
+    take = [1] * len(order)
+    skip = [0] * len(order)
     total = 0
-    for v in reversed(order):
-        t, s = take[v], skip[v]
-        best = t if t > s else s  # a comparison, not max(): a call per vertex of every tree DP
-        p = parent[v]
+    for i in reversed(range(len(order))):
+        t, s = take[i], skip[i]
+        p = parent[i]
         if p >= 0:
             take[p] += s
-            skip[p] += best
+            skip[p] += t if t > s else s  # a comparison, not max(): a call per vertex
         else:
-            total += best
+            total += t if t > s else s
     return total, order, parent, take, skip
 
 
@@ -152,25 +153,30 @@ def _forest_removals(adj: tuple[int, ...], active: int) -> tuple[int, int, int]:
     all three 0 at a root. Then alpha(T - v) = skip[v] + ub[v] and
     alpha(T - N[v]) = take[v] - 1 + us[v] on v's tree T, both from the one
     pass. Either removal lies in T, so it drops alpha(F) by one exactly when
-    it drops alpha(T) by one."""
+    it drops alpha(T) by one. Like the DP's lists, us and ub are indexed by
+    walk position."""
     total, order, parent, take, skip = _forest_dp(adj, active)
-    up_skip: dict[int, int] = {}
-    up_best: dict[int, int] = {}
+    up_skip = [0] * len(order)
+    up_best = [0] * len(order)
     in_core = in_corona = 0
-    for v in order:
-        p = parent[v]
+    drop = 0  # alpha of the current tree, less one
+    for i, v in enumerate(order):
+        t, s = take[i], skip[i]
+        best = t if t > s else s
+        p = parent[i]
         if p < 0:
             # a new tree starts; its vertices follow until the next root
-            tree = max(take[v], skip[v])
+            drop = best - 1
             us = ub = 0
         else:
-            us = skip[p] - max(take[v], skip[v]) + up_best[p]
-            ub = max(take[p] - skip[v] + up_skip[p], us)
-        up_skip[v] = us
-        up_best[v] = ub
-        if skip[v] + ub == tree - 1:
+            us = up_skip[i] = skip[p] - best + up_best[p]
+            ub = take[p] - s + up_skip[p]
+            if us > ub:
+                ub = us
+            up_best[i] = ub
+        if s + ub == drop:
             in_core |= 1 << v
-        if take[v] - 1 + us == tree - 1:
+        if t - 1 + us == drop:
             in_corona |= 1 << v
     return total, in_core, in_corona
 
@@ -410,13 +416,25 @@ def _mis_masks(adj: tuple[int, ...], full: int, limit: float) -> list[int]:
     return found
 
 
+def _mis_family(g: Graph, budgets: Budgets) -> list[int]:
+    """The masks of the family Omega(G), in search order, after the enum_n
+    check: enumerate_mis unsorted, for readers that need no order."""
+    _check_mis_n(g.n, budgets)
+    return _mis_masks(g.adj, (1 << g.n) - 1, math.inf)
+
+
+def _sorted_sets(g: Graph, masks) -> tuple[VertexSet, ...]:
+    """The masks as vertex sets of g, sorted by their label tuples: the
+    order in which a family is listed and its members are named."""
+    sets = [VertexSet(g, mask) for mask in masks]
+    sets.sort(key=VertexSet.labels)
+    return tuple(sets)
+
+
 def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexSet, ...]:
     """The family Omega(G) of all maximum independent sets, sorted by their
     label tuples. The 0-vertex graph has Omega = (empty set,)."""
-    _check_mis_n(g.n, budgets)
-    sets = [VertexSet(g, mask) for mask in _mis_masks(g.adj, (1 << g.n) - 1, math.inf)]
-    sets.sort(key=lambda s: s.labels())
-    return tuple(sets)
+    return _sorted_sets(g, _mis_family(g, budgets))
 
 
 def core(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:

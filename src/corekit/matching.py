@@ -13,11 +13,14 @@ on the bipartite double cover, where d_c = n - mu(cover) (Zhang 1990) and
 ker is the set of vertices whose left copy some maximum matching misses
 (Levit and Mandrescu 2012). _maximum_matching_pairs, budgeted by enum_n
 and matching_limit, lists every maximum matching as index pairs: they are
-the maximum independent sets of the line graph, listed by the exhaustive
-search behind enumerate_mis (independence._mis_masks).
-enumerate_maximum_matchings turns them into sorted Matching objects, and
-the checkers test them directly. Both go through _matched_vertices, the
-one statement of the matching predicate that the constructor enforces.
+the maximum independent sets of the line graph (_line_graph, the one
+builder of it), listed by the exhaustive search behind enumerate_mis
+(independence._mis_masks). enumerate_maximum_matchings turns them into
+sorted Matching objects. The TH1 checker decides on the same line graph
+by exhaustive alpha alone and lists the matchings only to count them in a
+report or to name a counterexample; it tests them directly, through
+_matched_vertices, the one statement of the matching predicate that the
+constructor enforces.
 """
 
 from __future__ import annotations
@@ -242,6 +245,29 @@ def is_mu_critical_edge(g: Graph, u: str, v: str) -> bool:
     return mu(g.delete_edge(u, v)) < mu(g)
 
 
+def _check_matching_n(n: int, budgets: Budgets) -> None:
+    """Refuse to list the maximum matchings of a graph on n > enum_n
+    vertices."""
+    if n > budgets.enum_n:
+        raise BudgetExceededError(
+            f"matching enumeration limited to {budgets.enum_n} vertices, got {n}"
+        )
+
+
+def _line_graph(g: Graph) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """The edges of g as index pairs, in g.edges() order, and the adjacency
+    of its line graph, whose vertex e is edge e: two edges are adjacent when
+    they share an end. Its maximum independent sets are the maximum
+    matchings of g, and its alpha is mu(g)."""
+    edges = list(g.edges())
+    at = [0] * g.n  # at[v]: the mask of the edges at v
+    for e, (i, j) in enumerate(edges):
+        at[i] |= 1 << e
+        at[j] |= 1 << e
+    # the edges at i or j but e, the one edge at both
+    return edges, tuple([at[i] ^ at[j] for i, j in edges])
+
+
 def _maximum_matching_pairs(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[tuple[tuple[int, int], ...]]:
@@ -249,19 +275,10 @@ def _maximum_matching_pairs(
     search order. Raises when g has more than enum_n vertices or the family
     more than matching_limit members.
 
-    They are the maximum independent sets of the line graph, whose vertex e
-    is edge e of g.edges(), as _mis_masks lists them."""
-    if g.n > budgets.enum_n:
-        raise BudgetExceededError(
-            f"matching enumeration limited to {budgets.enum_n} vertices, got {g.n}"
-        )
-    edges = list(g.edges())
-    at = [0] * g.n  # at[v]: the mask of the edges at v
-    for e, (i, j) in enumerate(edges):
-        at[i] |= 1 << e
-        at[j] |= 1 << e
-    # the edges at i or j but e, the one edge at both
-    line = tuple([at[i] ^ at[j] for i, j in edges])
+    They are the maximum independent sets of the line graph, as _mis_masks
+    lists them."""
+    _check_matching_n(g.n, budgets)
+    edges, line = _line_graph(g)
     masks = _mis_masks(line, (1 << len(edges)) - 1, budgets.matching_limit)
     if len(masks) > budgets.matching_limit:
         raise BudgetExceededError(f"more than {budgets.matching_limit} maximum matchings")

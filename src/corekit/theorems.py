@@ -15,7 +15,8 @@ functions.
 A checker takes the record and returns a verdict, (applicable, holds,
 witness, counterexample) with the last two optional. Its witness and
 counterexample are unrendered payloads: (name, value) pairs whose values
-are VertexSets, Matchings, lists of label pairs, ints, bools or labels.
+are VertexSets, Matchings, lists of label pairs, ints, bools or labels, or
+a callable that gives one of them when the payload is rendered.
 check alone turns a verdict into a TheoremReport: it stamps the theorem and
 graph ids, keeps the counterexample only when holds is False, and is the one
 place that renders a payload into the strings a report carries (_render).
@@ -35,8 +36,17 @@ sweep, core and corona from alpha queries or from the enumerated family,
 pendant-tree values from calls on each pendant tree. The family rests on
 exhaustive search only (independence._mis_masks and its _alpha_memo), never
 on the forest, unicyclic, Koenig or branch-and-bound paths of alpha, core
-and corona. TH1's family of maximum matchings rests on the same search, run
-on the line graph, never on the blossom matcher behind mu. sweep
+and corona. The record keeps it as masks in search order (mis_masks), which
+is all that TH11, TH12, mis_core and mis_corona read to decide; the family
+sorted by labels (mis_family) is built only to name the members a failing
+TH11 or TH12 reports. TH1's verdict rests on the same alpha memo, run on
+the line graph, never on the blossom matcher behind mu: a maximum matching
+breaks TH1 at v in N(core) exactly when no edge of it joins v to core, so
+TH1 fails at v exactly when the line graph minus the edges from v into core
+still has mu independent vertices (_unmatchable). The maximum matchings
+themselves, the same search's sets on the line graph, are listed only to
+render their count in a report, to name a counterexample, and up front when
+matching_limit could refuse the family. sweep
 builds one record per graph and runs the chosen checkers against it in the
 given order, so each graph pays for one subset sweep, one alpha and one mu
 however many checkers read them. core and corona come from one binding,
@@ -62,10 +72,11 @@ it is returned, so a report never carries an unchecked certificate. TH1 and
 TH11 check theirs on index pairs: every pair list goes through
 matching._matched_vertices, the predicate the Matching constructor enforces
 (each pair an edge, no vertex repeated), and TH11 checks that it covers the
-sources. Matching objects are built only when a TH1 pair list fails, from
-the family already listed, to name the counterexample as the sorted family
-lists it. LEM1B's matching still comes from saturating_matching and is
-checked for saturation.
+sources. TH1 checks every maximum matching it lists, whether to count them
+(a deferred witness value, listed when check renders it) or to find a
+counterexample. Matching objects are built only when a TH1 pair list fails,
+to name the counterexample as the sorted family lists it. LEM1B's matching
+still comes from saturating_matching and is checked for saturation.
 """
 
 from __future__ import annotations
@@ -73,24 +84,30 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from functools import cache, partial
 from itertools import chain, cycle, islice
+from math import comb
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import _check_subset_n, critical_difference_bruteforce, diff
 from .errors import DomainError
-from .graph import Graph, VertexSet, _match, classify_shape, serialize
+from .graph import Graph, VertexSet, _bits, _match, _union, classify_shape, serialize
 from .independence import (
     _alpha_active,
+    _alpha_memo,
     _branches,
+    _mis_family,
+    _sorted_sets,
     core,
     core_and_corona,
     corona,
-    enumerate_mis,
     is_independent,
 )
 from .matching import (
     Matching,
+    _check_matching_n,
+    _line_graph,
     _matched_vertices,
     _maximum_matching_pairs,
     mu,
@@ -197,23 +214,30 @@ class _Facts:
         return self.core_corona[1]
 
     @_kept
+    def mis_masks(self) -> list[int]:
+        """The MIS family as masks, in search order."""
+        return _mis_family(self.g, self.budgets)
+
+    @_kept
     def mis_family(self) -> tuple[VertexSet, ...]:
-        return enumerate_mis(self.g, self.budgets)
+        """The MIS family sorted by labels, for a report that names a
+        member."""
+        return _sorted_sets(self.g, self.mis_masks)
 
     @_kept
     def mis_core(self) -> VertexSet:
         """core as the intersection of the MIS family."""
         inter = (1 << self.g.n) - 1
-        for s in self.mis_family:
-            inter &= s.mask
+        for s in self.mis_masks:
+            inter &= s
         return VertexSet(self.g, inter)
 
     @_kept
     def mis_corona(self) -> VertexSet:
         """corona as the union of the MIS family."""
         union = 0
-        for s in self.mis_family:
-            union |= s.mask
+        for s in self.mis_masks:
+            union |= s
         return VertexSet(self.g, union)
 
     @_kept
@@ -255,7 +279,11 @@ class _Facts:
 
 def _render(value: object) -> object:
     """A payload value as a report carries it: a vertex set as {a, b}, a
-    matching or a list of label pairs as [a-b, c-d], anything else as is."""
+    matching or a list of label pairs as [a-b, c-d], anything else as is. A
+    callable is a value deferred until a report renders it, and is called
+    first."""
+    if callable(value):
+        value = value()
     if isinstance(value, VertexSet):
         return "{" + ", ".join(value.labels()) + "}"
     if isinstance(value, Matching):
@@ -340,25 +368,33 @@ def _check_lem2(f: _Facts) -> tuple:
     return True, bounds_ok and iff_ok, wit, [("bounds_ok", bounds_ok), ("iff_ok", iff_ok)]
 
 
+def _covers(g: Graph, sources: int, targets: int) -> bool:
+    """Whether some matching of the slice from sources to targets covers
+    every source; a covering matching is first checked as a matching."""
+    mate = _match(g.adj, sources, targets)
+    if len(mate) < sources.bit_count():
+        return False
+    covered = _matched_vertices(g, [(v, t) for t, v in mate.items()])
+    assert sources & ~covered == 0
+    return True
+
+
 def _check_th11(f: _Facts) -> tuple:
     """Every graph: for each maximum independent set S there is a matching
     from S - core(G) into corona(G) - S."""
     g = f.g
-    family = f.mis_family
+    family = f.mis_masks
     inter = f.mis_core.mask
     union = f.mis_corona.mask
-    for s in family:
-        sources = s.mask & ~inter
-        targets = union & ~s.mask
-        mate = _match(g.adj, sources, targets)
-        if len(mate) < sources.bit_count():
-            return (
-                True, False, [("mis_count", len(family))],
-                [("S", s), ("sources", VertexSet(g, sources)), ("targets", VertexSet(g, targets))],
-            )
-        covered = _matched_vertices(g, [(v, t) for t, v in mate.items()])
-        assert sources & ~covered == 0
-    return True, True, [("mis_count", len(family)), ("matchings_found", len(family))]
+    if all(_covers(g, s & ~inter, union & ~s) for s in family):
+        return True, True, [("mis_count", len(family)), ("matchings_found", len(family))]
+    # the counterexample is the first failing set in label order
+    bad = next(s.mask for s in f.mis_family if not _covers(g, s.mask & ~inter, union & ~s.mask))
+    return (
+        True, False, [("mis_count", len(family))],
+        [("S", VertexSet(g, bad)), ("sources", VertexSet(g, bad & ~inter)),
+         ("targets", VertexSet(g, union & ~bad))],
+    )
 
 
 def _unmatched_into(pairs, into: int, sources: int) -> int:
@@ -373,23 +409,62 @@ def _unmatched_into(pairs, into: int, sources: int) -> int:
     return sources & ~hit
 
 
+def _unmatchable(edges, line, into: int, sources: int, memo: dict[int, int]) -> int:
+    """The vertices v of the sources mask that some maximum matching leaves
+    without a partner in the into mask, given the edges and the line graph L
+    from _line_graph: v is one exactly when L minus X_v, the edges from v
+    into the into mask, still has alpha(L) = mu independent vertices. Every
+    alpha is exhaustive (_alpha_memo), all from the one memo."""
+    full = (1 << len(edges)) - 1
+    top = _alpha_memo(line, full, memo)
+    x = dict.fromkeys(_bits(sources), 0)  # x[v]: X_v as a mask of L
+    for e, (i, j) in enumerate(edges):
+        if i in x and into >> j & 1:
+            x[i] |= 1 << e
+        if j in x and into >> i & 1:
+            x[j] |= 1 << e
+    missed = 0
+    for v, xv in x.items():
+        if _alpha_memo(line, full & ~xv, memo) == top:
+            missed |= 1 << v
+    return missed
+
+
+def _listed_matchings(g: Graph, budgets: Budgets) -> list[tuple[tuple[int, int], ...]]:
+    """Every maximum matching as index pairs, each checked as a matching."""
+    family = _maximum_matching_pairs(g, budgets)
+    for pairs in family:
+        _matched_vertices(g, pairs)
+    return family
+
+
 def _check_th1(f: _Facts) -> tuple:
-    """KE graphs: every maximum matching matches N(core(G)) into core(G)."""
+    """KE graphs: every maximum matching matches N(core(G)) into core(G).
+
+    The verdict lists no matching: _unmatchable tests each vertex of
+    N(core) on the line graph. The family is listed to count it when a
+    report is rendered, to name a counterexample, and up front when it
+    could pass matching_limit, to refuse as the listing does."""
     if skip := _not_ke(f):
         return skip
     g = f.g
     c = f.ke_core
     nc = g.neighborhood(c)
     wit = [("core", c), ("n_core", nc)]
-    family = _maximum_matching_pairs(g, f.budgets)
-    missed = 0
-    for pairs in family:
-        _matched_vertices(g, pairs)
-        missed |= _unmatched_into(pairs, c.mask, nc.mask)
-    if not missed:
-        return True, True, wit + [("maximum_matchings", len(family))]
+    _check_matching_n(g.n, f.budgets)
+    edges, line = _line_graph(g)
+    memo: dict[int, int] = {}
+    listed = cache(partial(_listed_matchings, g, f.budgets))
+    # a family of maximum matchings has at most C(m, mu) members: list it
+    # up front only when it could pass matching_limit, which then refuses
+    size = _alpha_memo(line, (1 << len(edges)) - 1, memo)
+    if comb(len(edges), size) > f.budgets.matching_limit:
+        listed()
+    if not _unmatchable(edges, line, c.mask, nc.mask, memo):
+        return True, True, wit + [("maximum_matchings", lambda: len(listed()))]
     # the counterexample is the first failing matching in the sorted family,
     # and its first failing vertex by label
+    family = listed()
     match = min((Matching(g, pairs) for pairs in family
                  if _unmatched_into(pairs, c.mask, nc.mask)), key=Matching.edge_labels)
     v = VertexSet(g, _unmatched_into(match.pairs, c.mask, nc.mask)).labels()[0]
@@ -483,23 +558,28 @@ def _check_th12(f: _Facts) -> tuple:
     is the union of the pendant cores."""
     if skip := _not_unicyclic_non_ke(f):
         return skip
-    family = f.mis_family
-    fam_labels = [set(s.labels()) for s in family]
+    g = f.g
+    family = f.mis_masks
     dec = f.decomposition
-    extends = True
-    restricts = True
+    extends = restricts = True
     bad = []
     for pt in dec.pendant_trees:
-        tree_family = [set(w.labels()) for w in enumerate_mis(pt.tree, f.budgets)]
-        for w in tree_family:
-            if not any(w <= s for s in fam_labels):
-                extends = False
-                bad.append(("unextendable", f"{pt.root}:{sorted(w)}"))
-        tv = set(pt.vertices.labels())
-        for s in fam_labels:
-            if s & tv not in tree_family:
-                restricts = False
-                bad.append(("bad_restriction", f"{pt.root}:{sorted(s & tv)}"))
+        tv = pt.vertices.mask
+        # the tree keeps g's index order: its vertex i is the i-th of tv
+        lift = [1 << v for v in _bits(tv)]
+        tree_family = [_union(lift, w) for w in _mis_family(pt.tree, f.budgets)]
+        members = set(tree_family)
+        unextendable = [w for w in tree_family if not any(w & ~s == 0 for s in family)]
+        unrestricted = [s for s in family if s & tv not in members]
+        extends = extends and not unextendable
+        restricts = restricts and not unrestricted
+        # each named in the label order of its family
+        if unextendable:
+            bad += [("unextendable", f"{pt.root}:{list(w.labels())}")
+                    for w in _sorted_sets(g, unextendable)]
+        if unrestricted:
+            bad += [("bad_restriction", f"{pt.root}:{list((s & pt.vertices).labels())}")
+                    for s in _sorted_sets(g, unrestricted)]
     inter = f.mis_core
     union_core = _pendant_union(dec, lambda t: core(t, f.budgets))
     cores_match = union_core == inter

@@ -26,7 +26,6 @@ from .errors import NotUnicyclicError, PreconditionError
 from .graph import (
     Graph,
     VertexSet,
-    _bits,
     _components_in,
     _cycle_order,
     _strip_to_cycles,
@@ -180,28 +179,35 @@ def _non_critical_cycle_edges(
     exactly, with no alpha query of G - e."""
     adj = g.adj
     idx = [g.index_of(c) for c in cycle]
+    at = {c: k for k, c in enumerate(idx)}
     cyc = g.set_of(cycle).mask
     rest = (1 << g.n) - 1 & ~cyc
-    _, _, _, take, skip = _forest_dp(adj, rest, _union(adj, cyc) & rest)
-    weights = []
-    for c in idx:
-        took, skipped = 1, 0
-        for r in _bits(adj[c] & rest):
-            took += skip[r]
-            skipped += max(take[r], skip[r])
-        weights.append((took, skipped))
+    _, order, parent, take, skip = _forest_dp(adj, rest, _union(adj, cyc) & rest)
     size = len(idx)
+    took = [1] * size
+    skipped = [0] * size
+    for i, p in enumerate(parent):
+        if p < 0:  # a pendant root, hung on its one cycle neighbour
+            k = at[(adj[order[i]] & cyc).bit_length() - 1]
+            t, s = take[i], skip[i]
+            took[k] += s
+            skipped[k] += t if t > s else s
+    weights = list(zip(took, skipped))
     # pre[x][k]: the best of c_0..c_k with c_0 taken (x = 0) or skipped;
     # suf[y][k]: the best of c_k..c_{L-1} with c_{L-1} taken (y = 0) or skipped
     pre = _path_prefixes(weights)
     suf = [row[::-1] for row in _path_prefixes(weights[::-1])]
     bad = []
     for k in range(size):
-        if k == size - 1:  # G - c_{L-1} c_0 leaves the path c_0, ..., c_{L-1}
-            after = max(pre[0][k], pre[1][k])
-        else:
-            after = max(pre[0][k] + suf[1][k + 1], pre[1][k] + max(suf[0][k + 1], suf[1][k + 1]))
-        if after != a + 1:
+        # c_0 taken, then skipped; but for c_{L-1} c_0, removing a cycle
+        # edge joins the prefix to a suffix whose c_{L-1} may be taken
+        # only with c_0 skipped
+        took_first, skipped_first = pre[0][k], pre[1][k]
+        if k < size - 1:
+            t, s = suf[0][k + 1], suf[1][k + 1]
+            took_first += s
+            skipped_first += t if t > s else s
+        if (took_first if took_first > skipped_first else skipped_first) != a + 1:
             u, v = cycle[k], cycle[(k + 1) % size]
             bad.append((u, v) if u <= v else (v, u))
     bad.sort()
@@ -215,10 +221,12 @@ def _path_prefixes(weights: list[tuple[int, int]]) -> list[list[int]]:
     rows = []
     first_take, first_skip = weights[0]
     for took, skipped in ((first_take, float("-inf")), (float("-inf"), first_skip)):
-        row = [max(took, skipped)]
+        best = took if took > skipped else skipped
+        row = [best]
         for t, s in weights[1:]:
-            took, skipped = skipped + t, max(took, skipped) + s
-            row.append(max(took, skipped))
+            took, skipped = skipped + t, best + s
+            best = took if took > skipped else skipped
+            row.append(best)
         rows.append(row)
     return rows
 

@@ -259,21 +259,22 @@ def _forest_removals_reference(adj: tuple[int, ...], active: int, closed: bool):
     from corekit.independence import _forest_dp
 
     total, order, parent, take, skip = _forest_dp(adj, active)
+    # the DP's lists, and up_skip and up_best here, are indexed by walk position
     up_skip: dict[int, int] = {}
     up_best: dict[int, int] = {}
     after: dict[int, int] = {}
     rest = 0
-    for v in order:
-        p = parent[v]
+    for i, v in enumerate(order):
+        p = parent[i]
         if p < 0:
-            rest = total - max(take[v], skip[v])
+            rest = total - max(take[i], skip[i])
             us = ub = 0
         else:
-            us = skip[p] - max(take[v], skip[v]) + up_best[p]
-            ub = max(take[p] - skip[v] + up_skip[p], us)
-        up_skip[v] = us
-        up_best[v] = ub
-        after[v] = rest + (take[v] - 1 + us if closed else skip[v] + ub)
+            us = skip[p] - max(take[i], skip[i]) + up_best[p]
+            ub = max(take[p] - skip[i] + up_skip[p], us)
+        up_skip[i] = us
+        up_best[i] = ub
+        after[v] = rest + (take[i] - 1 + us if closed else skip[i] + ub)
     return total, after
 
 
@@ -452,6 +453,20 @@ def bb_alpha_reference(adj: tuple[int, ...], active: int) -> int:
     return best
 
 
+def strip_to_cycles_reference(adj: tuple[int, ...], active: int) -> int:
+    """graph._strip_to_cycles as it was before it checked only the
+    neighbours of dropped vertices: rescan every active vertex, dropping
+    each with at most one active neighbour, until a pass drops none."""
+    changed = True
+    while changed:
+        changed = False
+        for v in range(len(adj)):
+            if active >> v & 1 and (adj[v] & active).bit_count() <= 1:
+                active &= ~(1 << v)
+                changed = True
+    return active
+
+
 def two_coloring_reference(adj: tuple[int, ...], active: int) -> int | None:
     """The colour-0 class of a proper 2-colouring of the subgraph induced on
     the active mask, the lowest vertex of each component coloured 0; None if
@@ -488,13 +503,14 @@ def non_critical_cycle_edges_reference(g, cycle: tuple[str, ...], a: int) -> lis
     idx = [g.index_of(c) for c in cycle]
     cyc = g.set_of(cycle).mask
     rest = (1 << g.n) - 1 & ~cyc
-    _, _, _, take, skip = _forest_dp(adj, rest, _union(adj, cyc) & rest)
+    _, order, _, take, skip = _forest_dp(adj, rest, _union(adj, cyc) & rest)
+    at = {v: i for i, v in enumerate(order)}  # the DP's lists are indexed by walk position
     weights = []
     for c in idx:
         took, skipped = 1, 0
         for r in _bits(adj[c] & rest):
-            took += skip[r]
-            skipped += max(take[r], skip[r])
+            took += skip[at[r]]
+            skipped += max(take[at[r]], skip[at[r]])
         weights.append((took, skipped))
     size = len(idx)
     bad = []

@@ -944,6 +944,15 @@ def test_forced_th1_failure_lists_the_maximum_matchings_once(monkeypatch, capsys
     assert len(listed) == 1
 
 
+def test_th1_report_counts_the_maximum_matchings(capsys):
+    # the verdict lists no matching; the printed report still counts them
+    path = FIXDIR / "uni7-ke.txt"
+    assert cli_module.main(["verify", "--theorem", "TH1", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "TH1 uni7-ke applicable=true holds=true core={a, b, c} n_core={u, v} maximum_matchings=2"
+    )
+
+
 _ELAPSED = r"elapsed: \d+\.\d{3}s"
 _SWEEP = ["verify", "--theorem", "all"]
 
@@ -954,6 +963,11 @@ _AT_BOUNDS = [
      r"error: unicyclic enumeration limited to n <= 0", None),
     (_SWEEP + ["--family", "unicyclic", "--max-n", "4", "--matching-limit", "0"], 3,
      r"error: more than 0 maximum matchings", None),
+    # C4 has 2 maximum matchings, the most of any unicyclic graph up to n = 4
+    (_SWEEP + ["--family", "unicyclic", "--max-n", "4", "--matching-limit", "1"], 3,
+     r"error: more than 1 maximum matchings", None),
+    (_SWEEP + ["--family", "unicyclic", "--max-n", "4", "--matching-limit", "2"], 0,
+     _ELAPSED, "graphs tested: 3"),
     (_SWEEP + ["--family", "trees", "--max-n", "0"], 0, _ELAPSED, "graphs tested: 0"),
     (_SWEEP + ["--family", "connected", "--max-n", "0"], 0, _ELAPSED, "graphs tested: 0"),
     (_SWEEP + ["--family", "kernel-gap", "--max-n", "0"], 0, _ELAPSED, "graphs tested: 0"),

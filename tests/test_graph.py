@@ -17,10 +17,11 @@ from corekit import (
     fixture,
     parse_edge_list,
     random_connected,
+    random_unicyclic,
     serialize,
 )
-from corekit.graph import _components_in
-from helpers import two_coloring_reference
+from corekit.graph import _components_in, _strip_to_cycles
+from helpers import strip_to_cycles_reference, two_coloring_reference
 
 from test_independence import _disjoint_union
 
@@ -234,6 +235,28 @@ def test_component_walk_gives_the_two_colouring(connected_by_n, unicyclic_by_n, 
         bipartite = two_coloring_reference(g.adj, full) is not None
         assert classify_shape(g).bipartite == bipartite, serialize(g)
     assert kinds[True] > 500 and kinds[False] > 500
+
+
+def test_strip_to_cycles_keeps_the_survivors_of_the_rescanning_strip(
+    connected_by_n, unicyclic_by_n, trees_by_n
+):
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
+    graphs += [g for n in range(3, 11) for g in unicyclic_by_n[n]]
+    graphs += [g for n in range(1, 11) for g in trees_by_n[n]]
+    graphs += [random_connected(2 + s % 19, s) for s in range(200)]
+    graphs += [random_unicyclic(n, s) for n in (300, 1000) for s in range(3)]
+    rng = random.Random(21)
+    for _ in range(100):
+        graphs.append(_disjoint_union(rng.sample(graphs, rng.randint(2, 4))))
+    cores = Counter()
+    for g in graphs:
+        full = (1 << g.n) - 1
+        # the whole graph and a random induced subgraph of it
+        for active in (full, rng.getrandbits(g.n) if g.n else 0):
+            got = _strip_to_cycles(g.adj, active)
+            assert got == strip_to_cycles_reference(g.adj, active), serialize(g)
+            cores[got == 0] += 1
+    assert cores[True] > 500 and cores[False] > 500
 
 
 # -- one bit iterator ------------------------------------------------------------

@@ -257,6 +257,24 @@ def test_unicyclic_split_equals_the_per_vertex_reference():
         assert corona(g) == unicyclic_drops_reference(g, closed=True), g.edge_labels()
 
 
+def test_forest_dp_state_is_sized_by_the_walked_set():
+    # a path on 10000 vertices; the walk covers a P5 and a P3 of it, and
+    # every list it returns has one entry per walked vertex, not per vertex
+    # of the adjacency
+    n = 10000
+    adj = tuple((1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n))
+    active = (0b11111 << 5000) | (0b111 << 9000)
+    total, order, parent, take, skip = independence._forest_dp(adj, active)
+    assert total == 3 + 2
+    assert sorted(order) == [5000, 5001, 5002, 5003, 5004, 9000, 9001, 9002]
+    for state in (order, parent, take, skip):
+        assert len(state) == active.bit_count()
+    assert [i for i, p in enumerate(parent) if p < 0] == [0, 5]
+    # each path has one maximum independent set, its even positions
+    ends = 0b10101 << 5000 | 0b101 << 9000
+    assert independence._forest_removals(adj, active) == (5, ends, ends)
+
+
 def test_forest_sides_strip_only_in_the_consumers(monkeypatch, trees_by_n, unicyclic_by_n):
     """The dispatcher strips no cycle; core_and_corona strips a unicyclic
     component once and runs one rerooting pass per forest side."""

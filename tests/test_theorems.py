@@ -2,6 +2,7 @@
 reporting/replay, and the counterexample searches."""
 
 import os
+import random
 import signal
 from collections import Counter
 
@@ -34,6 +35,7 @@ from corekit import matching as matching_module
 from corekit import theorems as theorems_module
 from corekit import unicyclic as unicyclic_module
 from corekit.budgets import DEFAULT_BUDGETS
+from corekit.graph import _union
 
 
 def test_theorem_catalog_is_stable():
@@ -352,7 +354,8 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
             return fn(g, *args)
         return wrapper
 
-    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "enumerate_mis"):
+    # the record lists the MIS family through _mis_family, as masks
+    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "_mis_family"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
     alpha_active = theorems_module._alpha_active
 
@@ -365,7 +368,7 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
     summary = sweep([(str(i), g) for i, g in enumerate(graphs)], THEOREM_IDS, workers=1)
     assert summary.graphs_tested == len(graphs) == 143
     assert summary.all_hold()
-    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "enumerate_mis",
+    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "_mis_family",
                  "alpha"):
         assert [calls.get((name, g.adj)) for g in graphs] == [1] * len(graphs), name
 
@@ -542,6 +545,59 @@ def test_th1_lists_the_maximum_matchings_by_one_mis_search(
         assert len(calls) == rep.applicable, g.edge_labels()
         ke += rep.applicable
     assert ke == 172
+
+
+def test_th1_vertex_tests_equal_the_listed_family(
+    all_fixtures, trees_by_n, unicyclic_by_n, connected_by_n
+):
+    # the vertices that some maximum matching leaves without a partner in a
+    # set, from the per-vertex alpha tests and from the listed family: for
+    # the set TH1 reads, and for seeded random sets, so that failures occur
+    graphs = list(all_fixtures.values())
+    graphs += [g for n in range(1, 11) for g in trees_by_n[n]]
+    graphs += [g for n in range(3, 11) for g in unicyclic_by_n[n]]
+    graphs += [g for n in range(1, 8) for g in connected_by_n[n]]
+    rng = random.Random(28)
+    outcomes = Counter()
+    for g in graphs:
+        edges, line = matching_module._line_graph(g)
+        family = matching_module._maximum_matching_pairs(g)
+        f = theorems_module._Facts(g, DEFAULT_BUDGETS)
+        ke = f.alpha + f.mu == g.n
+        core_mask = f.ke_core.mask
+        random_masks = [rng.getrandbits(g.n) for _ in range(3)]
+        cases = [(core_mask, _union(g.adj, core_mask), "core")]
+        cases += [(m, _union(g.adj, m), "random") for m in random_masks[:2]]
+        # sources that need not be the neighbours of the set
+        cases.append((random_masks[0], random_masks[2], "random"))
+        for into, sources, kind in cases:
+            missed = 0
+            for pairs in family:
+                missed |= theorems_module._unmatched_into(pairs, into, sources)
+            got = theorems_module._unmatchable(edges, line, into, sources, {})
+            assert got == missed, (serialize(g), kind)
+            outcomes[kind, ke, bool(missed)] += 1
+    assert outcomes["core", True, True] == 0 and outcomes["core", True, False] > 1000
+    assert outcomes["random", True, True] > 1000 and outcomes["random", False, True] > 1000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_passing_sweep_lists_no_matching_and_sorts_no_family(
+    monkeypatch, forked_pids, unicyclic_by_n, workers
+):
+    def never(*args):
+        raise AssertionError("a passing sweep listed maximum matchings or sorted a family")
+
+    for module in (theorems_module, matching_module):
+        monkeypatch.setattr(module, "_maximum_matching_pairs", never)
+    for module in (theorems_module, independence_module):
+        monkeypatch.setattr(module, "_sorted_sets", never)
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    graphs = [g for n in range(3, 9) for g in unicyclic_by_n[n]]
+    summary = sweep([(str(i), g) for i, g in enumerate(graphs)], THEOREM_IDS, workers=workers)
+    assert summary.graphs_tested == 143 and summary.all_hold()
+    # a worker raises in the sweep, so two workers did the checking
+    assert len(forked_pids) == (workers if workers > 1 else 0)
 
 
 def test_th11_validates_the_matching_it_reads(monkeypatch):
