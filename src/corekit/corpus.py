@@ -9,9 +9,11 @@ each level sequence, so a Graph is built only for a tree that is kept.
 Unicyclic graphs are free trees plus one non-edge, deduped by a cycle-necklace
 code: for each tree, in stream order, and each non-edge (i, j) in row-major
 order, the code is read off the tree itself (the cycle is the tree path from i
-to j, the pendant codes come from a per-tree memo of rooted codes per directed
-edge), and the first candidate of each class is kept and only then built as a
-Graph, from the tree's edges plus (i, j). Connected graphs on at most 7
+to j, and each pendant code is a cycle vertex's branch away from the cycle,
+from one memo of branch codes per tree), and the first candidate of each
+class is kept and only then built as a Graph, from the tree's edges plus
+(i, j). One memoised function, _branch_code, builds every rooted code: at
+a tree's centres and at each cycle vertex. Connected graphs on at most 7
 vertices are grown one vertex at a time from the graphs one vertex smaller and
 deduped by their least edge mask over the labellings with a non-increasing
 degree vector. Before that mask is computed, a candidate is dropped when some
@@ -43,13 +45,14 @@ from itertools import groupby, permutations, product
 from typing import Iterator, Sequence
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, NotUnicyclicError
 from .graph import (
     Graph,
     _bits,
     _components_in,
     _cycle_order,
     _strip_to_cycles,
+    classify_shape,
     parse_edge_list,
 )
 
@@ -122,10 +125,13 @@ def kernel_gap_family(k: int) -> Graph:
 
 
 def prufer_decode(seq: tuple[int, ...]) -> Graph:
-    """The labeled tree on v1..v{len(seq)+2} with the given sequence."""
+    """The labeled tree on v1..v{len(seq)+2} with the given sequence, whose
+    entries must lie in 0..len(seq)+1."""
     n = len(seq) + 2
     degree = [1] * n
     for s in seq:
+        if not 0 <= s < n:
+            raise DomainError(f"Pruefer entries must lie in 0..{n - 1}, got {s}")
         degree[s] += 1
     edges = []
     leaf_heap = [v for v in range(n) if degree[v] == 1]
@@ -145,13 +151,21 @@ def prufer_decode(seq: tuple[int, ...]) -> Graph:
 # -- canonical codes ----------------------------------------------------------
 
 
-def _rooted_code(adj: tuple[int, ...], root: int, parent: int) -> str:
-    kids = adj[root] & ~(1 << parent if parent >= 0 else 0)
+def _branch_code(adj: Sequence[int], u: int, away: int, memo: dict) -> str:
+    """The rooted code of u's branch that enters no vertex of the away mask:
+    "()" for a leaf, else the sorted codes of the branches away from u of
+    its remaining neighbours, in parentheses. memo maps (u, away) to the
+    code and serves one adjacency only."""
+    kids = adj[u] & ~away
     if not kids:
         return "()"  # a leaf, about half the calls, starts no generator
-    subs = [_rooted_code(adj, u, root) for u in _bits(kids)]
-    subs.sort()
-    return "(" + "".join(subs) + ")"
+    code = memo.get((u, away))
+    if code is None:
+        below = 1 << u
+        subs = [_branch_code(adj, w, below, memo) for w in _bits(kids)]
+        subs.sort()
+        code = memo[u, away] = "(" + "".join(subs) + ")"
+    return code
 
 
 def _tree_centers(adj: tuple[int, ...], n: int) -> list[int]:
@@ -172,12 +186,16 @@ def _tree_centers(adj: tuple[int, ...], n: int) -> list[int]:
     return [v for v in range(n) if alive >> v & 1]
 
 
-def _tree_code(adj: tuple[int, ...] | list[int], n: int) -> str:
-    return min(_rooted_code(adj, c, -1) for c in _tree_centers(adj, n))
+def _tree_code(adj: Sequence[int], n: int) -> str:
+    memo: dict[tuple[int, int], str] = {}
+    return min(_branch_code(adj, c, 0, memo) for c in _tree_centers(adj, n))
 
 
 def tree_code(g: Graph) -> str:
-    """Canonical string; two trees get the same code iff they are isomorphic."""
+    """Canonical string; two trees get the same code iff they are isomorphic.
+    Raises DomainError unless g is a tree with at least one vertex."""
+    if classify_shape(g).kind != "tree":
+        raise DomainError(f"tree_code needs a tree, got n={g.n}, m={g.m}")
     return _tree_code(g.adj, g.n)
 
 
@@ -196,15 +214,18 @@ def _necklace_code(codes: list[str]) -> str:
 def unicyclic_code(g: Graph) -> str:
     """Canonical string for a connected unicyclic graph: cycle length plus the
     lexicographically smallest rotation/reflection of the sequence of
-    pendant-tree codes along the cycle."""
+    pendant-tree codes along the cycle. Raises NotUnicyclicError unless g is
+    connected and unicyclic."""
+    if classify_shape(g).kind != "unicyclic":
+        raise NotUnicyclicError(
+            f"unicyclic_code needs a connected unicyclic graph, got n={g.n}, m={g.m}"
+        )
     adj = g.adj
     cyc = _strip_to_cycles(adj, (1 << g.n) - 1)
-    order = _cycle_order(adj, cyc)
-    codes = []
-    for v in order:
-        sub = sorted(_rooted_code(adj, u, v) for u in _bits(adj[v] & ~cyc))
-        codes.append("(" + "".join(sub) + ")")
-    return _necklace_code(codes)
+    memo: dict[tuple[int, int], str] = {}
+    return _necklace_code(
+        [_branch_code(adj, v, adj[v] & cyc, memo) for v in _cycle_order(adj, cyc)]
+    )
 
 
 def _added_edge_codes(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, str]]:
@@ -212,11 +233,11 @@ def _added_edge_codes(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, 
     row-major order, where code is unicyclic_code of the tree plus edge ij.
 
     The cycle is the tree path from i to j, found through parent pointers
-    from vertex 0. The pendant trees at a cycle vertex are its branches off
-    that path, and they are the same in the tree and in the unicyclic graph,
-    so each branch's rooted code is computed once per tree (per directed
-    edge) and each cycle vertex's pendant code once per pair of cycle
-    neighbours."""
+    from vertex 0. A cycle vertex's pendant code is its branch away from its
+    cycle neighbours, the same in the tree and in the unicyclic graph, so
+    one _branch_code memo serves every candidate of the tree: each branch
+    off a path is coded once per directed edge, and each pendant code once
+    per pair of cycle neighbours."""
     parent = [-1] * n
     depth = [0] * n
     order = [0]
@@ -225,24 +246,7 @@ def _added_edge_codes(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, 
             parent[u] = v
             depth[u] = depth[v] + 1
             order.append(u)
-    branch: dict[tuple[int, int], str] = {}
-
-    def branch_code(u: int, p: int) -> str:
-        code = branch.get((u, p))
-        if code is None:
-            subs = sorted(branch_code(w, u) for w in _bits(adj[u] & ~(1 << p)))
-            code = branch[u, p] = "(" + "".join(subs) + ")"
-        return code
-
-    pendant: dict[tuple[int, int], str] = {}
-
-    def pendant_code(v: int, on_cycle: int) -> str:
-        code = pendant.get((v, on_cycle))
-        if code is None:
-            subs = sorted(branch_code(u, v) for u in _bits(adj[v] & ~on_cycle))
-            code = pendant[v, on_cycle] = "(" + "".join(subs) + ")"
-        return code
-
+    memo: dict[tuple[int, int], str] = {}
     for i in range(n):
         for j in range(i + 1, n):
             if adj[i] >> j & 1:
@@ -261,7 +265,7 @@ def _added_edge_codes(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, 
             mask = 0
             for v in cycle:
                 mask |= 1 << v
-            yield i, j, _necklace_code([pendant_code(v, adj[v] & mask) for v in cycle])
+            yield i, j, _necklace_code([_branch_code(adj, v, adj[v] & mask, memo) for v in cycle])
 
 
 # -- enumeration up to isomorphism -------------------------------------------

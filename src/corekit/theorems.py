@@ -115,6 +115,7 @@ from .matching import (
 )
 from .unicyclic import (
     _decompose,
+    _lift,
     _non_critical_cycle_edges,
     _pendant_union,
     _walk_cycle,
@@ -565,8 +566,7 @@ def _check_th12(f: _Facts) -> tuple:
     bad = []
     for pt in dec.pendant_trees:
         tv = pt.vertices.mask
-        # the tree keeps g's index order: its vertex i is the i-th of tv
-        lift = [1 << v for v in _bits(tv)]
+        lift = _lift(pt)
         tree_family = [_union(lift, w) for w in _mis_family(pt.tree, f.budgets)]
         members = set(tree_family)
         unextendable = [w for w in tree_family if not any(w & ~s == 0 for s in family)]

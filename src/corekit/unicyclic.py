@@ -26,6 +26,7 @@ from .errors import NotUnicyclicError, PreconditionError
 from .graph import (
     Graph,
     VertexSet,
+    _bits,
     _components_in,
     _cycle_order,
     _strip_to_cycles,
@@ -241,15 +242,20 @@ def _require_non_ke(g: Graph, budgets: Budgets) -> Decomposition:
     return dec
 
 
+def _lift(pt: PendantTree) -> list[int]:
+    """The host graph's bit of each vertex of the pendant tree, by tree
+    index: the tree keeps the host's index order, so its vertex i is the
+    i-th vertex of pt.vertices, and _union(lift, w) is w in the host."""
+    return [1 << v for v in _bits(pt.vertices.mask)]
+
+
 def _pendant_union(dec: Decomposition, part: Callable[[Graph], VertexSet]) -> VertexSet:
     """The union over the pendant trees of part(tree), a vertex set of the
     tree, as a vertex set of the host graph."""
-    g = dec.graph
     mask = 0
     for pt in dec.pendant_trees:
-        for lab in part(pt.tree).labels():
-            mask |= 1 << g.index_of(lab)
-    return VertexSet(g, mask)
+        mask |= _union(_lift(pt), part(pt.tree).mask)
+    return VertexSet(dec.graph, mask)
 
 
 def structural_core(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:

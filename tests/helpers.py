@@ -567,6 +567,56 @@ def strip_matching_reference(adj: tuple[int, ...], comp: int) -> list[tuple[int,
     return pairs
 
 
+def rooted_code_reference(adj: tuple[int, ...], root: int, parent: int) -> str:
+    """The code of the tree rooted at root with parent cut off (-1 for none),
+    as corpus built it before one memoised branch code served every caller:
+    "()" for a leaf, else the sorted codes of the children, in parentheses."""
+    kids = adj[root] & ~(1 << parent if parent >= 0 else 0)
+    subs = sorted(rooted_code_reference(adj, u, root) for u in range(len(adj)) if kids >> u & 1)
+    return "(" + "".join(subs) + ")"
+
+
+def tree_code_reference(g) -> str:
+    """tree_code from rooted_code_reference: the least rooted code over the
+    vertices of least eccentricity, found by a breadth-first search from each."""
+    adj = g.adj
+    ecc = []
+    for s in range(g.n):
+        seen, frontier, depth = 1 << s, 1 << s, 0
+        while True:
+            nxt = 0
+            for v in range(g.n):
+                if frontier >> v & 1:
+                    nxt |= adj[v]
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            depth += 1
+        ecc.append(depth)
+    return min(rooted_code_reference(adj, c, -1) for c in range(g.n) if ecc[c] == min(ecc))
+
+
+def unicyclic_code_reference(g) -> str:
+    """unicyclic_code from rooted_code_reference: the cycle length and the
+    least of all rotations and reflections of the pendant codes along the
+    cycle, compared as sequences of codes."""
+    adj = g.adj
+    order = [g.index_of(lab) for lab in walk_cycle_reference(g)]
+    on_cycle = set(order)
+    codes = []
+    for v in order:
+        subs = sorted(
+            rooted_code_reference(adj, u, v)
+            for u in range(g.n)
+            if adj[v] >> u & 1 and u not in on_cycle
+        )
+        codes.append("(" + "".join(subs) + ")")
+    ell = len(codes)
+    turns = (codes * 2, codes[::-1] * 2)
+    return f"{ell}:" + "".join(min(d[s : s + ell] for d in turns for s in range(ell)))
+
+
 def trees_reference(n: int):
     """The free trees on n vertices as enumerate_trees yielded them before it
     computed codes on int adjacency: a Graph per level sequence, deduped by

@@ -25,6 +25,7 @@ from corekit import (
     ker,
     kernel_gap_family,
     mu,
+    NotUnicyclicError,
     prufer_decode,
     random_connected,
     random_tree,
@@ -45,7 +46,9 @@ from helpers import (
     oracle_core,
     oracle_ker,
     oracle_mu,
+    tree_code_reference,
     trees_reference,
+    unicyclic_code_reference,
     unicyclic_reference,
 )
 
@@ -132,6 +135,11 @@ def test_prufer_decode():
     t = prufer_decode((2, 0, 2))
     assert classify_shape(t).kind == "tree"
     assert sorted(t.degree(l) for l in t.labels) == [1, 1, 1, 2, 3]
+    # a sequence of length k names the vertices 0..k+1
+    assert prufer_decode((2,)).n == 3
+    for seq in ((-1,), (5,), (3,), (0, 5, 1)):
+        with pytest.raises(DomainError, match="Pruefer entries must lie in"):
+            prufer_decode(seq)
 
 
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -450,6 +458,45 @@ def test_family_items_checks_the_limit_before_the_first_graph():
         next(family_items("trees", max_n=6, budgets=small))
     with pytest.raises(BudgetExceededError, match="unicyclic enumeration limited to n <= 5"):
         next(family_items("unicyclic", max_n=6, budgets=small))
+
+
+def test_codes_equal_the_rooted_code_reference(trees_by_n, unicyclic_by_n):
+    for n in range(1, 12):
+        for t in trees_by_n[n]:
+            assert tree_code(t) == tree_code_reference(t), serialize(t)
+    for n in range(3, 11):
+        for g in unicyclic_by_n[n]:
+            assert unicyclic_code(g) == unicyclic_code_reference(g), serialize(g)
+    for n in (50, 200):
+        for seed in range(3):
+            t = random_tree(n, seed)
+            assert tree_code(t) == tree_code_reference(t), (n, seed)
+            g = random_unicyclic(n, seed)
+            assert unicyclic_code(g) == unicyclic_code_reference(g), (n, seed)
+
+
+def test_tree_code_refuses_graphs_that_are_not_trees(monkeypatch):
+    # the centre search never ends on C4, so a refused graph must not reach it
+    def no_centres(adj, n):
+        raise AssertionError("tree_code looked for the centres of a non-tree")
+
+    monkeypatch.setattr(corpus, "_tree_centers", no_centres)
+    two_k2 = Graph.from_edges([("a", "b"), ("c", "d")])
+    for g in (fixture("c4"), two_k2, Graph.from_edges()):
+        with pytest.raises(DomainError, match="tree_code needs a tree"):
+            tree_code(g)
+
+
+def test_unicyclic_code_refuses_graphs_that_are_not_connected_unicyclic():
+    diamond = Graph.from_edges([("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")])
+    bowtie = Graph.from_edges(
+        [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"), ("d", "e")]
+    )
+    c3_k2 = Graph.from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
+    for g in (fixture("p3"), diamond, bowtie, c3_k2):
+        with pytest.raises(NotUnicyclicError, match="unicyclic_code needs"):
+            unicyclic_code(g)
+    assert unicyclic_code(fixture("k3")) == "3:()()()"
 
 
 def test_codes_are_isomorphism_invariant():
