@@ -232,15 +232,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return _EXIT_USAGE
         kind = "random-connected"
         family = f"random-connected(count={args.random}, size={args.size}, seed={args.seed})"
-    elif args.family:
+    else:
         if args.family != "fixtures" and args.max_n is None:
             print("error: --family needs --max-n", file=sys.stderr)
             return _EXIT_USAGE
         kind = args.family
         family = args.family if args.family == "fixtures" else f"{args.family}(max_n={args.max_n})"
-    else:
-        print("error: one of --graph/--family/--random is required", file=sys.stderr)
-        return _EXIT_USAGE
 
     if single is None:
         # TH2A and ZHANG sweep the subsets of every graph and TH11
@@ -301,6 +298,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     budgets = _budgets_from(args)
     if args.problem == 1:
+        if args.family is not None:
+            print("error: --family is for problem 2; problem 1 searches unicyclic graphs",
+                  file=sys.stderr)
+            return _EXIT_USAGE
         rep = search_problem1(args.max_n, budgets)
         print("problem: 1")
         print(f"max_n: {rep.max_n}")
@@ -314,10 +315,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 for line in text.rstrip("\n").split("\n"):
                     print(f"  | {line}")
         return _EXIT_OK
-    items = family_items(args.family, max_n=args.max_n, budgets=budgets)
+    family = args.family or "unicyclic"
+    items = family_items(family, max_n=args.max_n, budgets=budgets)
     counts, examples = sum_defect_histogram(items, budgets)
     print("problem: 2")
-    print(f"family: {args.family}")
+    print(f"family: {family}")
     print(f"max_n: {args.max_n}")
     for d in sorted(counts):
         print(f"sum-defect {d}: {counts[d]} graphs")
@@ -332,17 +334,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    chosen = [
-        args.fixture is not None,
-        args.family is not None,
-        args.random_unicyclic,
-    ]
-    if sum(chosen) != 1:
-        print(
-            "error: exactly one of --fixture/--family/--random-unicyclic",
-            file=sys.stderr,
-        )
-        return _EXIT_USAGE
     if args.fixture is not None:
         g = fixture(args.fixture)
     elif args.family is not None:
@@ -410,14 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help=f"theorem id, comma list, or 'all' ({', '.join(THEOREM_IDS)})",
     )
-    p_ver.add_argument("--graph", metavar="FILE", help="check one edge-list file")
-    p_ver.add_argument(
+    source = p_ver.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="FILE", help="check one edge-list file")
+    source.add_argument(
         "--family",
         choices=("trees", "unicyclic", "connected", "fixtures", "kernel-gap"),
         help="exhaustive corpus to sweep",
     )
     p_ver.add_argument("--max-n", type=_int_at_least(0), help="largest n for --family")
-    p_ver.add_argument(
+    source.add_argument(
         "--random",
         type=_int_at_least(0),
         metavar="COUNT",
@@ -443,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se.add_argument(
         "--family",
         choices=("trees", "unicyclic", "connected"),
-        default="unicyclic",
         help="corpus for problem 2 (default unicyclic)",
     )
     p_se.set_defaults(func=_cmd_search)
@@ -451,10 +442,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "generate", parents=[common], help="emit an edge-list to stdout"
     )
-    p_gen.add_argument("--fixture", choices=FIXTURE_NAMES, help="packaged fixture name")
-    p_gen.add_argument("--family", help="parametric family (kernel-gap)")
+    source = p_gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture", choices=FIXTURE_NAMES, help="packaged fixture name")
+    source.add_argument("--family", help="parametric family (kernel-gap)")
     p_gen.add_argument("--k", type=int, help="family index for kernel-gap")
-    p_gen.add_argument(
+    source.add_argument(
         "--random-unicyclic", action="store_true", help="random unicyclic graph"
     )
     p_gen.add_argument("--n", type=int, help="vertex count for --random-unicyclic")

@@ -4,8 +4,9 @@ seeded random generators.
 
 Enumeration up to isomorphism is direct, not dedupe-after-the-fact on labeled
 streams: rooted trees come from the level-sequence successor algorithm and are
-deduped by center-rooted canonical codes, computed on the int adjacency of
-each level sequence, so a Graph is built only for a tree that is kept.
+deduped by canonical codes computed on the int adjacency of each level
+sequence and rooted at the tree's centres, the last layer of the leaf peel
+(graph._strip_to_cycles), so a Graph is built only for a tree that is kept.
 Unicyclic graphs are free trees plus one non-edge, deduped by a cycle-necklace
 code: for each tree, in stream order, and each non-edge (i, j) in row-major
 order, the code is read off the tree itself (the cycle is the tree path from i
@@ -168,27 +169,11 @@ def _branch_code(adj: Sequence[int], u: int, away: int, memo: dict) -> str:
     return code
 
 
-def _tree_centers(adj: tuple[int, ...], n: int) -> list[int]:
-    degree = [adj[v].bit_count() for v in range(n)]
-    alive = (1 << n) - 1
-    layer = [v for v in range(n) if degree[v] <= 1]
-    remaining = n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive &= ~(1 << v)
-            remaining -= 1
-            for u in _bits(adj[v] & alive):
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-    return [v for v in range(n) if alive >> v & 1]
-
-
 def _tree_code(adj: Sequence[int], n: int) -> str:
+    """The least code of the tree rooted at a centre."""
     memo: dict[tuple[int, int], str] = {}
-    return min(_branch_code(adj, c, 0, memo) for c in _tree_centers(adj, n))
+    centres = _strip_to_cycles(adj, (1 << n) - 1)[1]
+    return min(_branch_code(adj, c, 0, memo) for c in _bits(centres))
 
 
 def tree_code(g: Graph) -> str:
@@ -221,7 +206,7 @@ def unicyclic_code(g: Graph) -> str:
             f"unicyclic_code needs a connected unicyclic graph, got n={g.n}, m={g.m}"
         )
     adj = g.adj
-    cyc = _strip_to_cycles(adj, (1 << g.n) - 1)
+    cyc = _strip_to_cycles(adj, (1 << g.n) - 1)[0]
     memo: dict[tuple[int, int], str] = {}
     return _necklace_code(
         [_branch_code(adj, v, adj[v] & cyc, memo) for v in _cycle_order(adj, cyc)]

@@ -109,9 +109,11 @@ def _edge_count(adj: tuple[int, ...], active: int) -> int:
     return total // 2
 
 
-def _strip_to_cycles(adj: tuple[int, ...], active: int) -> int:
-    """Repeatedly drop active vertices with at most one active neighbour.
-    On a unicyclic component the survivors are exactly the cycle.
+def _strip_to_cycles(adj: Sequence[int], active: int) -> tuple[int, int]:
+    """(survivors, last): repeatedly drop active vertices with at most one
+    active neighbour, in layers. On a unicyclic component the survivors are
+    exactly the cycle. On a tree none survive, and last, the last non-empty
+    layer dropped, is its centre or its two centres.
 
     Each round drops every vertex it checks that has at most one active
     neighbour, and the next round checks only their surviving neighbours,
@@ -119,6 +121,7 @@ def _strip_to_cycles(adj: tuple[int, ...], active: int) -> int:
     start and then once per dropped neighbour, so no round rescans the
     survivors."""
     check = active
+    last = 0
     while check:
         drop = 0
         rest = check
@@ -127,9 +130,24 @@ def _strip_to_cycles(adj: tuple[int, ...], active: int) -> int:
             rest ^= b
             if (adj[b.bit_length() - 1] & active).bit_count() <= 1:
                 drop |= b
+        if not drop:
+            break
         active ^= drop
+        last = drop
         check = _union(adj, drop) & active
-    return active
+    return active, last
+
+
+def _label_pairs(
+    labels: Sequence[str], pairs: Iterable[tuple[int, int]]
+) -> list[tuple[str, str]]:
+    """The index pairs as label pairs, each sorted, in sorted order."""
+    out = []
+    for i, j in pairs:
+        a, b = labels[i], labels[j]
+        out.append((a, b) if a <= b else (b, a))
+    out.sort()
+    return out
 
 
 def _cycle_order(adj: tuple[int, ...], cyc: int) -> list[int]:
@@ -300,12 +318,7 @@ class Graph:
 
     def edge_labels(self) -> list[tuple[str, str]]:
         """All edges as sorted label pairs, list sorted lexicographically."""
-        out = []
-        for i, j in self.edges():
-            a, b = self.labels[i], self.labels[j]
-            out.append((a, b) if a <= b else (b, a))
-        out.sort()
-        return out
+        return _label_pairs(self.labels, self.edges())
 
     # -- vertex sets --------------------------------------------------------
 

@@ -258,7 +258,7 @@ def _forest_sides(adj: tuple[int, ...], comp: int, cycles: int) -> tuple[int, ..
     the lowest cycle neighbour of u."""
     if not cycles:
         return (comp,)
-    cyc = _strip_to_cycles(adj, comp)
+    cyc = _strip_to_cycles(adj, comp)[0]
     u = cyc & -cyc
     nb = adj[u.bit_length() - 1] & cyc
     return comp & ~u, comp & ~(nb & -nb)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
-from .graph import Graph, VertexSet, _bits, _match
+from .graph import Graph, VertexSet, _bits, _label_pairs, _match
 from .independence import _alpha_active, _mis_masks
 
 __all__ = [
@@ -88,13 +88,7 @@ class Matching:
         return VertexSet(self.graph, mask)
 
     def edge_labels(self) -> list[tuple[str, str]]:
-        labs = self.graph.labels
-        out = []
-        for i, j in self.pairs:
-            a, b = labs[i], labs[j]
-            out.append((a, b) if a <= b else (b, a))
-        out.sort()
-        return out
+        return _label_pairs(self.graph.labels, self.pairs)
 
     def matched_to(self, label: str) -> str | None:
         v = self.graph.index_of(label)

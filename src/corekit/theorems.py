@@ -192,7 +192,7 @@ class _Facts:
 
     @_kept
     def unicyclic(self) -> bool:
-        return self.shape.connected and self.shape.kind == "unicyclic"
+        return self.shape.kind == "unicyclic"
 
     @_kept
     def alpha(self) -> int:

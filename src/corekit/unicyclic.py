@@ -29,8 +29,10 @@ from .graph import (
     _bits,
     _components_in,
     _cycle_order,
+    _label_pairs,
     _strip_to_cycles,
     _union,
+    classify_shape,
 )
 from .independence import _alpha_active, _forest_dp, core, corona
 from .matching import is_koenig_egervary, mu
@@ -49,13 +51,11 @@ __all__ = [
 
 
 def _require_unicyclic(g: Graph) -> None:
-    """A graph has exactly one cycle and is connected iff it has one
-    component and as many edges as vertices."""
-    comps = g.components()
-    if len(comps) != 1 or g.m != g.n:
+    shape = classify_shape(g)
+    if shape.kind != "unicyclic":
         raise NotUnicyclicError(
             f"expected a connected graph with exactly one cycle, "
-            f"got n={g.n}, m={g.m}, connected={len(comps) <= 1}"
+            f"got n={g.n}, m={g.m}, connected={shape.connected}"
         )
 
 
@@ -71,7 +71,7 @@ def _walk_cycle(g: Graph) -> tuple[str, ...]:
     index-order walk of the cycle, rotated to its smallest label and turned
     toward that vertex's smaller-labelled neighbour."""
     labels = g.labels
-    order = _cycle_order(g.adj, _strip_to_cycles(g.adj, (1 << g.n) - 1))
+    order = _cycle_order(g.adj, _strip_to_cycles(g.adj, (1 << g.n) - 1)[0])
     k = min(range(len(order)), key=lambda i: labels[order[i]])
     order = order[k:] + order[:k]
     if labels[order[-1]] < labels[order[1]]:
@@ -209,10 +209,8 @@ def _non_critical_cycle_edges(
             took_first += s
             skipped_first += t if t > s else s
         if (took_first if took_first > skipped_first else skipped_first) != a + 1:
-            u, v = cycle[k], cycle[(k + 1) % size]
-            bad.append((u, v) if u <= v else (v, u))
-    bad.sort()
-    return bad
+            bad.append((idx[k], idx[(k + 1) % size]))
+    return _label_pairs(g.labels, bad)
 
 
 def _path_prefixes(weights: list[tuple[int, int]]) -> list[list[int]]:

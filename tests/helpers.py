@@ -299,7 +299,7 @@ def unicyclic_drops_reference(g, closed: bool):
         if ne == nv - 1:
             a, after = _forest_removals_reference(adj, comp, closed)
         elif ne == nv:
-            cyc = _strip_to_cycles(adj, comp)
+            cyc = _strip_to_cycles(adj, comp)[0]
             u = (cyc & -cyc).bit_length() - 1
             nbrs = adj[u] & comp
             a1, f1 = _forest_removals_reference(adj, comp & ~(1 << u), closed)
@@ -576,6 +576,29 @@ def rooted_code_reference(adj: tuple[int, ...], root: int, parent: int) -> str:
     return "(" + "".join(subs) + ")"
 
 
+def tree_centers_reference(adj, n: int) -> list[int]:
+    """The centres of the tree with adjacency adj, as corpus._tree_centers
+    found them before the leaf peel gave them: per-vertex degree counts,
+    one leaf layer removed at a time until at most two vertices remain."""
+    from corekit.graph import _bits
+
+    degree = [adj[v].bit_count() for v in range(n)]
+    alive = (1 << n) - 1
+    layer = [v for v in range(n) if degree[v] <= 1]
+    remaining = n
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            alive &= ~(1 << v)
+            remaining -= 1
+            for u in _bits(adj[v] & alive):
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    return [v for v in range(n) if alive >> v & 1]
+
+
 def tree_code_reference(g) -> str:
     """tree_code from rooted_code_reference: the least rooted code over the
     vertices of least eccentricity, found by a breadth-first search from each."""
@@ -669,7 +692,7 @@ def walk_cycle_reference(g) -> tuple[str, ...]:
     from corekit import VertexSet
     from corekit.graph import _strip_to_cycles
 
-    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)
+    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)[0]
     members = sorted(VertexSet(g, cyc).labels())
     start = g.index_of(members[0])
     first = min(
@@ -715,7 +738,7 @@ def _canonical_cycle_edge(g) -> tuple[str, str]:
     A label-only choice, so it is the same however the graph was built."""
     from corekit.graph import _cycle_order, _strip_to_cycles
 
-    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)
+    cyc = _strip_to_cycles(g.adj, (1 << g.n) - 1)[0]
     order = _cycle_order(g.adj, cyc)
     best = None
     for k in range(len(order)):

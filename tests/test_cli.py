@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shape, exit codes, determinism."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -232,6 +233,36 @@ def test_verify_usage_errors():
     assert res.returncode == 2
     res = run_cli("verify", "--theorem", "MAIN", "--family", "unicyclic")
     assert res.returncode == 2
+
+
+_CORPUS_OPTIONS = {
+    "graph": ["--graph", str(FIXDIR / "p3.txt")],
+    "family": ["--family", "trees", "--max-n", "3"],
+    "random": ["--random", "4", "--size", "5"],
+}
+
+
+@pytest.mark.parametrize("sources", [("graph", "family"), ("graph", "random"),
+                                     ("family", "random"), ("graph", "family", "random")],
+                         ids="+".join)
+def test_verify_refuses_conflicting_corpus_options(capsys, sources):
+    argv = ["verify", "--theorem", "all", "--workers", "1"]
+    for name in sources:
+        argv += _CORPUS_OPTIONS[name]
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("family", ["trees", "unicyclic", "connected"])
+def test_search_problem_1_refuses_a_family(capsys, family):
+    assert cli_module.main(["search", "--problem", "1", "--max-n", "5", "--family", family]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_verify_counterexample_exits_1(monkeypatch, capsys):
@@ -731,6 +762,131 @@ def test_stdout_is_byte_identical_across_runs_and_workers():
     rerun = run_cli(*args, "--workers", "2")
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout == rerun.stdout
+
+
+def _pinned_runs():
+    """The argv of each run whose stdout is pinned, verify at --workers 1.
+    A --graph file is named relative to the fixture directory, since verify
+    prints the path it was given."""
+    files = [f"{name}.txt" for name in FIXTURE_NAMES]
+    verify = ["verify", "--theorem", "all", "--workers", "1"]
+    return [
+        *([*verify, "--family", family, "--max-n", n] for family, n in
+          (("unicyclic", "9"), ("trees", "9"), ("connected", "6"), ("kernel-gap", "4"))),
+        [*verify, "--family", "fixtures"],
+        *([*verify, "--graph", f] for f in files),
+        *(["analyze", "--format", "json", f] for f in files),
+        ["search", "--problem", "1", "--max-n", "9"],
+        ["search", "--problem", "2", "--max-n", "9"],
+        ["search", "--problem", "2", "--family", "connected", "--max-n", "6"],
+        ["generate", "--fixture", "uni10-nonke"],
+        ["generate", "--family", "kernel-gap", "--k", "3"],
+        ["generate", "--random-unicyclic", "--n", "12", "--seed", "5"],
+    ]
+
+
+def _stdout_digests(capsys):
+    """{argv joined by spaces: [exit code, sha256 of stdout]} of the pinned
+    runs, each through cli.main in-process."""
+    out = {}
+    for argv in _pinned_runs():
+        code = cli_module.main(argv)
+        text = capsys.readouterr().out
+        out[" ".join(argv)] = [code, hashlib.sha256(text.encode()).hexdigest()]
+    return out
+
+
+# Recorded before the leaf peel gave the tree centres. A change that alters
+# stdout on purpose records them again and lists each changed run in CHANGES.md.
+_PINNED_DIGESTS = {
+    "verify --theorem all --workers 1 --family unicyclic --max-n 9":
+        [0, "fc5867f4650332fb99b99e73f8967f53fe931002497ee41548e05f7f925c0beb"],
+    "verify --theorem all --workers 1 --family trees --max-n 9":
+        [0, "136cafdebfd0eac9ec9f5c6e9ce645313d2aad1ac5036192c1ff9167f7ac5cfc"],
+    "verify --theorem all --workers 1 --family connected --max-n 6":
+        [0, "d2e2b2da8e4434df5e1fa299a5f524f24fc7594f9a04dad58a4c5c5611ad2657"],
+    "verify --theorem all --workers 1 --family kernel-gap --max-n 4":
+        [0, "4409570a41cc121c6f1ab5e4bc2ab6f908b37f334230ad1df6e58d0816938fd3"],
+    "verify --theorem all --workers 1 --family fixtures":
+        [0, "ddc9356ab9ed868aa5967923cd85c5fc75515e303b2a63f45958d04eb4675083"],
+    "verify --theorem all --workers 1 --graph uni7-ke.txt":
+        [0, "39cc457ef7573ec4afd15b4dd0091129e44da8f42792e4e7cb1a11a5e205dede"],
+    "verify --theorem all --workers 1 --graph uni10-nonke.txt":
+        [0, "d1544785c38d276208ae8cb99d77e00498867b213f40bdbdd94f0ac48460d847"],
+    "verify --theorem all --workers 1 --graph tree5-pendant.txt":
+        [0, "e478c09243e361e046e4c342e47ee2c9de68e9c4df134ffe49a1fc0d3967986d"],
+    "verify --theorem all --workers 1 --graph uni9-ke.txt":
+        [0, "5dff3648dae8ad10221eacab07a1b2aed6c1d16ced349a10eb5d570845dc9884"],
+    "verify --theorem all --workers 1 --graph uni7-ke-kereq.txt":
+        [0, "c77eefee51bda49ba92bdb61f4040282e68d5c1abffe12eba4a6844e38748b72"],
+    "verify --theorem all --workers 1 --graph bicyclic10-nonke.txt":
+        [0, "ad939ac1be51498f3d1c172e65abbbb9fa9cdc75daf20c7765ffd37abfcd5dbb"],
+    "verify --theorem all --workers 1 --graph uni8-nonke.txt":
+        [0, "a31ea8c768b4be8e490c1a4b1ae7b24e44e3e69f71328a60527858f8255f2880"],
+    "verify --theorem all --workers 1 --graph bicyclic10-ke.txt":
+        [0, "2dec8ce3ba09e5e7fcd0a121697b76bf5e94f3629c716e446e02dda738bbd12e"],
+    "verify --theorem all --workers 1 --graph bicyclic9-nonke.txt":
+        [0, "e132ad91de3f54ab39569465ffab19f46bde98a6f157de5b4336897773262845"],
+    "verify --theorem all --workers 1 --graph p2.txt":
+        [0, "ca923b4f5972ce56c1f524f4e3602ce6148fda3680636caae20c00184487675f"],
+    "verify --theorem all --workers 1 --graph p3.txt":
+        [0, "a551ec1d3fb9bc874f53cbf776dbaf27b433626d7d409d5a29338c37dd86c382"],
+    "verify --theorem all --workers 1 --graph c4.txt":
+        [0, "95bff367b802141f5c95dc4f1608b278dc66a6b06164bebf77a769968e9559e8"],
+    "verify --theorem all --workers 1 --graph c5.txt":
+        [0, "8b157ce93a6d575e1bf2542139c50144c5ea910ec32259fa270e9a64395760bc"],
+    "verify --theorem all --workers 1 --graph k1.txt":
+        [0, "5d9eed1d024e7e08b46fcacc353218ea15ef7d25c8caa754a26dec49d69b7431"],
+    "verify --theorem all --workers 1 --graph k3.txt":
+        [0, "22a84b8e36c4079e2f552d6db99667ac5de21796a7fafefdb4edbf4391d433a0"],
+    "analyze --format json uni7-ke.txt":
+        [0, "de8ea0263f27d3e3be4353936e92ae12d05f7cd7914edc89a0773ecff0a33ce5"],
+    "analyze --format json uni10-nonke.txt":
+        [0, "b1af4d88e43781b49ea9c5da103547a65d932c58b4886a8e37d1103a69add5c8"],
+    "analyze --format json tree5-pendant.txt":
+        [0, "33d9fa40cb187340074a638c76437cc78fb58ec792fe1b316f8947135fae9853"],
+    "analyze --format json uni9-ke.txt":
+        [0, "b807d8f3a822d88034ad0b7df4027f4b400fec57403735c61995131ab7c149b3"],
+    "analyze --format json uni7-ke-kereq.txt":
+        [0, "0e1d7397594582790abc00a4ce77c9dae7e251e247a6b8869b5baf7154da1aa2"],
+    "analyze --format json bicyclic10-nonke.txt":
+        [0, "a9fa7730ca9c8efd1c017e1e7a22305ce7a8d4639a720931fc478682e5f673b5"],
+    "analyze --format json uni8-nonke.txt":
+        [0, "9c1cb31c7cd01080099a77b4686521e89e4e90a50cc7d6cf4c95cc0cf6c637dc"],
+    "analyze --format json bicyclic10-ke.txt":
+        [0, "ff0eba6ce1780627264f417ceb2f53a6fdc8f4dad7c5eeb4056a2bf1ca6f7c5b"],
+    "analyze --format json bicyclic9-nonke.txt":
+        [0, "00eae9f50ea5c239ff9b4482edbfe2d18715695ccd2702981047b7bb0ae7a15d"],
+    "analyze --format json p2.txt":
+        [0, "27dc67305c2ea092b7c25936a95b91040e77caa31d486614c409ebd4d70bf2cf"],
+    "analyze --format json p3.txt":
+        [0, "411a9a08f6498c13a6d9f145cc9b480e6db1bda14555a883eb7336c602a67f23"],
+    "analyze --format json c4.txt":
+        [0, "f6fe004b835b9f041de6ccd112f533b5d915ad64bcfeb653fd83efacd62a7828"],
+    "analyze --format json c5.txt":
+        [0, "d1377ca2138d36b765573c43c5fecfe68c3af916c68ebf764dea8aba6090eafe"],
+    "analyze --format json k1.txt":
+        [0, "c586072642d2dabb318bc598f7c8368a7440aad980d4ffb04dd11fd1baf04336"],
+    "analyze --format json k3.txt":
+        [0, "ddb79aabc0d42a332cb59ffcb86b593cc5cdd8da970bf5de2449170012c5b29a"],
+    "search --problem 1 --max-n 9":
+        [0, "bc74f693670c226ff3df2c4b28e5fd1fd7a44e433c4765494f18908852298303"],
+    "search --problem 2 --max-n 9":
+        [0, "6fd3dab0e71ef80d54f13d2f035b9a81a4349c6bc2bb94edb10eea02738f5e58"],
+    "search --problem 2 --family connected --max-n 6":
+        [0, "d3b9f9165730a503fd1725eff343c9c19fc1c8b8aa77a51c8b8ab2add6e4fadc"],
+    "generate --fixture uni10-nonke":
+        [0, "fa27073e501bcdb27faa286a1401f3b12e07923af62abee4d1b83acfca26d69b"],
+    "generate --family kernel-gap --k 3":
+        [0, "ecf26b08fae822960947f56ca574b09a1783186811d661f91907bde569a5f530"],
+    "generate --random-unicyclic --n 12 --seed 5":
+        [0, "aefc2a7d9ee1c9ce103076d78ef1560e91d85b8ed1b2c5ed4feb37090f7fffd2"],
+}
+
+
+def test_stdout_digests_are_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(FIXDIR)
+    assert _stdout_digests(capsys) == _PINNED_DIGESTS
 
 
 # -- fuzzed input files ----------------------------------------------------------

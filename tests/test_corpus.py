@@ -36,6 +36,7 @@ from corekit import (
 )
 from corekit import corpus
 from corekit.corpus import _canonical_mask, _family_orders
+from corekit.graph import _strip_to_cycles
 from helpers import (
     canonical_mask_reference,
     connected_levels_reference,
@@ -46,6 +47,7 @@ from helpers import (
     oracle_core,
     oracle_ker,
     oracle_mu,
+    tree_centers_reference,
     tree_code_reference,
     trees_reference,
     unicyclic_code_reference,
@@ -475,12 +477,38 @@ def test_codes_equal_the_rooted_code_reference(trees_by_n, unicyclic_by_n):
             assert unicyclic_code(g) == unicyclic_code_reference(g), (n, seed)
 
 
+def test_the_leaf_peel_ends_at_the_tree_centres():
+    trees = []
+    for n in range(1, 13):
+        for seq in corpus._level_sequences(n):
+            parent = corpus._level_parents(seq)
+            adj = [0] * n
+            for v in range(1, n):
+                adj[v] |= 1 << parent[v]
+                adj[parent[v]] |= 1 << v
+            trees.append((adj, n))
+    assert len(trees) == 7813  # the rooted trees on 1..12 vertices
+    trees += [(t.adj, t.n) for n in (50, 200) for t in (random_tree(n, s) for s in range(3))]
+    # deeper than the interpreter's recursion limit: the peel is a loop
+    path = Graph.from_edges([(f"v{i}", f"v{i + 1}") for i in range(3000)])
+    trees.append((path.adj, path.n))
+    for adj, n in trees:
+        survivors, last = _strip_to_cycles(adj, (1 << n) - 1)
+        assert survivors == 0
+        assert [v for v in range(n) if last >> v & 1] == tree_centers_reference(adj, n), adj
+    assert last == 1 << path.index_of("v1500")
+
+
 def test_tree_code_refuses_graphs_that_are_not_trees(monkeypatch):
-    # the centre search never ends on C4, so a refused graph must not reach it
-    def no_centres(adj, n):
+    # a refused graph reaches neither the centre search nor the code
+    def no_centres(*args):
         raise AssertionError("tree_code looked for the centres of a non-tree")
 
-    monkeypatch.setattr(corpus, "_tree_centers", no_centres)
+    def no_code(*args):
+        raise AssertionError("tree_code coded a non-tree")
+
+    monkeypatch.setattr(corpus, "_strip_to_cycles", no_centres)
+    monkeypatch.setattr(corpus, "_branch_code", no_code)
     two_k2 = Graph.from_edges([("a", "b"), ("c", "d")])
     for g in (fixture("c4"), two_k2, Graph.from_edges()):
         with pytest.raises(DomainError, match="tree_code needs a tree"):
