@@ -4,156 +4,28 @@ Exact computation of the independence number, matching number, core, corona,
 ker and critical difference, structural shortcuts for unicyclic graphs, graph
 corpora (exhaustive and seeded-random), and mechanically checked statements
 relating all of the above.
+
+The package re-exports the public names of its nine modules. Each module's
+``__all__`` is the one list of its public names; the package's ``__all__``
+joins them and adds ``__version__``.
 """
 
-from .budgets import DEFAULT_BUDGETS, Budgets
-from .corpus import (
-    FIXTURE_NAMES,
-    enumerate_connected_graphs,
-    enumerate_trees,
-    enumerate_unicyclic,
-    family_items,
-    fixture,
-    fixture_text,
-    kernel_gap_family,
-    prufer_decode,
-    random_connected,
-    random_tree,
-    random_unicyclic,
-    tree_code,
-    unicyclic_code,
-)
-from .critical import (
-    CriticalReport,
-    critical_difference,
-    critical_difference_bruteforce,
-    diff,
-    ker,
-)
-from .errors import (
-    BudgetExceededError,
-    CorekitError,
-    DomainError,
-    NotUnicyclicError,
-    OwnershipError,
-    ParseError,
-    PreconditionError,
-)
-from .graph import (
-    Graph,
-    ShapeClass,
-    VertexSet,
-    classify_shape,
-    parse_edge_list,
-    serialize,
-)
-from .independence import (
-    alpha,
-    core,
-    corona,
-    enumerate_mis,
-    is_alpha_critical_edge,
-    is_independent,
-)
-from .matching import (
-    Matching,
-    enumerate_maximum_matchings,
-    is_koenig_egervary,
-    is_mu_critical_edge,
-    maximum_matching,
-    mu,
-    saturating_matching,
-)
-from .theorems import (
-    THEOREM_IDS,
-    Problem1Report,
-    SweepSummary,
-    TheoremReport,
-    check,
-    classify_sum_defect,
-    search_problem1,
-    sum_defect_histogram,
-    sweep,
-)
-from .unicyclic import (
-    Decomposition,
-    KeClassification,
-    PendantTree,
-    classify_ke_unicyclic,
-    decompose,
-    find_cycle,
-    structural_core,
-    structural_corona,
-    structural_ker,
-)
+from . import budgets, corpus, critical, errors, graph, independence, matching, theorems, unicyclic
+from .budgets import *
+from .corpus import *
+from .critical import *
+from .errors import *
+from .graph import *
+from .independence import *
+from .matching import *
+from .theorems import *
+from .unicyclic import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budgets",
-    "DEFAULT_BUDGETS",
-    "BudgetExceededError",
-    "CorekitError",
-    "DomainError",
-    "NotUnicyclicError",
-    "OwnershipError",
-    "ParseError",
-    "PreconditionError",
-    "Graph",
-    "VertexSet",
-    "ShapeClass",
-    "classify_shape",
-    "parse_edge_list",
-    "serialize",
-    "alpha",
-    "core",
-    "corona",
-    "enumerate_mis",
-    "is_alpha_critical_edge",
-    "is_independent",
-    "Matching",
-    "maximum_matching",
-    "mu",
-    "is_koenig_egervary",
-    "saturating_matching",
-    "is_mu_critical_edge",
-    "enumerate_maximum_matchings",
-    "diff",
-    "CriticalReport",
-    "critical_difference",
-    "critical_difference_bruteforce",
-    "ker",
-    "Decomposition",
-    "PendantTree",
-    "KeClassification",
-    "decompose",
-    "find_cycle",
-    "classify_ke_unicyclic",
-    "structural_core",
-    "structural_corona",
-    "structural_ker",
-    "FIXTURE_NAMES",
-    "fixture",
-    "fixture_text",
-    "kernel_gap_family",
-    "prufer_decode",
-    "tree_code",
-    "unicyclic_code",
-    "enumerate_trees",
-    "enumerate_unicyclic",
-    "enumerate_connected_graphs",
-    "random_tree",
-    "random_unicyclic",
-    "random_connected",
-    "family_items",
-    "THEOREM_IDS",
-    "TheoremReport",
-    "SweepSummary",
-    "Problem1Report",
-    "check",
-    "sweep",
-    "search_problem1",
-    "classify_sum_defect",
-    "sum_defect_histogram",
-    "__version__",
-]
+    name
+    for module in (budgets, corpus, critical, errors, graph, independence, matching, theorems,
+                   unicyclic)
+    for name in module.__all__
+] + ["__version__"]

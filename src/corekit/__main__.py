@@ -4,5 +4,7 @@ import sys
 
 from .cli import main
 
+__all__: list[str] = []
+
 if __name__ == "__main__":
     sys.exit(main())

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+__all__ = ["Budgets", "DEFAULT_BUDGETS"]
+
 
 class Budgets(NamedTuple):
     # max n for family enumeration (maximum independent sets, maximum matchings)

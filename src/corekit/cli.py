@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .budgets import Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .corpus import (
     FIXTURE_NAMES,
     _family_orders,
@@ -39,6 +39,8 @@ from .theorems import (
     sum_defect_histogram,
     sweep,
 )
+
+__all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_COUNTEREXAMPLE = 1
@@ -70,7 +72,7 @@ def _int_at_least(low: int):
 
 
 def _budgets_from(args: argparse.Namespace) -> Budgets:
-    return Budgets(
+    return DEFAULT_BUDGETS._replace(
         enum_n=args.max_enum_n,
         subset_n=args.max_subset_n,
         matching_limit=args.matching_limit,
@@ -91,6 +93,17 @@ def _graph_id(path: str) -> str:
     name = os.path.basename(path)
     dot = name.rfind(".")
     return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
+def _stray_option(args: argparse.Namespace, owners) -> bool:
+    """Refuse the first option given without the source it belongs to: print
+    one error line naming it and return True. owners lists (option flag,
+    the source the error names, whether that source was given)."""
+    for option, source, given in owners:
+        if getattr(args, option[2:].replace("-", "_")) is not None and not given:
+            print(f"error: {option} needs {source}", file=sys.stderr)
+            return True
+    return False
 
 
 # -- analyze -------------------------------------------------------------------
@@ -216,6 +229,13 @@ def _render_report_line(rep) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if _stray_option(args, (
+        ("--max-n", "a --family other than fixtures", args.family not in (None, "fixtures")),
+        ("--size", "--random", args.random is not None),
+        ("--seed", "--random", args.random is not None),
+    )):
+        return _EXIT_USAGE
+    seed = 0 if args.seed is None else args.seed
     budgets = _budgets_from(args)
     tids = _parse_theorems(args.theorem)
     if not tids:
@@ -231,7 +251,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("error: --random needs --size", file=sys.stderr)
             return _EXIT_USAGE
         kind = "random-connected"
-        family = f"random-connected(count={args.random}, size={args.size}, seed={args.seed})"
+        family = f"random-connected(count={args.random}, size={args.size}, seed={seed})"
     else:
         if args.family != "fixtures" and args.max_n is None:
             print("error: --family needs --max-n", file=sys.stderr)
@@ -256,7 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for limit in limits:
                 for n in orders:
                     limit(n, budgets)
-        items = family_items(kind, args.max_n, args.random, args.size, args.seed, budgets)
+        items = family_items(kind, args.max_n, args.random, args.size, seed, budgets)
         summary = sweep(
             items,
             tids,
@@ -334,6 +354,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if _stray_option(args, (
+        ("--k", "--family", args.family is not None),
+        ("--n", "--random-unicyclic", args.random_unicyclic),
+        ("--seed", "--random-unicyclic", args.random_unicyclic),
+    )):
+        return _EXIT_USAGE
     if args.fixture is not None:
         g = fixture(args.fixture)
     elif args.family is not None:
@@ -348,7 +374,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if args.n is None:
             print("error: --random-unicyclic needs --n", file=sys.stderr)
             return _EXIT_USAGE
-        g = random_unicyclic(args.n, args.seed)
+        g = random_unicyclic(args.n, 0 if args.seed is None else args.seed)
     sys.stdout.write(serialize(g))
     return _EXIT_OK
 
@@ -361,20 +387,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-enum-n",
         type=_int_at_least(0),
-        default=20,
-        help="largest n for enumeration-backed operations (default 20)",
+        default=DEFAULT_BUDGETS.enum_n,
+        help="largest n for enumeration-backed operations (default %(default)s)",
     )
     common.add_argument(
         "--max-subset-n",
         type=_int_at_least(0),
-        default=20,
-        help="largest n for subset-sweep operations (default 20)",
+        default=DEFAULT_BUDGETS.subset_n,
+        help="largest n for subset-sweep operations (default %(default)s)",
     )
     common.add_argument(
         "--matching-limit",
         type=_int_at_least(0),
-        default=10**6,
-        help="cap on enumerated maximum matchings (default 1000000)",
+        default=DEFAULT_BUDGETS.matching_limit,
+        help="cap on enumerated maximum matchings (default %(default)s)",
     )
 
     parser = argparse.ArgumentParser(
@@ -416,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sweep COUNT random connected graphs",
     )
     p_ver.add_argument("--size", type=int, help="vertex count for --random")
-    p_ver.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
+    p_ver.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p_ver.add_argument("--fail-fast", action="store_true", help="stop at first failure")
     p_ver.add_argument(
         "--workers",
@@ -450,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--random-unicyclic", action="store_true", help="random unicyclic graph"
     )
     p_gen.add_argument("--n", type=int, help="vertex count for --random-unicyclic")
-    p_gen.add_argument("--seed", type=int, default=0, help="seed (default 0)")
+    p_gen.add_argument("--seed", type=int, help="seed (default 0)")
     p_gen.set_defaults(func=_cmd_generate)
     return parser
 

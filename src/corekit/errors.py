@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CorekitError",
+    "ParseError",
+    "OwnershipError",
+    "DomainError",
+    "NotUnicyclicError",
+    "PreconditionError",
+    "BudgetExceededError",
+]
+
 
 class CorekitError(Exception):
     """Base class for all errors raised by this package."""

@@ -17,6 +17,7 @@ __all__ = [
     "Graph",
     "VertexSet",
     "ShapeClass",
+    "classify_shape",
     "parse_edge_list",
     "serialize",
 ]

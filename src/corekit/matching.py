@@ -82,10 +82,7 @@ class Matching:
         return len(self.pairs)
 
     def vertices(self) -> VertexSet:
-        mask = 0
-        for i, j in self.pairs:
-            mask |= 1 << i | 1 << j
-        return VertexSet(self.graph, mask)
+        return VertexSet(self.graph, _matched_vertices(self.graph, self.pairs))
 
     def edge_labels(self) -> list[tuple[str, str]]:
         return _label_pairs(self.graph.labels, self.pairs)

@@ -312,10 +312,6 @@ def _not_unicyclic_non_ke(f: _Facts) -> tuple | None:
     return None
 
 
-def _saturates(m, sources: VertexSet) -> bool:
-    return sources.mask & ~m.vertices().mask == 0
-
-
 # -- individual checkers ------------------------------------------------------
 
 
@@ -344,7 +340,7 @@ def _check_lem1b(f: _Facts) -> tuple:
     wit = [("core", c), ("n_core", nc)]
     if match is None:
         return True, False, wit, [("unsaturated_from", nc)]
-    assert _saturates(match, nc)
+    assert nc <= match.vertices()
     wit.append(("matching", match))
     return True, True, wit
 

@@ -33,7 +33,7 @@ from corekit import (
     random_unicyclic,
     serialize,
 )
-from corekit.budgets import DEFAULT_BUDGETS
+from corekit.budgets import DEFAULT_BUDGETS, Budgets
 
 REPO = Path(__file__).resolve().parent.parent
 FIXDIR = REPO / "src" / "corekit" / "fixtures"
@@ -416,6 +416,19 @@ def test_negative_budgets_exit_2_on_every_subcommand(cmd):
     assert "argument --max-enum-n: must be at least 0, got -1" in res.stderr
 
 
+def test_cli_budget_defaults_are_those_of_default_budgets(monkeypatch, capsys):
+    patched = Budgets(enum_n=7, subset_n=8, matching_limit=9)
+    monkeypatch.setattr(cli_module, "DEFAULT_BUDGETS", patched)
+    parser = cli_module._build_parser()
+    assert cli_module._budgets_from(parser.parse_args(["analyze", "g.txt"])) == patched
+    with pytest.raises(SystemExit):
+        parser.parse_args(["analyze", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "enumeration-backed operations (default 7)" in help_text
+    assert "subset-sweep operations (default 8)" in help_text
+    assert "maximum matchings (default 9)" in help_text
+
+
 def test_boundary_integers_are_accepted():
     res = run_cli("verify", "--theorem", "MAIN", "--random", "0", "--size", "4",
                   "--workers", "1")
@@ -743,6 +756,30 @@ def test_generate_usage_errors():
     assert run_cli("generate", "--family", "kernel-gap", "--k", "0").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--graph", str(FIXDIR / "p3.txt"), "--max-n", "5", "--size", "9",
+          "--seed", "4"], "--max-n"),
+        (["verify", "--family", "fixtures", "--max-n", "3", "--size", "9"], "--max-n"),
+        (["verify", "--random", "2", "--size", "4", "--max-n", "3"], "--max-n"),
+        (["verify", "--family", "trees", "--max-n", "3", "--size", "9"], "--size"),
+        (["verify", "--family", "fixtures", "--seed", "0"], "--seed"),
+        (["generate", "--fixture", "p2", "--n", "7", "--seed", "3"], "--n"),
+        (["generate", "--fixture", "p2", "--seed", "0"], "--seed"),
+        (["generate", "--family", "kernel-gap", "--k", "2", "--seed", "1"], "--seed"),
+        (["generate", "--random-unicyclic", "--n", "5", "--k", "2"], "--k"),
+    ],
+)
+def test_an_option_of_another_source_is_refused(capsys, argv, option):
+    if argv[0] == "verify":
+        argv = [*argv, "--theorem", "MAIN", "--workers", "1"]
+    assert cli_module.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} needs ")
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 12), seed=st.integers(0, 10**6))
 def test_analysis_record_internal_consistency(n, seed):
@@ -782,15 +819,20 @@ def _pinned_runs():
         ["generate", "--fixture", "uni10-nonke"],
         ["generate", "--family", "kernel-gap", "--k", "3"],
         ["generate", "--random-unicyclic", "--n", "12", "--seed", "5"],
+        *([*command, "--help"] for command in ([], ["analyze"], ["verify"], ["search"],
+                                                ["generate"])),
     ]
 
 
 def _stdout_digests(capsys):
     """{argv joined by spaces: [exit code, sha256 of stdout]} of the pinned
-    runs, each through cli.main in-process."""
+    runs, each through cli.main in-process; argparse exits from --help."""
     out = {}
     for argv in _pinned_runs():
-        code = cli_module.main(argv)
+        try:
+            code = cli_module.main(argv)
+        except SystemExit as exc:
+            code = exc.code
         text = capsys.readouterr().out
         out[" ".join(argv)] = [code, hashlib.sha256(text.encode()).hexdigest()]
     return out
@@ -881,11 +923,24 @@ _PINNED_DIGESTS = {
         [0, "ecf26b08fae822960947f56ca574b09a1783186811d661f91907bde569a5f530"],
     "generate --random-unicyclic --n 12 --seed 5":
         [0, "aefc2a7d9ee1c9ce103076d78ef1560e91d85b8ed1b2c5ed4feb37090f7fffd2"],
+    # the help texts, recorded while the parser still spelled out the budget
+    # defaults, at 80 columns (argparse wraps them to the terminal's width)
+    "--help":
+        [0, "fde12170b58f810fd70b1a029b74ecc9b1a4495d6db1945d93709d2b5feba6aa"],
+    "analyze --help":
+        [0, "b048456ab97b63ea5707684d13b8e36bd6c11bc6736f5e1ad90732b28f58b514"],
+    "verify --help":
+        [0, "c9ce2c8bf9691724e79366b36772fe936dd808e5fdf13dfcca14323a96671e98"],
+    "search --help":
+        [0, "9175f6a4d7c75d7ad76e09b1a89b32f97a684edbba619e0c9a87bbe1e2f048c8"],
+    "generate --help":
+        [0, "77d4692beea58d7045debb04e1a07c404819f4bc98dd66f1f6c22262e37f8bd3"],
 }
 
 
 def test_stdout_digests_are_pinned(monkeypatch, capsys):
     monkeypatch.chdir(FIXDIR)
+    monkeypatch.setenv("COLUMNS", "80")
     assert _stdout_digests(capsys) == _PINNED_DIGESTS
 
 
