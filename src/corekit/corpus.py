@@ -22,14 +22,22 @@ other vertex of smaller degree than the new one leaves it connected on
 removal: every graph is still reached through a deletion of least degree
 among those that keep it connected (the cheap half of McKay's canonical
 deletion, J. Algorithms 1998), so the classes found do not change, and a
-leaf settles most candidates without a walk. The mask is computed for all
-degree-respecting labellings at once: for each structure of equal-degree
-runs, a table built on first use in each level packs the image of every
-position pair under every labelling into one int, 32 bits per labelling, so
-a candidate's masks are the OR of its edges' entries and its canonical mask
-the least field. Every enumerator is gated in the tests by published counts
-and, at small n, by cross-checks against labeled streams or a reference
-sweep.
+leaf settles most candidates without a walk. A candidate is also dropped
+when an automorphism of its parent maps the new vertex's neighbourhood to a
+smaller subset: the two candidates are isomorphic with the new vertex
+fixed, and both rules above agree on them, so one augmentation per orbit
+loses no class. The mask is computed for all degree-respecting labellings
+at once: for each structure of equal-degree runs, a table built on first
+use in each level packs the image of every position pair under every
+labelling into one int, 32 bits per labelling, so a candidate's masks are
+the OR of its edges' entries and its canonical mask the least field. The
+table is built in bytes, one per labelling: each position's column of
+images, a pair's codes from two columns in one big-integer sum, and four
+bytes.translate maps from those codes to the bytes of the fields. A parent's
+automorphisms are the labellings whose field equals its own mask, read off
+the table of the level below. Every enumerator is gated in the tests by
+published counts and, at small n, by cross-checks against labeled streams or
+a reference sweep.
 
 All randomness is drawn from string-seeded random.Random instances, so every
 stream is reproducible from (n, seed) alone, independent of process history.
@@ -38,11 +46,11 @@ stream is reproducible from (n, seed) alone, independent of process history.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import random
 import sys
-from array import array
-from itertools import groupby, permutations, product
+from itertools import groupby, permutations
 from typing import Iterator, Sequence
 
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -339,50 +347,90 @@ def enumerate_unicyclic(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[
                 yield Graph(base.labels, tuple(adj), n)
 
 
-def _labelling_table(runs: tuple[int, ...], bit: list[list[int]]) -> tuple[int, list[list[int]]]:
+def _byte_maps(bit: list[list[int]]) -> list[bytes]:
+    """Four bytes.translate tables for the bit matrix of k <= 8 positions:
+    map t takes the pair code a * k + b to byte t of bit[a][b] as a 32-bit
+    field in native byte order."""
+    k = len(bit)
+    fields = [bit[a][b].to_bytes(4, sys.byteorder) for a in range(k) for b in range(k)]
+    return [bytes(f[t] for f in fields).ljust(256, b"\0") for t in range(4)]
+
+
+def _labelling_table(
+    runs: tuple[int, ...], maps: list[bytes]
+) -> tuple[int, list[list[int]], list[bytes]]:
     """The labellings of k = sum(runs) positions that permute each run of
     positions within itself, in product(permutations(run)) order, packed
     into one int per position pair: field p of table[a][b] (32 bits wide)
-    is bit[pos_p[a]][pos_p[b]] for labelling p. Returns the labelling count
-    and the table, symmetric in a and b.
+    is bit[pos_p[a]][pos_p[b]] for labelling p, where maps are the byte
+    maps of bit (_byte_maps). Returns the labelling count, the table,
+    symmetric in a and b, and the columns: byte p of columns[a] is pos_p[a].
+
+    The table is built in bytes, one byte per labelling. A run's column
+    lists its permutations' entries at that position, each repeated once
+    per labelling of the later runs, and the whole block repeats once per
+    labelling of the earlier runs. For a pair a, b, col_a * k + col_b, read
+    as big integers, holds pos_p[a] * k + pos_p[b] in byte p with no carry,
+    since it is below 64; the four byte maps turn those codes into the four
+    bytes of each field, interleaved into place by extended slices.
 
     A mask has k(k-1)/2 bits, at most 28 up to k = 8, so 32-bit fields
     suffice; k = 9 needs 64-bit fields."""
     k = sum(runs)
-    blocks = []
+    count = math.prod(math.factorial(r) for r in runs)
+    columns = []
+    earlier = 1
     start = 0
     for r in runs:
-        blocks.append(permutations(range(start, start + r)))
+        flat = b"".join(map(bytes, permutations(range(start, start + r))))
+        size = len(flat) // r
+        later = count // (earlier * size)
+        for j in range(r):
+            col = flat[j::r]
+            if later > 1:
+                # repeat each entry later times, in min(size, later) steps
+                if later < size:
+                    spread = bytearray(size * later)
+                    for q in range(later):
+                        spread[q::later] = col
+                    col = bytes(spread)
+                else:
+                    col = b"".join(col[i : i + 1] * later for i in range(size))
+            columns.append(col * earlier)
+        earlier *= size
         start += r
-    labellings = [[p for part in parts for p in part] for parts in product(*blocks)]
+    heads = [int.from_bytes(col, "big") * k for col in columns]
+    tails = [int.from_bytes(col, "big") for col in columns]
     table = [[0] * k for _ in range(k)]
+    fields = bytearray(4 * count)
     for a in range(k):
         for b in range(a + 1, k):
-            fields = array("I", [bit[pos[a]][pos[b]] for pos in labellings])
-            table[a][b] = table[b][a] = int.from_bytes(fields.tobytes(), sys.byteorder)
-    return len(labellings), table
+            codes = (heads[a] + tails[b]).to_bytes(count, "big")
+            for t in range(4):
+                fields[t::4] = codes.translate(maps[t])
+            table[a][b] = table[b][a] = int.from_bytes(fields, sys.byteorder)
+    return count, table, columns
 
 
-def _canonical_mask(adj: list[int], n: int, bit: list[list[int]], tables: dict) -> int:
-    """The least edge mask over all labellings of the graph whose degree
-    vector is non-increasing by position; bit[p][q] is the mask bit of the
-    position pair p, q. Isomorphic graphs, and only they, share it. tables
-    maps each run structure met so far to its labelling count and table, and
-    serves one bit matrix only.
-
-    The vertices are placed by non-increasing degree, ties by index; a
-    labelling then permutes each run of equal degree within its positions.
-    The labelling table of the run structure holds the image of every
-    position pair under every labelling in one packed int, so the OR of the
-    entries of the graph's edges holds its mask under every labelling at
-    once, and the answer is the least 32-bit field of that OR."""
+def _labelled_masks(
+    adj: list[int], n: int, bit: list[list[int]], tables: dict
+) -> tuple[int, list[bytes], int]:
+    """(count, columns, masks) for the graph placed by non-increasing
+    degree, ties by index: the labelling count and columns of its run
+    structure's table (_labelling_table), and the OR of its edges' table
+    entries, whose field p is its edge mask under labelling p. tables maps
+    each run structure met so far to its entry, and None to the byte maps
+    of bit, built on the first miss; it serves one bit matrix only."""
     deg = [a.bit_count() for a in adj]
     order = sorted(range(n), key=deg.__getitem__, reverse=True)
     runs = tuple(len(list(group)) for _, group in groupby(deg[v] for v in order))
     entry = tables.get(runs)
     if entry is None:
-        entry = tables[runs] = _labelling_table(runs, bit)
-    count, table = entry
+        maps = tables.get(None)
+        if maps is None:
+            maps = tables[None] = _byte_maps(bit)
+        entry = tables[runs] = _labelling_table(runs, maps)
+    count, table, columns = entry
     place = [0] * n
     for i, v in enumerate(order):
         place[v] = i
@@ -391,7 +439,43 @@ def _canonical_mask(adj: list[int], n: int, bit: list[list[int]], tables: dict) 
         row = table[place[u]]
         for off in _bits(adj[u] >> u):
             masks |= row[place[u + off]]
+    return count, columns, masks
+
+
+def _canonical_mask(adj: list[int], n: int, bit: list[list[int]], tables: dict) -> int:
+    """The least edge mask over all labellings of the graph whose degree
+    vector is non-increasing by position; bit[p][q] is the mask bit of the
+    position pair p, q. Isomorphic graphs, and only they, share it. tables
+    serves one bit matrix only (see _labelled_masks).
+
+    The vertices are placed by non-increasing degree, ties by index; a
+    labelling then permutes each run of equal degree within its positions.
+    The labelling table of the run structure holds the image of every
+    position pair under every labelling in one packed int, so the OR of the
+    entries of the graph's edges holds its mask under every labelling at
+    once, and the answer is the least 32-bit field of that OR."""
+    count, _, masks = _labelled_masks(adj, n, bit, tables)
     return min(memoryview(masks.to_bytes(4 * count, sys.byteorder)).cast("I"))
+
+
+def _automorphism_images(
+    adj: list[int], n: int, mask: int, bit: list[list[int]], tables: dict
+) -> tuple[int, list[int]]:
+    """(m, images) for the m automorphisms sigma_1..sigma_m other than the
+    identity of the graph adj, whose degree vector is non-increasing by
+    index and whose edge mask under bit is mask: byte i of images[v], an
+    m-byte big-endian int, is 1 << sigma_i(v), so the OR of images[v] over
+    the vertices v of a mask S holds sigma_i(S) in byte i (n <= 8).
+
+    Every automorphism respects degrees, so it is one of the labellings of
+    the graph's run structure: a labelling p whose field of the OR of the
+    edges' table entries equals mask, read off the table's columns."""
+    count, columns, masks = _labelled_masks(adj, n, bit, tables)
+    fields = memoryview(masks.to_bytes(4 * count, sys.byteorder)).cast("I")
+    found = [p for p in range(1, count) if fields[p] == mask]
+    return len(found), [
+        int.from_bytes(bytes([1 << col[p] for p in found]), "big") for col in columns
+    ]
 
 
 def _lighter_deletion(adj: list[int], k: int, d: int) -> bool:
@@ -422,18 +506,29 @@ def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
     the level below, so H is one of its candidates with v in the place of x
     and |S| = deg x, and in that candidate no vertex that keeps it connected
     is lighter than v, so it is kept. When |S| > 1, a leaf outside S is such
-    an x, so only candidates without one are walked."""
+    an x, so only candidates without one are walked.
+
+    A candidate is also dropped unlabelled when an automorphism sigma of
+    its parent P maps S to a smaller subset (one augmentation per orbit,
+    after McKay). P + v_S and P + v_sigma(S) are isomorphic through sigma
+    with v fixed, and both rules above only read the graph and v, so an
+    orbit's members are kept or dropped together: keeping its least subset
+    loses no class. The parent's automorphisms come from the level below's
+    labelling tables (_automorphism_images); most parents have only the
+    identity and pay for no test."""
     level = [0]
     pairs: list[tuple[int, int]] = []
+    bit = [[0]]
+    # run structure -> _labelling_table entry, and None -> _byte_maps, for one bit
+    tables: dict = {}
     yield pairs, level
     for k in range(2, n + 1):
-        below = pairs
+        below, below_bit, below_tables = pairs, bit, tables
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
         bit = [[0] * k for _ in range(k)]
         for b, (i, j) in enumerate(pairs):
             bit[i][j] = bit[j][i] = 1 << b
-        # run structure -> (labelling count, table), for this level's bit only
-        tables: dict[tuple[int, ...], tuple[int, list[list[int]]]] = {}
+        tables = {}
         found = set()
         for mask in level:
             adj = [0] * k
@@ -442,11 +537,22 @@ def _connected_levels(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             leaves = sum(1 << x for x in range(k - 1) if adj[x].bit_count() == 1)
+            m, images = _automorphism_images(adj, k - 1, mask, below_bit, below_tables)
+            # the images of the subsets taken so far: subsets ascend, and the
+            # leaf rule drops whole orbits, so each orbit's least comes first
+            seen = set()
             for s in range(1, 1 << (k - 1)):
                 d = s.bit_count()
                 # a leaf outside S stays a leaf, lighter than v when d > 1
                 if d > 1 and leaves & ~s:
                     continue
+                if m:
+                    if s in seen:
+                        continue
+                    orbit = 0
+                    for v in _bits(s):
+                        orbit |= images[v]
+                    seen.update(orbit.to_bytes(m, "big"))
                 grown = [a | (s >> i & 1) << (k - 1) for i, a in enumerate(adj)]
                 grown[k - 1] = s
                 # no other vertex is a leaf now, so only d > 2 needs a walk

@@ -7,7 +7,8 @@ it, the one dispatch decision of this module; the component walk gives the
 forest sides (_forest_sides), bipartite components get alpha = n - mu from
 the package's one augmenting-path matcher (graph._match; Koenig's theorem),
 and everything else goes through exact branch-and-bound from the empty set
-under a size budget.
+under a size budget. The branch-and-bound (_bb_set) runs on an explicit
+stack, so no recursion limit bounds how deep it branches.
 
 The forest sides of a component C are C itself when C is a tree, and C - u
 and C - v for a cycle edge uv when C is unicyclic. Every independent set of
@@ -39,7 +40,9 @@ decided per component, with the same dispatch:
   candidates down to itself. Every witness W of size alpha(C) - 1 for
   C - N[v] makes W + v a maximum independent set, all of it in corona, so
   only the vertices outside S and outside every earlier such W are asked.
-  That is at most |S| queries for core and |C| - |S| for corona.
+  That is at most |S| queries for core and |C| - |S| for corona. When both
+  are wanted, corona's queries run first, and each W + v, being a maximum
+  independent set, also cuts core's candidates down to itself.
 
 One pass over the components gives both masks (core_and_corona): forest
 sides give them from the same rerooting passes, a bipartite component from
@@ -185,11 +188,17 @@ def _bb_set(adj: tuple[int, ...], active: int) -> int:
     """Mask of a maximum independent set of the subgraph induced on the
     active mask, by branch-and-bound from the empty set: isolated/leaf
     reductions, then a branch on a maximum-degree vertex, include first, so
-    the first descent already reaches a maximal set."""
-    best = best_size = 0
+    the first descent already reaches a maximal set.
 
-    def rec(active: int, chosen: int, size: int) -> None:
-        nonlocal best, best_size
+    The search runs on an explicit stack of (active, chosen, size) nodes,
+    so its depth is bounded by memory, not by the recursion limit. A node
+    pushes its skip branch, then its include branch, so the include branch
+    and all of its subtree pop first: the visiting order, and so the set
+    returned, are those of the recursive search."""
+    best = best_size = 0
+    stack = [(active, 0, 0)]
+    while stack:
+        active, chosen, size = stack.pop()
         # reductions: a vertex of active degree <= 1 can always be taken. A
         # scan that finds none has also found v, the first vertex of maximum
         # degree, to branch on.
@@ -213,13 +222,11 @@ def _bb_set(adj: tuple[int, ...], active: int) -> int:
         if not active:
             if size > best_size:
                 best, best_size = chosen, size
-            return
+            continue
         if size + active.bit_count() <= best_size:
-            return
-        rec(active & ~(adj[v] | 1 << v), chosen | 1 << v, size + 1)
-        rec(active & ~(1 << v), chosen, size)
-
-    rec(active, 0, 0)
+            continue
+        stack.append((active & ~(1 << v), chosen, size))
+        stack.append((active & ~(adj[v] | 1 << v), chosen | 1 << v, size + 1))
     return best
 
 
@@ -320,8 +327,9 @@ def _alpha_drops(
     docstring describes for its kind. One pass gives both masks: a component
     with forest sides or a bipartite one pays for one side only. A general
     component shares its first branch-and-bound set between the sides and
-    asks the per-vertex queries of a wanted side only; a side not wanted is
-    returned as 0."""
+    asks the per-vertex queries of a wanted side only, corona's first, whose
+    witnesses are maximum independent sets and so also cut core's
+    candidates; a side not wanted is returned as 0."""
     in_core = in_corona = 0
     for kind, comp, arg in _branches(adj, active):
         if kind == "forests":
@@ -347,26 +355,29 @@ def _alpha_drops(
             _check_bb(comp.bit_count(), budgets)
             first = _bb_set(adj, comp)
             a = first.bit_count()
-            if want_core:
-                # core lies inside every maximum independent set, so each
-                # witness that avoids v cuts the candidates down to itself
-                known = first
-                for v in _bits(first):
-                    if known >> v & 1:
-                        w = _bb_set(adj, comp & ~(1 << v))
-                        if w.bit_count() == a:
-                            known &= w
-                in_core |= known
+            # core lies inside every maximum independent set: first and each
+            # witness below of size a cut its candidates down to themselves
+            cands = first
             if want_corona:
                 # every witness W + v is a maximum independent set, so all of
-                # it lies in corona and needs no query of its own
+                # it lies in corona. These queries run first, so that their
+                # witnesses cut core's candidates too
                 known = first
                 for v in _bits(comp & ~first):
                     if not known >> v & 1:
                         w = _bb_set(adj, comp & ~(adj[v] | 1 << v))
                         if w.bit_count() == a - 1:
-                            known |= w | 1 << v
+                            w |= 1 << v
+                            known |= w
+                            cands &= w
                 in_corona |= known
+            if want_core:
+                for v in _bits(first):
+                    if cands >> v & 1:
+                        w = _bb_set(adj, comp & ~(1 << v))
+                        if w.bit_count() == a:
+                            cands &= w
+                in_core |= cands
     return in_core, in_corona
 
 

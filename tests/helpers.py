@@ -13,6 +13,8 @@ which only the tests use.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import permutations, product
 
 ACCEPTANCE_LINES: list[str] = []
@@ -347,6 +349,38 @@ def canonical_mask_reference(adj: list[int], n: int, bit: list[list[int]]) -> in
     return best
 
 
+def labelling_table_reference(runs: tuple[int, ...], bit: list[list[int]]):
+    """(count, table, columns) of corpus._labelling_table, one labelling
+    at a time: the list-comprehension builder that its byte kernel
+    replaced. columns[a] holds pos_p[a] for every labelling p."""
+    k = sum(runs)
+    blocks = []
+    start = 0
+    for r in runs:
+        blocks.append(permutations(range(start, start + r)))
+        start += r
+    labellings = [[p for part in parts for p in part] for parts in product(*blocks)]
+    table = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            fields = array("I", [bit[pos[a]][pos[b]] for pos in labellings])
+            table[a][b] = table[b][a] = int.from_bytes(fields.tobytes(), sys.byteorder)
+    columns = [bytes(pos[a] for pos in labellings) for a in range(k)]
+    return len(labellings), table, columns
+
+
+def automorphisms_reference(adj, n: int) -> list[tuple[int, ...]]:
+    """The automorphisms of the graph other than the identity, as tuples
+    sigma with sigma[v] the image of v, in lexicographic order, by trying
+    every permutation."""
+    edges = {(u, v) for u in range(n) for v in range(n) if adj[u] >> v & 1}
+    return [
+        sigma
+        for sigma in permutations(range(n))
+        if sigma != tuple(range(n)) and all((sigma[u], sigma[v]) in edges for u, v in edges)
+    ]
+
+
 def connected_levels_reference(n: int):
     """For k = 1..n, (bit, candidates, masks): the vertex augmentation of
     corpus._connected_levels without its deletion filter. candidates are the
@@ -450,6 +484,41 @@ def bb_alpha_reference(adj: tuple[int, ...], active: int) -> int:
         rec(active & ~(1 << v), size)
 
     rec(active, 0)
+    return best
+
+
+def bb_set_reference(adj: tuple[int, ...], active: int) -> int:
+    """independence._bb_set as a recursion, one call per branching, as it
+    was before it moved to an explicit stack: the same reductions, the
+    include branch first, and the first largest set found kept."""
+    best = best_size = 0
+
+    def rec(active: int, chosen: int, size: int) -> None:
+        nonlocal best, best_size
+        while active:
+            v = vdeg = -1
+            for u in range(len(adj)):
+                if active >> u & 1:
+                    d = (adj[u] & active).bit_count()
+                    if d <= 1:
+                        size += 1
+                        chosen |= 1 << u
+                        active &= ~(adj[u] | 1 << u)
+                        break
+                    if d > vdeg:
+                        v, vdeg = u, d
+            else:
+                break
+        if not active:
+            if size > best_size:
+                best, best_size = chosen, size
+            return
+        if size + active.bit_count() <= best_size:
+            return
+        rec(active & ~(adj[v] | 1 << v), chosen | 1 << v, size + 1)
+        rec(active & ~(1 << v), chosen, size)
+
+    rec(active, 0, 0)
     return best
 
 

@@ -35,13 +35,15 @@ from corekit import (
     unicyclic_code,
 )
 from corekit import corpus
-from corekit.corpus import _canonical_mask, _family_orders
-from corekit.graph import _strip_to_cycles
+from corekit.corpus import _byte_maps, _canonical_mask, _family_orders, _labelling_table
+from corekit.graph import _bits, _strip_to_cycles
 from helpers import (
+    automorphisms_reference,
     canonical_mask_reference,
     connected_levels_reference,
     labeled_trees,
     labeled_unicyclic,
+    labelling_table_reference,
     lighter_deletion_reference,
     oracle_alpha,
     oracle_core,
@@ -339,7 +341,7 @@ def test_canonical_mask_equals_the_labelling_loop_on_every_candidate(monkeypatch
 
     monkeypatch.setattr(corpus, "_canonical_mask", recording)
     assert len(list(corpus.enumerate_connected_graphs(6))) == CONNECTED_COUNTS[6]
-    assert len(calls) == 1 + 3 + 11 + 53 + 296
+    assert len(calls) == 1 + 2 + 6 + 23 + 137
     assert {n for _, n, _ in calls} == {2, 3, 4, 5, 6}
     for adj, n, bit in calls:
         assert _canonical_mask(adj, n, bit, {}) == canonical_mask_reference(adj, n, bit), adj
@@ -370,17 +372,69 @@ def test_dropped_candidates_are_in_their_level_and_meet_the_rule(monkeypatch, un
     kept_at = {}
     for adj in kept:
         kept_at.setdefault(len(adj), set()).add(adj)
-    assert [len(kept_at.get(k, ())) for k in range(2, 8)] == [1, 3, 11, 53, 296, 2432]
-    assert len(kept) == 2796
+    assert [len(kept_at.get(k, ())) for k in range(2, 8)] == [1, 2, 6, 23, 137, 1192]
+    assert len(kept) == 1361
     for k in range(2, 8):
         bit, candidates, _ = unfiltered_levels[k]
         tables = {}
         level = set(levels[k - 1])
+        automorphisms = {}
         for adj in candidates:
+            # the candidate is its parent plus vertex k - 1 joined to S
+            parent = tuple(a & ~(1 << (k - 1)) for a in adj[:-1])
+            if parent not in automorphisms:
+                automorphisms[parent] = automorphisms_reference(parent, k - 1)
+            s = adj[k - 1]
+            moved_lower = any(
+                sum(1 << sigma[v] for v in _bits(s)) < s for sigma in automorphisms[parent]
+            )
             dropped = tuple(adj) not in kept_at[k]
-            assert dropped == lighter_deletion_reference(adj, k), adj
+            assert dropped == (lighter_deletion_reference(adj, k) or moved_lower), adj
             if dropped:
                 assert _canonical_mask(adj, k, bit, tables) in level, adj
+
+
+def test_automorphism_images_are_the_automorphisms_of_every_parent():
+    for k, (pairs, masks) in enumerate(corpus._connected_levels(6), start=1):
+        if k < 2:
+            continue
+        _, bit = _row_major_bits(k)
+        tables = {}
+        for mask in masks:
+            adj = _adjacency(k, [pairs[b] for b in _bits(mask)])
+            m, images = corpus._automorphism_images(adj, k, mask, bit, tables)
+            # byte i of images[v] is 1 << sigma_i(v)
+            columns = [images[v].to_bytes(m, "big") for v in range(k)]
+            read = [tuple(col[i].bit_length() - 1 for col in columns) for i in range(m)]
+            assert read == automorphisms_reference(adj, k), (k, mask)
+
+
+def _column_major_bits(n):
+    """bit[i][j] = 1 << (index of the pair i < j in column-major order)."""
+    pairs = sorted(((i, j) for i in range(n) for j in range(i + 1, n)), key=lambda p: (p[1], p[0]))
+    bit = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        bit[i][j] = bit[j][i] = 1 << k
+    return bit
+
+
+def test_labelling_table_equals_the_list_builder_on_every_run_structure():
+    built = 0
+    for k in range(1, 8):
+        for bit in (_row_major_bits(k)[1], _column_major_bits(k)):
+            maps = _byte_maps(bit)
+            for cuts in range(1 << (k - 1)):
+                # bit i of cuts ends a run after position i
+                runs, size = [], 1
+                for i in range(k - 1):
+                    if cuts >> i & 1:
+                        runs.append(size)
+                        size = 0
+                    size += 1
+                runs = tuple(runs + [size])
+                assert _labelling_table(runs, maps) == labelling_table_reference(runs, bit), runs
+                built += 1
+    assert built == 2 * (2**7 - 1)
 
 
 def test_lighter_deletion_passes_over_a_lighter_cut_vertex():
@@ -436,9 +490,7 @@ def test_canonical_mask_equals_the_labelling_loop_on_seven_vertices():
     ]
     graphs += [_adjacency(7, edges) for edges in named]
     # a matrix other than the row-major one gets tables of its own
-    column_major = [[0] * 7 for _ in range(7)]
-    for k, (i, j) in enumerate(sorted(pairs, key=lambda p: (p[1], p[0]))):
-        column_major[i][j] = column_major[j][i] = 1 << k
+    column_major = _column_major_bits(7)
     row_tables, column_tables = {}, {}
     for adj in graphs:
         for b, tables in ((bit, row_tables), (column_major, column_tables), (bit, row_tables)):

@@ -272,7 +272,7 @@ HAND_WALKS = {
     "graph._edge_count",
     "graph._strip_to_cycles",
     "independence._forest_dp",
-    "independence._bb_set.rec",
+    "independence._bb_set",
 }
 
 

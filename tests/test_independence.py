@@ -2,6 +2,7 @@
 cross-checked against subset-sweep oracles."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from corekit import (
     alpha,
     classify_shape,
     core,
+    core_and_corona,
     corona,
     enumerate_connected_graphs,
     enumerate_mis,
@@ -32,6 +34,7 @@ from corekit.graph import _components_in, _edge_count
 from corekit.theorems import _Facts
 from helpers import (
     bb_alpha_reference,
+    bb_set_reference,
     mis_family_reference,
     oracle_alpha,
     oracle_core,
@@ -348,6 +351,9 @@ def test_witness_driven_core_and_corona_match_definition():
         in_core, in_corona = _definition(g)
         assert set(core(g).labels()) == in_core, g.edge_labels()
         assert set(corona(g).labels()) == in_corona, g.edge_labels()
+        # both sides at once: corona's witnesses also cut core's candidates
+        both = core_and_corona(g)
+        assert (set(both[0].labels()), set(both[1].labels())) == (in_core, in_corona)
     assert general >= 900
 
 
@@ -360,6 +366,22 @@ def test_bb_set_is_a_maximum_independent_set(connected_by_n):
         assert s & ~full == 0
         assert is_independent(g, VertexSet(g, s)), g.edge_labels()
         assert s.bit_count() == bb_alpha_reference(g.adj, full), g.edge_labels()
+        # the same set as the recursive search it replaced
+        assert s == bb_set_reference(g.adj, full), g.edge_labels()
+
+
+def test_bb_set_needs_no_recursion_on_a_long_skip_chain():
+    # K_{300,300}: each skip of a left vertex leaves the bound open until the
+    # left side is gone, so the search branches 300 levels deep
+    left, right = (1 << 300) - 1, ((1 << 300) - 1) << 300
+    adj = tuple(right if v < 300 else left for v in range(600))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        s = independence._bb_set(adj, left | right)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s.bit_count() == 300
 
 
 def test_core_and_corona_query_bound(monkeypatch):
@@ -386,6 +408,29 @@ def test_core_and_corona_query_bound(monkeypatch):
             fn(g)
             assert 1 <= len(calls) <= bound, (fn.__name__, seed, len(calls), bound)
     assert checked >= 30
+
+
+def test_core_and_corona_together_share_their_witnesses(monkeypatch, connected_by_n):
+    """Read together, the sides share each general component's first set
+    (887 of them over the connected graphs with n <= 7), and corona's
+    witnesses, asked first, cut core's candidates: 812 queries fewer than
+    the two apart, less the shared sets."""
+    real = independence._bb_set
+    calls = []
+
+    def counting(adj, active):
+        calls.append(active)
+        return real(adj, active)
+
+    monkeypatch.setattr(independence, "_bb_set", counting)
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n]]
+    counts = {}
+    for fn in (core, corona, core_and_corona):
+        calls.clear()
+        for g in graphs:
+            fn(g)
+        counts[fn.__name__] = len(calls)
+    assert counts == {"core": 3151, "corona": 3780, "core_and_corona": 3151 + 3780 - 887 - 812}
 
 
 def test_core_and_corona_of_a_large_general_graph_are_fast():
