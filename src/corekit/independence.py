@@ -40,15 +40,17 @@ decided per component, with the same dispatch:
   candidates down to itself. Every witness W of size alpha(C) - 1 for
   C - N[v] makes W + v a maximum independent set, all of it in corona, so
   only the vertices outside S and outside every earlier such W are asked.
-  That is at most |S| queries for core and |C| - |S| for corona. When both
-  are wanted, corona's queries run first, and each W + v, being a maximum
-  independent set, also cuts core's candidates down to itself.
+  That is at most |C| queries after S: corona's run first, and each W + v,
+  being a maximum independent set, also cuts core's candidates down to
+  itself.
 
-One pass over the components gives both masks (core_and_corona): forest
-sides give them from the same rerooting passes, a bipartite component from
-the same D(C), and a general one shares S between the two sides. core() and
-corona() alone run the same pass; on a general component each asks only its
-own side's queries.
+One pass over the components (_alpha_drops) gives alpha with both masks:
+forest sides give them from the same rerooting passes, whose largest alpha
+is alpha(C), a bipartite component from the same matching and D(C), and a
+general one from S, whose size is alpha(C), and the witnesses of both
+sides. core(), corona() and core_and_corona() read that pass, and so does
+the per-graph record of theorems; alpha() alone runs _alpha_active, which
+computes no core or corona.
 
 enumerate_mis reads the family Omega(G) by exhaustive search alone, none of
 the dispatch above: _mis_masks takes the lowest live vertex (dropping its
@@ -311,26 +313,19 @@ def _alpha_memo(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
     return size
 
 
-def _alpha_drops(
-    adj: tuple[int, ...],
-    active: int,
-    budgets: Budgets,
-    want_core: bool = True,
-    want_corona: bool = True,
-) -> tuple[int, int]:
-    """The masks of the vertices v of the subgraph induced on the active mask
-    with alpha(G[active] - v) = alpha(G[active]) - 1 (core) and with
-    alpha(G[active] - N[v]) = alpha(G[active]) - 1 (corona).
+def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets) -> tuple[int, int, int]:
+    """alpha of the subgraph induced on the active mask, with the masks of
+    its vertices v with alpha(G[active] - v) = alpha(G[active]) - 1 (core)
+    and with alpha(G[active] - N[v]) = alpha(G[active]) - 1 (corona).
 
     v and N[v] lie inside v's component C, so both tests read alpha(C - X) =
     alpha(C) - 1 on each component from _branches, by the branch the module
-    docstring describes for its kind. One pass gives both masks: a component
-    with forest sides or a bipartite one pays for one side only. A general
-    component shares its first branch-and-bound set between the sides and
-    asks the per-vertex queries of a wanted side only, corona's first, whose
-    witnesses are maximum independent sets and so also cut core's
-    candidates; a side not wanted is returned as 0."""
-    in_core = in_corona = 0
+    docstring describes for its kind, and that branch holds alpha(C) too:
+    the largest alpha of the forest sides, n - |matching| on a bipartite
+    component, the size of the first branch-and-bound set on a general one.
+    A general component asks corona's queries first, whose witnesses are
+    maximum independent sets and so also cut core's candidates."""
+    total = in_core = in_corona = 0
     for kind, comp, arg in _branches(adj, active):
         if kind == "forests":
             sides = [_forest_removals(adj, side) for side in _forest_sides(adj, comp, arg)]
@@ -340,10 +335,12 @@ def _alpha_drops(
                 if a == top:
                     c &= side_core
                     o |= side_corona
+            total += top
             in_core |= c
             in_corona |= o
         elif kind == "bipartite":
             mate = _match(adj, arg, comp)
+            total += comp.bit_count() - len(mate)
             free = comp
             for t, s in list(mate.items()):
                 mate[s] = t
@@ -355,30 +352,27 @@ def _alpha_drops(
             _check_bb(comp.bit_count(), budgets)
             first = _bb_set(adj, comp)
             a = first.bit_count()
-            # core lies inside every maximum independent set: first and each
-            # witness below of size a cut its candidates down to themselves
-            cands = first
-            if want_corona:
-                # every witness W + v is a maximum independent set, so all of
-                # it lies in corona. These queries run first, so that their
-                # witnesses cut core's candidates too
-                known = first
-                for v in _bits(comp & ~first):
-                    if not known >> v & 1:
-                        w = _bb_set(adj, comp & ~(adj[v] | 1 << v))
-                        if w.bit_count() == a - 1:
-                            w |= 1 << v
-                            known |= w
-                            cands &= w
-                in_corona |= known
-            if want_core:
-                for v in _bits(first):
-                    if cands >> v & 1:
-                        w = _bb_set(adj, comp & ~(1 << v))
-                        if w.bit_count() == a:
-                            cands &= w
-                in_core |= cands
-    return in_core, in_corona
+            total += a
+            # every witness W + v is a maximum independent set, so all of it
+            # lies in corona, and core, which lies inside every maximum
+            # independent set, lies inside it too: first and each such
+            # witness cut core's candidates down to themselves
+            known = cands = first
+            for v in _bits(comp & ~first):
+                if not known >> v & 1:
+                    w = _bb_set(adj, comp & ~(adj[v] | 1 << v))
+                    if w.bit_count() == a - 1:
+                        w |= 1 << v
+                        known |= w
+                        cands &= w
+            for v in _bits(first):
+                if cands >> v & 1:
+                    w = _bb_set(adj, comp & ~(1 << v))
+                    if w.bit_count() == a:
+                        cands &= w
+            in_core |= cands
+            in_corona |= known
+    return total, in_core, in_corona
 
 
 # -- public operations --------------------------------------------------------
@@ -451,20 +445,20 @@ def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexS
 def core(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to every maximum independent set:
     v is in core(G) iff alpha(G - v) = alpha(G) - 1."""
-    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, want_corona=False)[0])
+    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets)[1])
 
 
 def corona(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to at least one maximum independent set:
     v is in corona(G) iff alpha(G - N[v]) = alpha(G) - 1."""
-    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets, want_core=False)[1])
+    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets)[2])
 
 
 def core_and_corona(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[VertexSet, VertexSet]:
     """(core(G), corona(G)) from one pass over the components."""
-    c, o = _alpha_drops(g.adj, (1 << g.n) - 1, budgets)
+    _, c, o = _alpha_drops(g.adj, (1 << g.n) - 1, budgets)
     return VertexSet(g, c), VertexSet(g, o)
 
 

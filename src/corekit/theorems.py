@@ -49,13 +49,13 @@ render their count in a report, to name a counterexample, and up front when
 matching_limit could refuse the family. sweep
 builds one record per graph and runs the chosen checkers against it in the
 given order, so each graph pays for one subset sweep, one alpha and one mu
-however many checkers read them. core and corona come from one binding,
-independence.core_and_corona, whose single pass over the components gives
-both sets; alpha stays its own _alpha_active call, so a run that reads alpha
-alone pays for no core or corona. LEM2's cycle-edge test reads every
-alpha(G - e) off one prefix and one suffix DP along the cycle
-(unicyclic._non_critical_cycle_edges), an exact alpha computation that rests
-on no catalog statement. The decomposition reuses the record's cycle.
+however many checkers read them. alpha, core and corona come from one
+binding, independence._alpha_drops, whose single pass over the components
+gives all three: a run that reads alpha alone pays for core and corona as
+well, and one that reads all three pays for one pass. LEM2's cycle-edge
+test reads every alpha(G - e) off one prefix and one suffix DP along the
+cycle (unicyclic._non_critical_cycle_edges), an exact alpha computation
+that rests on no catalog statement. The decomposition reuses the record's cycle.
 
 On a bipartite component with more edges than vertices, core() and corona()
 read their answer off one maximum matching (core = D(G) and corona =
@@ -94,13 +94,12 @@ from .critical import _check_subset_n, critical_difference_bruteforce, diff
 from .errors import DomainError
 from .graph import Graph, VertexSet, _bits, _match, _union, classify_shape, serialize
 from .independence import (
-    _alpha_active,
+    _alpha_drops,
     _alpha_memo,
     _branches,
     _mis_family,
     _sorted_sets,
     core,
-    core_and_corona,
     corona,
     is_independent,
 )
@@ -195,24 +194,25 @@ class _Facts:
         return self.shape.kind == "unicyclic"
 
     @_kept
-    def alpha(self) -> int:
-        return _alpha_active(self.g.adj, (1 << self.g.n) - 1, self.budgets)
-
-    @_kept
     def mu(self) -> int:
         return mu(self.g)
 
     @_kept
-    def core_corona(self) -> tuple[VertexSet, VertexSet]:
-        return core_and_corona(self.g, self.budgets)
+    def alpha_core_corona(self) -> tuple[int, VertexSet, VertexSet]:
+        a, c, o = _alpha_drops(self.g.adj, (1 << self.g.n) - 1, self.budgets)
+        return a, VertexSet(self.g, c), VertexSet(self.g, o)
+
+    @property
+    def alpha(self) -> int:
+        return self.alpha_core_corona[0]
 
     @property
     def core(self) -> VertexSet:
-        return self.core_corona[0]
+        return self.alpha_core_corona[1]
 
     @property
     def corona(self) -> VertexSet:
-        return self.core_corona[1]
+        return self.alpha_core_corona[2]
 
     @_kept
     def mis_masks(self) -> list[int]:

@@ -287,7 +287,8 @@ def unicyclic_drops_reference(g, closed: bool):
     gets a per-vertex table of alpha(C - X_v), and on a unicyclic component
     the tables of C - u and C - N[u] (u its lowest cycle vertex) are merged
     vertex by vertex, with the neighbours of u as special cases. Every other
-    component goes to the library's _alpha_drops."""
+    component goes to the library's _alpha_drops, whose (alpha, core,
+    corona) gives the core mask at index 1 and the corona mask at 2."""
     from corekit import VertexSet
     from corekit.budgets import DEFAULT_BUDGETS
     from corekit.graph import _components_in, _edge_count, _strip_to_cycles
@@ -316,7 +317,7 @@ def unicyclic_drops_reference(g, closed: bool):
                 else:
                     after[v] = max(f1[v], 1 + a2)
         else:
-            out |= _alpha_drops(adj, comp, DEFAULT_BUDGETS)[closed]
+            out |= _alpha_drops(adj, comp, DEFAULT_BUDGETS)[1 + closed]
             continue
         for v, b in after.items():
             if b == a - 1:

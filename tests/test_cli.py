@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from corekit import cli as cli_module
 from corekit import corpus as corpus_module
+from corekit import independence as independence_module
 from corekit import matching as matching_module
 from corekit import theorems as theorems_module
 from corekit import unicyclic as unicyclic_module
@@ -147,7 +148,7 @@ def test_verify_graph_reads_a_byte_order_mark_as_no_part_of_a_label(tmp_path, ca
     assert out.startswith("MAIN bom applicable=true holds=true sum=3 two_alpha=2 sum_defect=1 ")
 
 
-_ONE_EACH = ("classify_shape", "alpha", "mu", "core_and_corona")
+_ONE_EACH = ("classify_shape", "_alpha_drops", "mu")
 
 
 @pytest.mark.parametrize(
@@ -157,12 +158,13 @@ _ONE_EACH = ("classify_shape", "alpha", "mu", "core_and_corona")
          _ONE_EACH + ("_decompose",)),
         (lambda: cli_module.main(["analyze", str(FIXDIR / "bicyclic10-ke.txt")]), _ONE_EACH),
         (lambda: theorems_module.classify_sum_defect(fixture("uni10-nonke")),
-         ("alpha", "core_and_corona")),
+         ("_alpha_drops",)),
     ],
     ids=["analyze-uni10-nonke", "analyze-bicyclic10-ke", "classify_sum_defect"],
 )
 def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected):
-    # every value comes through the record's bindings in theorems, once
+    # every value comes through the record's bindings in theorems, once, and
+    # alpha, core and corona come from one pass: no whole-graph alpha query
     calls = []
 
     def counted(name, fn):
@@ -171,19 +173,36 @@ def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected
             return fn(*args)
         return wrapper
 
-    for name in ("classify_shape", "mu", "core_and_corona", "_decompose"):
+    for name in ("classify_shape", "mu", "_alpha_drops", "_decompose"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
-    alpha_active = theorems_module._alpha_active
+    for module in (independence_module, matching_module, unicyclic_module):
+        def counted_alpha(adj, active, budgets, real=module._alpha_active):
+            if active == (1 << len(adj)) - 1:
+                calls.append("alpha")
+            return real(adj, active, budgets)
 
-    def counted_alpha(adj, active, budgets):
-        if active == (1 << len(adj)) - 1:
-            calls.append("alpha")
-        return alpha_active(adj, active, budgets)
-
-    monkeypatch.setattr(theorems_module, "_alpha_active", counted_alpha)
+        monkeypatch.setattr(module, "_alpha_active", counted_alpha)
     run()
     capsys.readouterr()
     assert sorted(calls) == sorted(expected)
+    assert "alpha" not in calls
+
+
+def test_search_problem_2_asks_each_general_component_one_first_set(monkeypatch, capsys):
+    # the record's one pass gives alpha from the first branch-and-bound set
+    # that core and corona start from: 887 fewer sets than two passes
+    calls = []
+    real = independence_module._bb_set
+
+    def counted(adj, active):
+        calls.append(active)
+        return real(adj, active)
+
+    monkeypatch.setattr(independence_module, "_bb_set", counted)
+    args = ["search", "--problem", "2", "--family", "connected", "--max-n", "7"]
+    assert cli_module.main(args) == 0
+    capsys.readouterr()
+    assert len(calls) == 5232
 
 
 def test_analyze_walks_the_cycle_once(monkeypatch, capsys):

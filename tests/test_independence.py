@@ -76,16 +76,21 @@ def test_alpha_matches_oracle_on_fixtures(all_fixtures):
         assert alpha(g) == oracle_alpha(g), name
 
 
+def _both_alphas(g):
+    """alpha() and the alpha that the one pass of core and corona gives."""
+    return alpha(g), independence._alpha_drops(g.adj, (1 << g.n) - 1, DEFAULT_BUDGETS)[0]
+
+
 def test_alpha_matches_oracle_on_small_corpora(trees_by_n, unicyclic_by_n, connected_by_n):
     for n in range(1, 9):
         for g in trees_by_n[n]:
-            assert alpha(g) == oracle_alpha(g)
+            assert _both_alphas(g) == (oracle_alpha(g),) * 2
     for n in range(3, 9):
         for g in unicyclic_by_n[n]:
-            assert alpha(g) == oracle_alpha(g)
+            assert _both_alphas(g) == (oracle_alpha(g),) * 2
     for n in range(1, 7):
         for g in connected_by_n[n]:
-            assert alpha(g) == oracle_alpha(g)
+            assert _both_alphas(g) == (oracle_alpha(g),) * 2
 
 
 def test_is_independent():
@@ -386,7 +391,8 @@ def test_bb_set_needs_no_recursion_on_a_long_skip_chain():
 
 def test_core_and_corona_query_bound(monkeypatch):
     """One branch-and-bound for the witness S, then at most one query per
-    vertex of S (core) or per vertex outside it (corona)."""
+    vertex: outside S for corona, in S for core, whichever entry point
+    asks."""
     real = independence._bb_set
     calls = []
 
@@ -402,19 +408,19 @@ def test_core_and_corona_query_bound(monkeypatch):
         if not _is_general(g.adj, full):
             continue
         checked += 1
-        s = real(g.adj, full).bit_count()
-        for fn, bound in ((core, s + 1), (corona, g.n - s + 1)):
+        for fn in (core, corona, core_and_corona):
             calls.clear()
             fn(g)
-            assert 1 <= len(calls) <= bound, (fn.__name__, seed, len(calls), bound)
+            assert 1 <= len(calls) <= g.n + 1, (fn.__name__, seed, len(calls))
     assert checked >= 30
 
 
 def test_core_and_corona_together_share_their_witnesses(monkeypatch, connected_by_n):
-    """Read together, the sides share each general component's first set
-    (887 of them over the connected graphs with n <= 7), and corona's
-    witnesses, asked first, cut core's candidates: 812 queries fewer than
-    the two apart, less the shared sets."""
+    """core, corona and core_and_corona run the same one pass: over the
+    connected graphs with n <= 7 it shares each of the 887 general
+    components' first set between the sides, and corona's witnesses, asked
+    first, cut core's candidates, 812 queries fewer than the sides apart
+    (3151 for core, 3780 for corona)."""
     real = independence._bb_set
     calls = []
 
@@ -430,7 +436,7 @@ def test_core_and_corona_together_share_their_witnesses(monkeypatch, connected_b
         for g in graphs:
             fn(g)
         counts[fn.__name__] = len(calls)
-    assert counts == {"core": 3151, "corona": 3780, "core_and_corona": 3151 + 3780 - 887 - 812}
+    assert counts == dict.fromkeys(("core", "corona", "core_and_corona"), 5232)
 
 
 def test_core_and_corona_of_a_large_general_graph_are_fast():
@@ -547,7 +553,7 @@ def test_alpha_critical_edges_match_direct_recomputation(all_fixtures):
 @given(n=st.integers(2, 9), seed=st.integers(0, 10**6))
 def test_alpha_matches_oracle_on_random_connected(n, seed):
     g = random_connected(n, seed)
-    assert alpha(g) == oracle_alpha(g)
+    assert _both_alphas(g) == (oracle_alpha(g),) * 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -330,17 +330,17 @@ def test_sweep_renders_only_the_reports_of_failing_graphs(
 def test_a_record_value_is_kept_only_once_its_primitive_returns(monkeypatch):
     g = fixture("uni7-ke")
     f = theorems_module._Facts(g, DEFAULT_BUDGETS)
-    real = theorems_module._alpha_active
+    real = theorems_module._alpha_drops
 
     def refused(adj, active, budgets):
         raise BudgetExceededError("refused for the test")
 
-    monkeypatch.setattr(theorems_module, "_alpha_active", refused)
+    monkeypatch.setattr(theorems_module, "_alpha_drops", refused)
     with pytest.raises(BudgetExceededError):
         f.alpha
-    assert "alpha" not in vars(f)
-    monkeypatch.setattr(theorems_module, "_alpha_active", real)
-    assert f.alpha == alpha(g) and vars(f)["alpha"] == alpha(g)
+    assert not {"alpha", "alpha_core_corona"} & vars(f).keys()
+    monkeypatch.setattr(theorems_module, "_alpha_drops", real)
+    assert f.alpha == alpha(g) and vars(f)["alpha_core_corona"][0] == alpha(g)
 
 
 def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
@@ -355,22 +355,29 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
         return wrapper
 
     # the record lists the MIS family through _mis_family, as masks
-    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "_mis_family"):
+    for name in ("critical_difference_bruteforce", "mu", "_mis_family"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
-    alpha_active = theorems_module._alpha_active
+    # alpha, core and corona come from one pass, and no whole-graph alpha query
+    drops = theorems_module._alpha_drops
 
-    def counted_alpha(adj, active, budgets):
-        if active == (1 << len(adj)) - 1:
-            calls[("alpha", adj)] = calls.get(("alpha", adj), 0) + 1
-        return alpha_active(adj, active, budgets)
+    def counted_drops(adj, active, budgets):
+        calls[("_alpha_drops", adj)] = calls.get(("_alpha_drops", adj), 0) + 1
+        return drops(adj, active, budgets)
 
-    monkeypatch.setattr(theorems_module, "_alpha_active", counted_alpha)
+    monkeypatch.setattr(theorems_module, "_alpha_drops", counted_drops)
+    for module in (independence_module, matching_module, unicyclic_module):
+        def counted_alpha(adj, active, budgets, real=module._alpha_active):
+            if active == (1 << len(adj)) - 1:
+                calls[("alpha", adj)] = calls.get(("alpha", adj), 0) + 1
+            return real(adj, active, budgets)
+
+        monkeypatch.setattr(module, "_alpha_active", counted_alpha)
     summary = sweep([(str(i), g) for i, g in enumerate(graphs)], THEOREM_IDS, workers=1)
     assert summary.graphs_tested == len(graphs) == 143
     assert summary.all_hold()
-    for name in ("critical_difference_bruteforce", "mu", "core_and_corona", "_mis_family",
-                 "alpha"):
+    for name in ("critical_difference_bruteforce", "mu", "_alpha_drops", "_mis_family"):
         assert [calls.get((name, g.adj)) for g in graphs] == [1] * len(graphs), name
+    assert not any(name == "alpha" for name, _ in calls)
 
 
 def test_one_record_walks_its_cycle_once(monkeypatch, unicyclic_by_n):
@@ -416,10 +423,12 @@ def test_ke_checkers_read_core_and_corona_from_the_mis_family(monkeypatch):
     before = [check(tid, g, "k23p") for tid in tids]
     assert all(rep.applicable and rep.holds for rep in before[:5])
 
-    def wrong(g, budgets):
-        return g.full_set(), g.full_set()
+    real = theorems_module._alpha_drops
 
-    monkeypatch.setattr(theorems_module, "core_and_corona", wrong)
+    def wrong(adj, active, budgets):
+        return real(adj, active, budgets)[0], active, active
+
+    monkeypatch.setattr(theorems_module, "_alpha_drops", wrong)
     after = [check(tid, g, "k23p") for tid in tids]
     assert after[:4] == before[:4]
     # the other checkers still read the record's core and corona
