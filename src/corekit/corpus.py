@@ -7,14 +7,19 @@ streams: rooted trees come from the level-sequence successor algorithm and are
 deduped by canonical codes computed on the int adjacency of each level
 sequence and rooted at the tree's centres, the last layer of the leaf peel
 (graph._strip_to_cycles), so a Graph is built only for a tree that is kept.
+A level sequence is skipped before it is coded when its root is not a leaf
+or its height is below the tree's diameter: the first sequence of each class
+is rooted at a vertex of greatest eccentricity (see enumerate_trees).
 Unicyclic graphs are free trees plus one non-edge, deduped by a cycle-necklace
 code: for each tree, in stream order, and each non-edge (i, j) in row-major
 order, the code is read off the tree itself (the cycle is the tree path from i
 to j, and each pendant code is a cycle vertex's branch away from the cycle,
 from one memo of branch codes per tree), and the first candidate of each
 class is kept and only then built as a Graph, from the tree's edges plus
-(i, j). One memoised function, _branch_code, builds every rooted code: at
-a tree's centres and at each cycle vertex. Connected graphs on at most 7
+(i, j). A non-edge that swapping two twin leaves of the tree maps to an
+earlier one is skipped before it is coded (_added_edge_codes). One memoised
+function, _branch_code, builds every rooted code: at a tree's centres and
+at each cycle vertex. Connected graphs on at most 7
 vertices are grown one vertex at a time from the graphs one vertex smaller and
 deduped by their least edge mask over the labellings with a non-increasing
 degree vector. Before that mask is computed, a candidate is dropped when some
@@ -221,9 +226,23 @@ def unicyclic_code(g: Graph) -> str:
     )
 
 
+def _twin_reps(adj: Sequence[int]) -> list[int]:
+    """The lowest vertex with the same adjacency row as each vertex. In a
+    tree on three or more vertices such twins are leaves of one parent, and
+    swapping two of them is an automorphism."""
+    first: dict[int, int] = {}
+    return [first.setdefault(row, v) for v, row in enumerate(adj)]
+
+
 def _added_edge_codes(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, str]]:
     """(i, j, code) for each non-edge i < j of the tree with adjacency adj, in
-    row-major order, where code is unicyclic_code of the tree plus edge ij.
+    row-major order, where code is unicyclic_code of the tree plus edge ij,
+    except the non-edges that a twin swap maps to an earlier one (McKay's one
+    augmentation per orbit, J. Algorithms 1998): with rep = _twin_reps(adj),
+    row i when rep[i] < i, and (i, j) when rep[j] < j and rep[j] != i. The
+    swapped pair, (rep[i], j) or i with rep[j], comes earlier in row-major
+    order and has the same code, so a skipped pair is never the first of its
+    class.
 
     The cycle is the tree path from i to j, found through parent pointers
     from vertex 0. A cycle vertex's pendant code is its branch away from its
@@ -240,9 +259,12 @@ def _added_edge_codes(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, 
             depth[u] = depth[v] + 1
             order.append(u)
     memo: dict[tuple[int, int], str] = {}
+    rep = _twin_reps(adj)
     for i in range(n):
+        if rep[i] < i:
+            continue
         for j in range(i + 1, n):
-            if adj[i] >> j & 1:
+            if adj[i] >> j & 1 or (rep[j] < j and rep[j] != i):
                 continue
             a, b = i, j
             down: list[int] = []
@@ -308,13 +330,36 @@ def _check_enum_n(what: str, n: int, limit: int) -> None:
 
 
 def enumerate_trees(n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Graph]:
-    """Trees on n vertices, one per isomorphism class."""
+    """Trees on n vertices, one per isomorphism class: the first level
+    sequence of each class, in stream order.
+
+    Two kinds of sequence are skipped before they are coded, as neither is
+    ever the first of its class: one whose root is not a leaf (a second 2
+    in it), and one whose height is below the tree's diameter.
+    _level_sequences lists the canonical sequences in decreasing
+    lexicographic order, and a canonical sequence starts 1, 2, ..., h + 1,
+    where h is the root's height (Beyer and Hedetniemi, SIAM J. Comput.
+    1980). So the first sequence of a free tree is rooted at a vertex of
+    greatest eccentricity, the diameter, and such a vertex is a leaf: a
+    neighbour on no path to its farthest vertex would be one step farther
+    from that vertex."""
     if n < 1:
         raise DomainError(f"trees need n >= 1, got {n}")
     _check_enum_n("tree", n, budgets.enum_n)
     seen = set()
     for seq in _level_sequences(n):
+        if 2 in seq[2:]:
+            continue  # the cheap test first
         parent = _level_parents(seq)
+        # the height below each vertex, children first: parent[v] < v
+        below = [0] * n
+        diameter = 0
+        for v in range(n - 1, 0, -1):
+            p, d = parent[v], below[v] + 1
+            diameter = max(diameter, below[p] + d)
+            below[p] = max(below[p], d)
+        if diameter > below[0]:
+            continue
         adj = [0] * n
         for v in range(1, n):
             adj[v] |= 1 << parent[v]

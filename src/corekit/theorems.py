@@ -85,9 +85,9 @@ import os
 import time
 from collections import deque
 from functools import cache, partial
-from itertools import chain, cycle, islice
+from itertools import chain, islice
 from math import comb
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .critical import _check_subset_n, critical_difference_bruteforce, diff
@@ -790,7 +790,7 @@ def _summarize(
     )
 
 
-# graphs per chunk, and chunks per worker sent ahead of the one read
+# graphs per chunk, and chunks per checking process sent ahead of the one read
 _CHUNK = 8
 _CHUNKS_PER_WORKER = 4
 
@@ -811,14 +811,34 @@ def _send(fd: int, obj) -> None:
         view = view[os.write(fd, view):]
 
 
-def _recv(reader: BinaryIO) -> object:
-    """The object of the next frame on a pipe, or None at its end."""
+def _read(fd: int, size: int) -> bytearray:
+    """size bytes from a pipe, or fewer at its end."""
+    data = bytearray()
+    while len(data) < size and (part := os.read(fd, size - len(data))):
+        data += part
+    return data
+
+
+def _recv(fd: int) -> object:
+    """The object of the next frame on a pipe, or None at its end. Nothing
+    past the frame is read, so a poll of the pipe sees whether the next
+    frame has begun."""
     import pickle
 
-    head = reader.read(4)
+    head = _read(fd, 4)
     size = int.from_bytes(head, "big")
-    body = reader.read(size)
+    body = _read(fd, size)
     return pickle.loads(body) if len(head) == 4 and len(body) == size else None
+
+
+def _checked(
+    chunk: list[tuple[str, Graph]], tids: tuple[str, ...], budgets: Budgets
+) -> list[tuple[bool | None, ...]] | Exception:
+    """The flags of each graph of a chunk, or the exception that stopped them."""
+    try:
+        return [_flags(g, tids, budgets) for _, g in chunk]
+    except Exception as exc:
+        return exc
 
 
 def _pooled(
@@ -828,15 +848,21 @@ def _pooled(
     workers: int,
 ) -> Iterator[tuple[Graph, tuple[TheoremReport | bool, ...]]]:
     """(graph, compact reports) of each graph, in stream order, from chunks
-    checked in forked workers, each fed over its own pair of pipes: chunk k
-    goes to worker k mod workers. Closed or raising before its end, the
-    generator kills the workers; it reaps them in every case."""
+    checked by workers processes: workers - 1 forked workers, each fed over
+    its own pair of pipes, and this one. A chunk goes to the worker with the
+    fewest chunks in flight, and this process checks it itself once every
+    worker has _CHUNKS_PER_WORKER. The replies are read in stream order: the
+    oldest chunk's is taken when this process checked it, when a poll finds
+    it on its pipe, or, blocking, once workers * _CHUNKS_PER_WORKER chunks
+    wait. Closed or raising before its end, the generator kills the workers;
+    it reaps them in every case."""
     import pickle  # for _send and _recv: loaded once, before the workers fork
+    import select
     import signal
 
-    procs: list[tuple[int, int, BinaryIO]] = []  # (pid, fd to it, reader from it)
+    procs: list[tuple[int, int, int]] = []  # (pid, fd to it, fd from it)
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             down_r, down_w = os.pipe()
             up_r, up_w = os.pipe()
             pid = os.fork()
@@ -844,47 +870,55 @@ def _pooled(
                 # it never returns into the caller's frames, and holds no end
                 # of another worker's pipes, so each closes with its holder
                 try:
-                    for _, fd, reader in procs:
+                    for _, fd, up in procs:
                         os.close(fd)
-                        reader.close()
+                        os.close(up)
                     os.close(down_w)
                     os.close(up_r)
-                    inbox = open(down_r, "rb")
-                    while (chunk := _recv(inbox)) is not None:
-                        try:
-                            reply = [_flags(g, tids, budgets) for _, g in chunk]
-                        except Exception as exc:
-                            reply = exc
-                        _send(up_w, reply)
+                    while (chunk := _recv(down_r)) is not None:
+                        _send(up_w, _checked(chunk, tids, budgets))
                     os._exit(0)
                 finally:
                     os._exit(1)
-            procs.append((pid, down_w, open(up_r, "rb")))
+            procs.append((pid, down_w, up_r))
             os.close(down_r)
             os.close(up_w)
+        in_flight = [0] * len(procs)
+        # (chunk, index of the worker checking it, or this process's reply)
         pending: deque = deque()
 
+        def answered(source) -> bool:
+            return not isinstance(source, int) or bool(
+                select.select([procs[source][2]], [], [], 0)[0])
+
         def oldest():
-            chunk, reader = pending.popleft()
-            reply = _recv(reader)
-            if reply is None:
-                raise ChildProcessError("a sweep worker ended before sending its results")
-            if isinstance(reply, Exception):
-                raise reply
-            for (gid, g), flags in zip(chunk, reply):
+            chunk, source = pending.popleft()
+            if isinstance(source, int):
+                in_flight[source] -= 1
+                source = _recv(procs[source][2])
+                if source is None:
+                    raise ChildProcessError("a sweep worker ended before sending its results")
+            if isinstance(source, Exception):
+                raise source
+            for (gid, g), flags in zip(chunk, source):
                 # a failing graph's reports are built here, so that a reply
                 # stays small and never fills its pipe while this process is
                 # blocked writing to the worker
                 yield g, _outcome(g, gid, flags, tids, budgets)
 
-        chunks = iter(lambda: list(islice(items, _CHUNK)), [])
-        for (_, fd, reader), chunk in zip(cycle(procs), chunks):
-            try:
-                _send(fd, chunk)
-            except BrokenPipeError:
-                pass  # the worker has ended: raised when its reply is read
-            pending.append((chunk, reader))
-            if len(pending) == workers * _CHUNKS_PER_WORKER:
+        for chunk in iter(lambda: list(islice(items, _CHUNK)), []):
+            k = min(range(len(procs)), key=in_flight.__getitem__)
+            if in_flight[k] < _CHUNKS_PER_WORKER:
+                try:
+                    _send(procs[k][1], chunk)
+                except BrokenPipeError:
+                    pass  # the worker has ended: raised when its reply is read
+                in_flight[k] += 1
+                pending.append((chunk, k))
+            else:
+                pending.append((chunk, _checked(chunk, tids, budgets)))
+            while pending and (len(pending) == workers * _CHUNKS_PER_WORKER
+                               or answered(pending[0][1])):
                 yield from oldest()
         while pending:
             yield from oldest()
@@ -895,9 +929,9 @@ def _pooled(
         raise
     finally:
         # a worker exits at the end of its pipe
-        for pid, fd, reader in procs:
+        for pid, fd, up in procs:
             os.close(fd)
-            reader.close()
+            os.close(up)
             os.waitpid(pid, 0)
 
 
@@ -915,18 +949,19 @@ def sweep(
     sent and merged in stream order, and failures are finally sorted by
     (graph serialization, theorem id).
 
-    With workers > 1 the sweep forks at most one worker per available CPU
-    and per graph: the first that many graphs are read before they start,
-    and with fewer than two of them, or without os.fork, the sweep runs in
-    this process. The stream is then read as the workers go, in chunks of
-    _CHUNK graphs, at most _CHUNKS_PER_WORKER chunks per worker ahead.
+    With workers > 1 the sweep checks in at most that many processes, this
+    one included, and no more than one per available CPU and per graph: the
+    first that many graphs are read before the workers fork, and with fewer
+    than two of them, or without os.fork, the sweep runs in this process
+    alone. The stream is then read in chunks of _CHUNK graphs, at most
+    _CHUNKS_PER_WORKER chunks per process ahead of the results (_pooled).
 
     Either way each graph's checks first give its flags (_flags), and only a
     graph with a failing check gets its reports, built again by check from
     the graph in this process: a passing sweep builds no report. Under
     fail_fast the sweep stops reading the stream at the first failure and
-    kills the workers with the chunks in flight. An exception in a worker,
-    or a worker's death, is raised in stream order.
+    kills the workers with the chunks in flight. An exception in any
+    process, or a worker's death, is raised in stream order.
     """
     tids = _known_ids(theorem_ids)
     start = time.perf_counter()

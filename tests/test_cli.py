@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -354,24 +355,54 @@ def test_verify_checker_error_in_a_worker_exits_as_in_process(monkeypatch, capsy
     one, two = _verify_with_workers(
         ["--theorem", "MAIN,ZHANG", "--family", "unicyclic", "--max-n", "9"], capsys)
     assert one == two == (3, "", "error: forced refusal at n = 8\n")
-    assert len(forked_pids) == 2
+    assert len(forked_pids) == 1
+
+
+def test_verify_checker_error_in_this_process_exits_as_in_process(monkeypatch, capsys,
+                                                                  forked_pids):
+    parent = os.getpid()
+    first_n8 = next(serialize(g) for _, g in family_items("unicyclic", max_n=9) if g.n == 8)
+    refused_here = []
+
+    def refuses_n8_behind_a_slow_worker(f):
+        if os.getpid() != parent:
+            # the worker lags on its first chunks, so this process checks
+            # the ones after them, the first n = 8 graph's among them
+            time.sleep(0.02)
+        if f.g.n == 8:
+            if os.getpid() == parent:
+                refused_here.append(serialize(f.g))
+            raise BudgetExceededError("forced refusal at n = 8")
+        return True, True
+
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", refuses_n8_behind_a_slow_worker)
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    runs = []
+    for workers in ("1", "2"):
+        refused_here.clear()
+        code = cli_module.main(["verify", "--theorem", "MAIN,ZHANG", "--family", "unicyclic",
+                                "--max-n", "9", "--workers", workers])
+        runs.append((code, *capsys.readouterr(), first_n8 in refused_here))
+    assert runs[0] == runs[1] == (3, "", "error: forced refusal at n = 8\n", True)
+    assert len(forked_pids) == 1
 
 
 def test_verify_killed_worker_is_an_error(monkeypatch, capsys, forked_pids):
     parent = os.getpid()
 
-    def dies_in_a_worker_at_n8(f):
-        if f.g.n == 8 and os.getpid() != parent:
+    def dies_in_a_worker(f):
+        # on the worker's first graph, whichever graphs this process checks
+        if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return True, True
 
-    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", dies_in_a_worker_at_n8)
+    monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", dies_in_a_worker)
     monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
     one, two = _verify_with_workers(
         ["--theorem", "ZHANG", "--family", "unicyclic", "--max-n", "9"], capsys)
     assert one[0] == 0
     assert two == (2, "", "error: a sweep worker ended before sending its results\n")
-    assert len(forked_pids) == 2
+    assert len(forked_pids) == 1
 
 
 @pytest.mark.parametrize(

@@ -230,16 +230,70 @@ def test_tree_and_unicyclic_streams_to_ten_are_pinned():
 
 
 def test_added_edge_codes_equal_unicyclic_code_on_every_candidate(trees_by_n):
+    skipped = 0
     for n in range(3, 10):
         for t in trees_by_n[n]:
             got = list(corpus._added_edge_codes(t.adj, n))
+            # the lowest vertex of each vertex's twin class, by its row
+            rep = [min(u for u in range(n) if t.adj[u] == t.adj[v]) for v in range(n)]
             non_edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                          if not t.adj[i] >> j & 1]
-            assert [(i, j) for i, j, _ in got] == non_edges
+            # the twin swap that maps a skipped pair to an earlier one
+            image = {}
+            for i, j in non_edges:
+                if rep[i] < i:
+                    image[i, j] = (rep[i], j)
+                elif rep[j] < j and rep[j] != i:
+                    image[i, j] = tuple(sorted((i, rep[j])))
+            assert [(i, j) for i, j, _ in got] == [p for p in non_edges if p not in image]
             tree_edges = t.edge_labels()
+
+            def code_of(i, j):
+                return unicyclic_code(Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])]))
+
             for i, j, code in got:
-                g = Graph.from_edges(tree_edges + [(t.labels[i], t.labels[j])])
-                assert code == unicyclic_code(g), (serialize(t), i, j)
+                assert code == code_of(i, j), (serialize(t), i, j)
+            for (i, j), (a, b) in image.items():
+                assert (a, b) < (i, j) and not t.adj[a] >> b & 1
+                assert code_of(i, j) == code_of(a, b), (serialize(t), i, j)
+            skipped += len(image)
+    # of the 2049 non-edges of the trees on 3 to 9 vertices
+    assert skipped == 676
+
+
+def _height(adj, root):
+    """The height of the tree with adjacency adj rooted at root."""
+    depth = {root: 0}
+    order = [root]
+    for v in order:
+        for u in _bits(adj[v]):
+            if u not in depth:
+                depth[u] = depth[v] + 1
+                order.append(u)
+    return max(depth.values())
+
+
+def test_the_first_sequence_of_each_tree_class_is_a_leaf_at_the_diameter():
+    # what enumerate_trees's skips rest on: the first canonical sequence of
+    # each free tree, in the order _level_sequences lists them, is rooted at
+    # a leaf whose height is the tree's diameter
+    counts = {**FREE_TREE_COUNTS, 13: 1301}
+    for n in range(2, 14):
+        seen = set()
+        for seq in corpus._level_sequences(n):
+            parent = corpus._level_parents(seq)
+            adj = [0] * n
+            for v in range(1, n):
+                adj[v] |= 1 << parent[v]
+                adj[parent[v]] |= 1 << v
+            code = corpus._tree_code(adj, n)
+            if code in seen:
+                continue
+            seen.add(code)
+            assert seq.count(2) == 1, seq
+            diameter = max(_height(adj, v) for v in range(n))
+            assert max(seq) - 1 == diameter, seq
+        assert len(seen) == counts[n], n
 
 
 def test_connected_counts(connected_by_n):

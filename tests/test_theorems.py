@@ -116,7 +116,7 @@ def test_sweep_worker_counts_agree(monkeypatch, forked_pids, all_fixtures):
         par = sweep(items, THEOREM_IDS, family=family, workers=2)
         assert seq.graphs_tested == len(items)
         assert _timeless(par) == _timeless(seq), family
-    assert len(forked_pids) == 4
+    assert len(forked_pids) == 2
 
 
 def _fails_on_even_n(f):
@@ -144,7 +144,52 @@ def test_sweep_failures_agree_across_worker_counts(monkeypatch, forked_pids, all
             assert rep.graph_id == ids_by_text[text]
     # the first failure is ZHANG on the second fixture, so the count stops there
     assert (par.graphs_tested, par.checks_run) == (2, 5)
-    assert len(forked_pids) == 4
+    assert len(forked_pids) == 2
+
+
+def test_this_process_checks_chunks_beside_its_worker(monkeypatch, forked_pids):
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 2)
+    here = []
+    flags = theorems_module._flags
+
+    def recording(g, tids, budgets):
+        # a worker's calls land in its own copy of this list
+        here.append(g)
+        return flags(g, tids, budgets)
+
+    items = list(family_items("unicyclic", max_n=10))
+    seq = sweep(items, THEOREM_IDS, workers=1)
+    monkeypatch.setattr(theorems_module, "_flags", recording)
+    par = sweep(items, THEOREM_IDS, workers=2)
+    assert _timeless(par) == _timeless(seq)
+    # the 1040 graphs make 130 whole chunks
+    assert here and len(here) % theorems_module._CHUNK == 0
+    assert len(here) < len(items)
+    assert len(forked_pids) == 1
+
+
+def test_three_processes_agree_with_one(monkeypatch, forked_pids):
+    def hung(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    # two workers and this process, more than the cores of a 2-CPU host
+    monkeypatch.setattr(theorems_module, "_available_cpus", lambda: 3)
+    items = list(family_items("unicyclic", max_n=9))
+    alarm = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        assert _timeless(sweep(items, THEOREM_IDS, workers=3)) == _timeless(
+            sweep(items, THEOREM_IDS, workers=1))
+        monkeypatch.setitem(theorems_module._CHECKERS, "ZHANG", _fails_on_even_n)
+        for fail_fast in (False, True):
+            seq = sweep(items, THEOREM_IDS, fail_fast=fail_fast, workers=1)
+            par = sweep(items, THEOREM_IDS, fail_fast=fail_fast, workers=3)
+            assert _timeless(par) == _timeless(seq), fail_fast
+            assert len(par.failures) == (1 if fail_fast else sum(g.n % 2 == 0 for _, g in items))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+    assert len(forked_pids) == 6
 
 
 @pytest.fixture
@@ -171,7 +216,7 @@ def test_sweep_pool_is_capped_at_the_available_cpus(
     assert _timeless(sweep(items, THEOREM_IDS, workers=5000)) == _timeless(one)
     sweep(list(all_fixtures.items())[:2], THEOREM_IDS, workers=5000)
     assert pool_sizes == [3, 2]
-    assert len(forked_pids) == 5
+    assert len(forked_pids) == 3
 
 
 def test_fail_fast_sweep_cancels_the_chunks_not_started(monkeypatch, forked_pids):
@@ -189,10 +234,10 @@ def test_fail_fast_sweep_cancels_the_chunks_not_started(monkeypatch, forked_pids
     par = sweep(family_items("unicyclic", max_n=10), ("ZHANG",), fail_fast=True, workers=2)
     assert _timeless(par) == _timeless(seq)
     assert par.graphs_tested == 2
-    # the chunks in flight when the first reply was read; the workers were
+    # the chunks in flight when the first reply was read; the worker was
     # killed with them
-    assert len(sent) == 2 * theorems_module._CHUNKS_PER_WORKER
-    assert len(forked_pids) == 2
+    assert 1 <= len(sent) <= theorems_module._CHUNKS_PER_WORKER
+    assert len(forked_pids) == 1
 
 
 def test_sweep_replies_stay_small_whatever_fails(monkeypatch, forked_pids):
@@ -218,7 +263,7 @@ def test_sweep_replies_stay_small_whatever_fails(monkeypatch, forked_pids):
         signal.signal(signal.SIGALRM, alarm)
     assert _timeless(par) == _timeless(seq)
     assert len(par.failures) == 32
-    assert len(forked_pids) == 2
+    assert len(forked_pids) == 1
 
 
 def test_sweep_failure_reports_are_replayable(monkeypatch, all_fixtures):
@@ -283,7 +328,7 @@ def test_flags_equal_the_compact_reports(monkeypatch, forked_pids, record_corpus
     for workers in (1, 2):
         summary = sweep(record_corpus, THEOREM_IDS, workers=workers, family="corpus")
         assert _timeless(summary) == _timeless(expected), workers
-    assert len(forked_pids) == 2
+    assert len(forked_pids) == 1
 
 
 def test_sweep_renders_only_the_reports_of_failing_graphs(
@@ -324,7 +369,7 @@ def test_sweep_renders_only_the_reports_of_failing_graphs(
         assert [(rep.graph_id, rep.theorem_id) for rep in built] == [
             (gid, tid) for gid in even for tid in THEOREM_IDS]
         assert len(rendered) == sum(len(rep.witness) + len(rep.counterexample) for rep in built)
-    assert len(forked_pids) == 4
+    assert len(forked_pids) == 2
 
 
 def test_a_record_value_is_kept_only_once_its_primitive_returns(monkeypatch):
@@ -605,8 +650,9 @@ def test_a_passing_sweep_lists_no_matching_and_sorts_no_family(
     graphs = [g for n in range(3, 9) for g in unicyclic_by_n[n]]
     summary = sweep([(str(i), g) for i, g in enumerate(graphs)], THEOREM_IDS, workers=workers)
     assert summary.graphs_tested == 143 and summary.all_hold()
-    # a worker raises in the sweep, so two workers did the checking
-    assert len(forked_pids) == (workers if workers > 1 else 0)
+    # a worker raises in the sweep, so the one worker and this process did
+    # the checking
+    assert len(forked_pids) == workers - 1
 
 
 def test_th11_validates_the_matching_it_reads(monkeypatch):
