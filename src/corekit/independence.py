@@ -44,13 +44,14 @@ decided per component, with the same dispatch:
   being a maximum independent set, also cuts core's candidates down to
   itself.
 
-One pass over the components (_alpha_drops) gives alpha with both masks:
-forest sides give them from the same rerooting passes, whose largest alpha
-is alpha(C), a bipartite component from the same matching and D(C), and a
-general one from S, whose size is alpha(C), and the witnesses of both
-sides. core(), corona() and core_and_corona() read that pass, and so does
-the per-graph record of theorems; alpha() alone runs _alpha_active, which
-computes no core or corona.
+The dispatch runs in two stages. The first (_alpha_active) gives alpha and
+keeps what each alpha(C) came from: each forest side's tree DP, a bipartite
+component's matching, a general one's S. The second (_drops) finishes core
+and corona from those: a rerooting pass on each side that reaches alpha(C),
+D(C) from the same matching, the witness queries after S. alpha() and the
+KE gate alpha + mu = n of theorems' per-graph record run the first stage
+alone; core(), corona(), core_and_corona() and the record's core and corona
+run both.
 
 enumerate_mis reads the family Omega(G) by exhaustive search alone, none of
 the dispatch above: _mis_masks takes the lowest live vertex (dropping its
@@ -145,10 +146,10 @@ def _forest_dp(
     return total, order, parent, take, skip
 
 
-def _forest_removals(adj: tuple[int, ...], active: int) -> tuple[int, int, int]:
-    """alpha of the forest F induced on the active mask, and the masks of
-    the vertices v of F with alpha(F - v) = alpha(F) - 1 (the core side)
-    and with alpha(F - N_F[v]) = alpha(F) - 1 (the corona side).
+def _forest_removals(dp) -> tuple[int, int]:
+    """The masks of the vertices v of the forest F that the _forest_dp
+    result dp walked with alpha(F - v) = alpha(F) - 1 (the core side) and
+    with alpha(F - N_F[v]) = alpha(F) - 1 (the corona side).
 
     Rerooting: a second pass in walk order gives each vertex v with parent p
     the sizes of the largest independent sets of its up-tree (the tree minus
@@ -160,7 +161,7 @@ def _forest_removals(adj: tuple[int, ...], active: int) -> tuple[int, int, int]:
     pass. Either removal lies in T, so it drops alpha(F) by one exactly when
     it drops alpha(T) by one. Like the DP's lists, us and ub are indexed by
     walk position."""
-    total, order, parent, take, skip = _forest_dp(adj, active)
+    _, order, parent, take, skip = dp
     up_skip = [0] * len(order)
     up_best = [0] * len(order)
     in_core = in_corona = 0
@@ -183,7 +184,7 @@ def _forest_removals(adj: tuple[int, ...], active: int) -> tuple[int, int, int]:
             in_core |= 1 << v
         if t - 1 + us == drop:
             in_corona |= 1 << v
-    return total, in_core, in_corona
+    return in_core, in_corona
 
 
 def _bb_set(adj: tuple[int, ...], active: int) -> int:
@@ -232,16 +233,6 @@ def _bb_set(adj: tuple[int, ...], active: int) -> int:
     return best
 
 
-def _check_bb(nv: int, budgets: Budgets) -> None:
-    """The bb_n budget of a general component of nv vertices, checked
-    before any branching."""
-    if nv > budgets.bb_n:
-        raise BudgetExceededError(
-            f"alpha branch-and-bound limited to components of {budgets.bb_n} "
-            f"vertices, got {nv}"
-        )
-
-
 def _branches(adj: tuple[int, ...], active: int):
     """(kind, comp, arg) for each component of the subgraph induced on the
     active mask: kind is "forests" (a tree or a unicyclic component; arg is
@@ -273,20 +264,33 @@ def _forest_sides(adj: tuple[int, ...], comp: int, cycles: int) -> tuple[int, ..
     return comp & ~u, comp & ~(nb & -nb)
 
 
-def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> int:
-    """alpha of the subgraph induced on the active mask, with per-component
-    dispatch. The branch-and-bound budget applies per general component."""
+def _alpha_active(adj: tuple[int, ...], active: int, budgets: Budgets) -> tuple[int, list]:
+    """alpha of the subgraph induced on the active mask, and the stages that
+    _drops reads: one (kind, comp, alpha(C), kept) per component from
+    _branches, kept being each forest side's _forest_dp result, a bipartite
+    component's matching or a general one's first branch-and-bound set. The
+    bb_n budget applies per general component, before any branching."""
     total = 0
+    stages = []
     for kind, comp, arg in _branches(adj, active):
         if kind == "forests":
-            total += max(_forest_dp(adj, side)[0] for side in _forest_sides(adj, comp, arg))
+            kept = [_forest_dp(adj, side) for side in _forest_sides(adj, comp, arg)]
+            a = max(dp[0] for dp in kept)
         elif kind == "bipartite":
+            kept = _match(adj, arg, comp)
             # Koenig: alpha = n - mu on a bipartite component
-            total += comp.bit_count() - len(_match(adj, arg, comp))
+            a = comp.bit_count() - len(kept)
         else:
-            _check_bb(comp.bit_count(), budgets)
-            total += _bb_set(adj, comp).bit_count()
-    return total
+            if comp.bit_count() > budgets.bb_n:
+                raise BudgetExceededError(
+                    f"alpha branch-and-bound limited to components of {budgets.bb_n} "
+                    f"vertices, got {comp.bit_count()}"
+                )
+            kept = _bb_set(adj, comp)
+            a = kept.bit_count()
+        total += a
+        stages.append((kind, comp, a, kept))
+    return total, stages
 
 
 def _alpha_memo(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
@@ -313,66 +317,57 @@ def _alpha_memo(adj: tuple[int, ...], active: int, memo: dict[int, int]) -> int:
     return size
 
 
-def _alpha_drops(adj: tuple[int, ...], active: int, budgets: Budgets) -> tuple[int, int, int]:
-    """alpha of the subgraph induced on the active mask, with the masks of
-    its vertices v with alpha(G[active] - v) = alpha(G[active]) - 1 (core)
-    and with alpha(G[active] - N[v]) = alpha(G[active]) - 1 (corona).
+def _drops(adj: tuple[int, ...], stages: list) -> tuple[int, int]:
+    """From the stages of _alpha_active on the active mask, the masks of the
+    vertices v with alpha(G[active] - v) = alpha(G[active]) - 1 (core) and
+    with alpha(G[active] - N[v]) = alpha(G[active]) - 1 (corona).
 
     v and N[v] lie inside v's component C, so both tests read alpha(C - X) =
-    alpha(C) - 1 on each component from _branches, by the branch the module
-    docstring describes for its kind, and that branch holds alpha(C) too:
-    the largest alpha of the forest sides, n - |matching| on a bipartite
-    component, the size of the first branch-and-bound set on a general one.
-    A general component asks corona's queries first, whose witnesses are
-    maximum independent sets and so also cut core's candidates."""
-    total = in_core = in_corona = 0
-    for kind, comp, arg in _branches(adj, active):
+    alpha(C) - 1 on each component, by the branch the module docstring
+    describes for its kind, from what the first stage kept. A general
+    component asks corona's queries first, whose witnesses are maximum
+    independent sets and so also cut core's candidates."""
+    in_core = in_corona = 0
+    for kind, comp, a, kept in stages:
         if kind == "forests":
-            sides = [_forest_removals(adj, side) for side in _forest_sides(adj, comp, arg)]
-            top = max(a for a, _, _ in sides)
             c, o = comp, 0
-            for a, side_core, side_corona in sides:
-                if a == top:
+            for dp in kept:
+                if dp[0] == a:
+                    side_core, side_corona = _forest_removals(dp)
                     c &= side_core
                     o |= side_corona
-            total += top
             in_core |= c
             in_corona |= o
         elif kind == "bipartite":
-            mate = _match(adj, arg, comp)
-            total += comp.bit_count() - len(mate)
+            mate = dict(kept)
             free = comp
-            for t, s in list(mate.items()):
+            for t, s in kept.items():
                 mate[s] = t
                 free &= ~(1 << t | 1 << s)
             d = _even_reach(adj, mate, free, comp)
             in_core |= d
             in_corona |= comp & ~_union(adj, d)
         else:
-            _check_bb(comp.bit_count(), budgets)
-            first = _bb_set(adj, comp)
-            a = first.bit_count()
-            total += a
             # every witness W + v is a maximum independent set, so all of it
             # lies in corona, and core, which lies inside every maximum
-            # independent set, lies inside it too: first and each such
-            # witness cut core's candidates down to themselves
-            known = cands = first
-            for v in _bits(comp & ~first):
+            # independent set, lies inside it too: the kept first set and
+            # each such witness cut core's candidates down to themselves
+            known = cands = kept
+            for v in _bits(comp & ~kept):
                 if not known >> v & 1:
                     w = _bb_set(adj, comp & ~(adj[v] | 1 << v))
                     if w.bit_count() == a - 1:
                         w |= 1 << v
                         known |= w
                         cands &= w
-            for v in _bits(first):
+            for v in _bits(kept):
                 if cands >> v & 1:
                     w = _bb_set(adj, comp & ~(1 << v))
                     if w.bit_count() == a:
                         cands &= w
             in_core |= cands
             in_corona |= known
-    return total, in_core, in_corona
+    return in_core, in_corona
 
 
 # -- public operations --------------------------------------------------------
@@ -385,7 +380,7 @@ def is_independent(g: Graph, vs: VertexSet) -> bool:
 
 def alpha(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """Independence number. alpha of the 0-vertex graph is 0."""
-    return _alpha_active(g.adj, (1 << g.n) - 1, budgets)
+    return _alpha_active(g.adj, (1 << g.n) - 1, budgets)[0]
 
 
 def _check_mis_n(n: int, budgets: Budgets) -> None:
@@ -445,20 +440,20 @@ def enumerate_mis(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[VertexS
 def core(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to every maximum independent set:
     v is in core(G) iff alpha(G - v) = alpha(G) - 1."""
-    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets)[1])
+    return core_and_corona(g, budgets)[0]
 
 
 def corona(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> VertexSet:
     """Vertices belonging to at least one maximum independent set:
     v is in corona(G) iff alpha(G - N[v]) = alpha(G) - 1."""
-    return VertexSet(g, _alpha_drops(g.adj, (1 << g.n) - 1, budgets)[2])
+    return core_and_corona(g, budgets)[1]
 
 
 def core_and_corona(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[VertexSet, VertexSet]:
-    """(core(G), corona(G)) from one pass over the components."""
-    _, c, o = _alpha_drops(g.adj, (1 << g.n) - 1, budgets)
+    """(core(G), corona(G)) from one run of both stages."""
+    c, o = _drops(g.adj, _alpha_active(g.adj, (1 << g.n) - 1, budgets)[1])
     return VertexSet(g, c), VertexSet(g, o)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, DomainError
 from .graph import Graph, VertexSet, _bits, _label_pairs, _match
-from .independence import _alpha_active, _mis_masks
+from .independence import _mis_masks, alpha
 
 __all__ = [
     "Matching",
@@ -213,7 +213,7 @@ def mu(g: Graph) -> int:
 def is_koenig_egervary(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """alpha(G) + mu(G) = n. Always true for bipartite graphs (a test gate,
     not an assumption of this function)."""
-    return _alpha_active(g.adj, (1 << g.n) - 1, budgets) + mu(g) == g.n
+    return alpha(g, budgets) + mu(g) == g.n
 
 
 def saturating_matching(g: Graph, sources: VertexSet, targets: VertexSet) -> Matching | None:

@@ -46,16 +46,16 @@ TH1 fails at v exactly when the line graph minus the edges from v into core
 still has mu independent vertices (_unmatchable). The maximum matchings
 themselves, the same search's sets on the line graph, are listed only to
 render their count in a report, to name a counterexample, and up front when
-matching_limit could refuse the family. sweep
-builds one record per graph and runs the chosen checkers against it in the
-given order, so each graph pays for one subset sweep, one alpha and one mu
-however many checkers read them. alpha, core and corona come from one
-binding, independence._alpha_drops, whose single pass over the components
-gives all three: a run that reads alpha alone pays for core and corona as
-well, and one that reads all three pays for one pass. LEM2's cycle-edge
-test reads every alpha(G - e) off one prefix and one suffix DP along the
-cycle (unicyclic._non_critical_cycle_edges), an exact alpha computation
-that rests on no catalog statement. The decomposition reuses the record's cycle.
+matching_limit could refuse the family. sweep builds one record per graph
+and runs the chosen checkers against it in the given order, so each graph
+pays for one subset sweep, one alpha and one mu however many checkers read
+them. alpha comes from the first stage of the component dispatch
+(independence._alpha_active, alpha_stages), core and corona from the second
+(independence._drops, core_corona) once either is read, so the KE gate of
+most checkers runs the first alone. LEM2's cycle-edge test reads every
+alpha(G - e) off one prefix and one suffix DP along the cycle
+(unicyclic._non_critical_cycle_edges), an exact alpha computation that
+rests on no catalog statement. The decomposition reuses the record's cycle.
 
 On a bipartite component with more edges than vertices, core() and corona()
 read their answer off one maximum matching (core = D(G) and corona =
@@ -94,9 +94,10 @@ from .critical import _check_subset_n, critical_difference_bruteforce, diff
 from .errors import DomainError
 from .graph import Graph, VertexSet, _bits, _match, _union, classify_shape, serialize
 from .independence import (
-    _alpha_drops,
+    _alpha_active,
     _alpha_memo,
     _branches,
+    _drops,
     _mis_family,
     _sorted_sets,
     core,
@@ -198,21 +199,25 @@ class _Facts:
         return mu(self.g)
 
     @_kept
-    def alpha_core_corona(self) -> tuple[int, VertexSet, VertexSet]:
-        a, c, o = _alpha_drops(self.g.adj, (1 << self.g.n) - 1, self.budgets)
-        return a, VertexSet(self.g, c), VertexSet(self.g, o)
+    def alpha_stages(self) -> tuple[int, list]:
+        return _alpha_active(self.g.adj, (1 << self.g.n) - 1, self.budgets)
+
+    @_kept
+    def core_corona(self) -> tuple[VertexSet, VertexSet]:
+        c, o = _drops(self.g.adj, self.alpha_stages[1])
+        return VertexSet(self.g, c), VertexSet(self.g, o)
 
     @property
     def alpha(self) -> int:
-        return self.alpha_core_corona[0]
+        return self.alpha_stages[0]
 
     @property
     def core(self) -> VertexSet:
-        return self.alpha_core_corona[1]
+        return self.core_corona[0]
 
     @property
     def corona(self) -> VertexSet:
-        return self.alpha_core_corona[2]
+        return self.core_corona[1]
 
     @_kept
     def mis_masks(self) -> list[int]:

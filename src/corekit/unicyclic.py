@@ -34,7 +34,7 @@ from .graph import (
     _union,
     classify_shape,
 )
-from .independence import _alpha_active, _forest_dp, core, corona
+from .independence import _forest_dp, alpha, core, corona
 from .matching import is_koenig_egervary, mu
 
 __all__ = [
@@ -149,7 +149,7 @@ def classify_ke_unicyclic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> KeCla
     criterion: the sum is n - 1 exactly when every cycle edge is
     alpha-critical, and any non-critical cycle edge is reported as a witness."""
     _require_unicyclic(g)
-    a = _alpha_active(g.adj, (1 << g.n) - 1, budgets)
+    a = alpha(g, budgets)
     total = a + mu(g)
     bad = _non_critical_cycle_edges(g, _walk_cycle(g), a)
     return KeClassification(

@@ -231,7 +231,7 @@ def mis_family_reference(g):
     def am(active: int) -> int:
         got = memo.get(active)
         if got is None:
-            got = memo[active] = _alpha_active(adj, active, DEFAULT_BUDGETS)
+            got = memo[active] = _alpha_active(adj, active, DEFAULT_BUDGETS)[0]
         return got
 
     found: list[int] = []
@@ -281,18 +281,17 @@ def _forest_removals_reference(adj: tuple[int, ...], active: int, closed: bool):
 
 
 def unicyclic_drops_reference(g, closed: bool):
-    """core(g) if not closed, corona(g) if closed, as
-    independence._alpha_drops gave them before its unicyclic branch took the
-    set of the larger side of the split: each forest and unicyclic component
-    gets a per-vertex table of alpha(C - X_v), and on a unicyclic component
+    """core(g) if not closed, corona(g) if closed, as independence gave
+    them before its unicyclic branch took the set of the larger side of the
+    split: each forest and unicyclic component gets a per-vertex table of alpha(C - X_v), and on a unicyclic component
     the tables of C - u and C - N[u] (u its lowest cycle vertex) are merged
     vertex by vertex, with the neighbours of u as special cases. Every other
-    component goes to the library's _alpha_drops, whose (alpha, core,
-    corona) gives the core mask at index 1 and the corona mask at 2."""
+    component goes through both stages of the library's dispatch, whose
+    _drops gives the core mask at index 0 and the corona mask at 1."""
     from corekit import VertexSet
     from corekit.budgets import DEFAULT_BUDGETS
     from corekit.graph import _components_in, _edge_count, _strip_to_cycles
-    from corekit.independence import _alpha_drops
+    from corekit.independence import _alpha_active, _drops
 
     adj = g.adj
     out = 0
@@ -317,7 +316,7 @@ def unicyclic_drops_reference(g, closed: bool):
                 else:
                     after[v] = max(f1[v], 1 + a2)
         else:
-            out |= _alpha_drops(adj, comp, DEFAULT_BUDGETS)[1 + closed]
+            out |= _drops(adj, _alpha_active(adj, comp, DEFAULT_BUDGETS)[1])[closed]
             continue
         for v, b in after.items():
             if b == a - 1:

@@ -149,7 +149,7 @@ def test_verify_graph_reads_a_byte_order_mark_as_no_part_of_a_label(tmp_path, ca
     assert out.startswith("MAIN bom applicable=true holds=true sum=3 two_alpha=2 sum_defect=1 ")
 
 
-_ONE_EACH = ("classify_shape", "_alpha_drops", "mu")
+_ONE_EACH = ("classify_shape", "_alpha_active", "_drops", "mu")
 
 
 @pytest.mark.parametrize(
@@ -159,13 +159,14 @@ _ONE_EACH = ("classify_shape", "_alpha_drops", "mu")
          _ONE_EACH + ("_decompose",)),
         (lambda: cli_module.main(["analyze", str(FIXDIR / "bicyclic10-ke.txt")]), _ONE_EACH),
         (lambda: theorems_module.classify_sum_defect(fixture("uni10-nonke")),
-         ("_alpha_drops",)),
+         ("_alpha_active", "_drops")),
     ],
     ids=["analyze-uni10-nonke", "analyze-bicyclic10-ke", "classify_sum_defect"],
 )
 def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected):
     # every value comes through the record's bindings in theorems, once, and
-    # alpha, core and corona come from one pass: no whole-graph alpha query
+    # alpha, core and corona come from one run of each dispatch stage: no
+    # other whole-graph alpha query
     calls = []
 
     def counted(name, fn):
@@ -174,15 +175,15 @@ def test_one_record_reads_each_primitive_once(monkeypatch, capsys, run, expected
             return fn(*args)
         return wrapper
 
-    for name in ("classify_shape", "mu", "_alpha_drops", "_decompose"):
+    for name in ("classify_shape", "mu", "_alpha_active", "_drops", "_decompose"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
-    for module in (independence_module, matching_module, unicyclic_module):
-        def counted_alpha(adj, active, budgets, real=module._alpha_active):
-            if active == (1 << len(adj)) - 1:
-                calls.append("alpha")
-            return real(adj, active, budgets)
 
-        monkeypatch.setattr(module, "_alpha_active", counted_alpha)
+    def counted_alpha(adj, active, budgets, real=independence_module._alpha_active):
+        if active == (1 << len(adj)) - 1:
+            calls.append("alpha")
+        return real(adj, active, budgets)
+
+    monkeypatch.setattr(independence_module, "_alpha_active", counted_alpha)
     run()
     capsys.readouterr()
     assert sorted(calls) == sorted(expected)

@@ -77,8 +77,8 @@ def test_alpha_matches_oracle_on_fixtures(all_fixtures):
 
 
 def _both_alphas(g):
-    """alpha() and the alpha that the one pass of core and corona gives."""
-    return alpha(g), independence._alpha_drops(g.adj, (1 << g.n) - 1, DEFAULT_BUDGETS)[0]
+    """alpha() and the alpha of the per-graph record."""
+    return alpha(g), _Facts(g, DEFAULT_BUDGETS).alpha
 
 
 def test_alpha_matches_oracle_on_small_corpora(trees_by_n, unicyclic_by_n, connected_by_n):
@@ -272,7 +272,7 @@ def test_forest_dp_state_is_sized_by_the_walked_set():
     n = 10000
     adj = tuple((1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n))
     active = (0b11111 << 5000) | (0b111 << 9000)
-    total, order, parent, take, skip = independence._forest_dp(adj, active)
+    dp = total, order, parent, take, skip = independence._forest_dp(adj, active)
     assert total == 3 + 2
     assert sorted(order) == [5000, 5001, 5002, 5003, 5004, 9000, 9001, 9002]
     for state in (order, parent, take, skip):
@@ -280,12 +280,13 @@ def test_forest_dp_state_is_sized_by_the_walked_set():
     assert [i for i, p in enumerate(parent) if p < 0] == [0, 5]
     # each path has one maximum independent set, its even positions
     ends = 0b10101 << 5000 | 0b101 << 9000
-    assert independence._forest_removals(adj, active) == (5, ends, ends)
+    assert independence._forest_removals(dp) == (ends, ends)
 
 
 def test_forest_sides_strip_only_in_the_consumers(monkeypatch, trees_by_n, unicyclic_by_n):
     """The dispatcher strips no cycle; core_and_corona strips a unicyclic
-    component once and runs one rerooting pass per forest side."""
+    component once and runs one rerooting pass per forest side whose alpha
+    is alpha(C)."""
     calls = {"strip": 0, "removals": 0}
 
     def counted(name, real):
@@ -303,11 +304,17 @@ def test_forest_sides_strip_only_in_the_consumers(monkeypatch, trees_by_n, unicy
     )
     for sides, graphs in ((1, trees_by_n), (2, unicyclic_by_n)):
         for g in (g for n in range(1, 9) for g in graphs.get(n, ())):
+            full = (1 << g.n) - 1
+            tops = [
+                independence._forest_dp(g.adj, side)[0] == alpha(g)
+                for side in independence._forest_sides(g.adj, full, sides - 1)
+            ]
+            assert len(tops) == sides and any(tops)
             calls.update(strip=0, removals=0)
             assert not _Facts(g, DEFAULT_BUDGETS).matching_read
             assert calls == {"strip": 0, "removals": 0}, g.edge_labels()
             independence.core_and_corona(g)
-            assert calls == {"strip": sides - 1, "removals": sides}, g.edge_labels()
+            assert calls == {"strip": sides - 1, "removals": sum(tops)}, g.edge_labels()
 
 
 def _definition(g):

@@ -16,8 +16,11 @@ from corekit import (
     THEOREM_IDS,
     alpha,
     check,
+    classify_ke_unicyclic,
+    classify_shape,
     classify_sum_defect,
     decompose,
+    is_koenig_egervary,
     family_items,
     fixture,
     kernel_gap_family,
@@ -375,17 +378,17 @@ def test_sweep_renders_only_the_reports_of_failing_graphs(
 def test_a_record_value_is_kept_only_once_its_primitive_returns(monkeypatch):
     g = fixture("uni7-ke")
     f = theorems_module._Facts(g, DEFAULT_BUDGETS)
-    real = theorems_module._alpha_drops
+    real = theorems_module._alpha_active
 
     def refused(adj, active, budgets):
         raise BudgetExceededError("refused for the test")
 
-    monkeypatch.setattr(theorems_module, "_alpha_drops", refused)
+    monkeypatch.setattr(theorems_module, "_alpha_active", refused)
     with pytest.raises(BudgetExceededError):
         f.alpha
-    assert not {"alpha", "alpha_core_corona"} & vars(f).keys()
-    monkeypatch.setattr(theorems_module, "_alpha_drops", real)
-    assert f.alpha == alpha(g) and vars(f)["alpha_core_corona"][0] == alpha(g)
+    assert not {"alpha", "alpha_stages"} & vars(f).keys()
+    monkeypatch.setattr(theorems_module, "_alpha_active", real)
+    assert f.alpha == alpha(g) and vars(f)["alpha_stages"][0] == alpha(g)
 
 
 def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
@@ -402,27 +405,36 @@ def test_sweep_runs_each_primitive_once_per_graph(monkeypatch, unicyclic_by_n):
     # the record lists the MIS family through _mis_family, as masks
     for name in ("critical_difference_bruteforce", "mu", "_mis_family"):
         monkeypatch.setattr(theorems_module, name, counted(name, getattr(theorems_module, name)))
-    # alpha, core and corona come from one pass, and no whole-graph alpha query
-    drops = theorems_module._alpha_drops
-
-    def counted_drops(adj, active, budgets):
-        calls[("_alpha_drops", adj)] = calls.get(("_alpha_drops", adj), 0) + 1
-        return drops(adj, active, budgets)
-
-    monkeypatch.setattr(theorems_module, "_alpha_drops", counted_drops)
-    for module in (independence_module, matching_module, unicyclic_module):
-        def counted_alpha(adj, active, budgets, real=module._alpha_active):
+    # alpha, core and corona come from one run of each dispatch stage, and
+    # no other whole-graph alpha query: on any graph, a pendant tree's
+    # included, a whole-graph first stage outside the record is core's or
+    # corona's, so the second stage follows it
+    for module, tag in ((theorems_module, ""), (independence_module, "independence.")):
+        def counted_alpha(adj, active, budgets, real=module._alpha_active, tag=tag):
             if active == (1 << len(adj)) - 1:
-                calls[("alpha", adj)] = calls.get(("alpha", adj), 0) + 1
+                key = (tag + "_alpha_active", adj)
+                calls[key] = calls.get(key, 0) + 1
             return real(adj, active, budgets)
 
+        def counted_drops(adj, stages, real=module._drops, tag=tag):
+            key = (tag + "_drops", adj)
+            calls[key] = calls.get(key, 0) + 1
+            return real(adj, stages)
+
         monkeypatch.setattr(module, "_alpha_active", counted_alpha)
+        monkeypatch.setattr(module, "_drops", counted_drops)
     summary = sweep([(str(i), g) for i, g in enumerate(graphs)], THEOREM_IDS, workers=1)
     assert summary.graphs_tested == len(graphs) == 143
     assert summary.all_hold()
-    for name in ("critical_difference_bruteforce", "mu", "_alpha_drops", "_mis_family"):
+    for name in ("critical_difference_bruteforce", "mu", "_alpha_active", "_drops", "_mis_family"):
         assert [calls.get((name, g.adj)) for g in graphs] == [1] * len(graphs), name
-    assert not any(name == "alpha" for name, _ in calls)
+    assert not any(calls.get(("independence._alpha_active", g.adj)) for g in graphs)
+    outside = {adj for name, adj in calls if name.startswith("independence.")}
+    assert outside  # TH3 and TH12 read the core and corona of pendant trees
+    assert all(
+        calls.get(("independence._alpha_active", adj)) == calls.get(("independence._drops", adj))
+        for adj in outside
+    )
 
 
 def test_one_record_walks_its_cycle_once(monkeypatch, unicyclic_by_n):
@@ -459,6 +471,37 @@ def test_record_decomposition_walks_no_components(monkeypatch):
     ]
 
 
+def test_the_ke_gate_runs_the_first_stage_only(monkeypatch, all_fixtures):
+    # bicyclic10-nonke is one general component and not KE: the gate reads
+    # alpha off the first branch-and-bound set and never finishes core or
+    # corona, whose queries would ask seven sets more
+    def unreached(adj, stages):
+        raise AssertionError("the second stage ran")
+
+    def answers(g):
+        uni = classify_ke_unicyclic(g) if classify_shape(g).kind == "unicyclic" else None
+        return alpha(g), is_koenig_egervary(g), uni
+
+    before = {name: answers(g) for name, g in all_fixtures.items()}
+    sets = []
+    real = independence_module._bb_set
+
+    def counted(adj, active):
+        sets.append(active)
+        return real(adj, active)
+
+    monkeypatch.setattr(independence_module, "_bb_set", counted)
+    for module in (independence_module, theorems_module):
+        monkeypatch.setattr(module, "_drops", unreached)
+    g = all_fixtures["bicyclic10-nonke"]
+    for tid in ("TH1", "TH4A", "TH4B"):
+        sets.clear()
+        assert not check(tid, g, "bicyclic10-nonke").applicable
+        assert len(sets) == 1, tid
+    for name, g in all_fixtures.items():
+        assert answers(g) == before[name], name
+
+
 def test_ke_checkers_read_core_and_corona_from_the_mis_family(monkeypatch):
     # K_{2,3} with a pendant path: bipartite, two independent cycles
     g = parse_edge_list(
@@ -468,12 +511,11 @@ def test_ke_checkers_read_core_and_corona_from_the_mis_family(monkeypatch):
     before = [check(tid, g, "k23p") for tid in tids]
     assert all(rep.applicable and rep.holds for rep in before[:5])
 
-    real = theorems_module._alpha_drops
+    def wrong(adj, stages):
+        full = (1 << len(adj)) - 1
+        return full, full
 
-    def wrong(adj, active, budgets):
-        return real(adj, active, budgets)[0], active, active
-
-    monkeypatch.setattr(theorems_module, "_alpha_drops", wrong)
+    monkeypatch.setattr(theorems_module, "_drops", wrong)
     after = [check(tid, g, "k23p") for tid in tids]
     assert after[:4] == before[:4]
     # the other checkers still read the record's core and corona

@@ -30,9 +30,7 @@ from corekit import (
     sweep,
 )
 from corekit import independence as independence_module
-from corekit import matching as matching_module
 from corekit import theorems as theorems_module
-from corekit import unicyclic as unicyclic_module
 from corekit.unicyclic import _non_critical_cycle_edges
 from helpers import (
     non_critical_cycle_edges_reference,
@@ -250,7 +248,7 @@ def test_lem2_asks_no_alpha_query_per_cycle_edge(monkeypatch, unicyclic_by_n):
         return wrapper
 
     monkeypatch.setattr(theorems_module, "_non_critical_cycle_edges", edges)
-    for module in (independence_module, unicyclic_module, matching_module):
+    for module in (independence_module, theorems_module):
         monkeypatch.setattr(module, "_alpha_active", counted(module._alpha_active))
     summary = sweep([(str(i), g) for i, g in enumerate(graphs)], ("LEM2",))
     assert summary.graphs_tested == len(graphs) and summary.all_hold()
